@@ -37,7 +37,6 @@ from .tfs import (
     TypeHierarchy,
     Workspace,
     fs_equal,
-    glb,
     path_get,
     subsumes,
     unify,
@@ -77,7 +76,6 @@ __all__ = [
     "TypeHierarchy",
     "Workspace",
     "fs_equal",
-    "glb",
     "path_get",
     "subsumes",
     "unify",

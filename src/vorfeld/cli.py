@@ -106,7 +106,7 @@ def _print_derivation(derivation: Derivation, clause_type: str, out: TextIO) -> 
     for line in derivation.tree_lines():
         print(line, file=out)
     print("fields:", file=out)
-    for element, fld in assign_fields(derivation.sign, clause_type):
+    for element, fld in assign_fields(derivation.root.sign, clause_type):
         cov = ",".join(str(p) for p in mask_positions(element.coverage))
         print(f"  {fld:2s} [{cov}] {' '.join(element.phon)}", file=out)
 
@@ -132,11 +132,14 @@ def cmd_parse(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if result.limit_hit:
         print(f"edge limit {result.edge_limit} exceeded in {result.mode} mode "
               f"({len(result.edges)} edges built)", file=out)
-    for i, (derivation, avm) in enumerate(enumerate_readings(result.derivations), 1):
+    # AVMs are rendered, and derivations rebuilt, only when they are printed
+    readings = (enumerate_readings(result.derivations) if args.print_avm
+                else [(d, None) for d in result.derivations])
+    for i, (derivation, avm) in enumerate(readings, 1):
         if args.print_derivation:
             print(f"-- derivation {i}", file=out)
             _print_derivation(derivation, result.clause_type, out)
-        if args.print_avm:
+        if avm is not None:
             print(f"-- avm {i}", file=out)
             print(avm, file=out)
     return 0 if result.readings > 0 else 1

@@ -1,8 +1,12 @@
 """Sign geometry and the combination schemata.
 
-A sign couples a feature structure (SYNSEM plus, for phrasal signs, a
-typed daughter structure) with a word order domain.  Five schemata combine
-signs:
+A chart sign couples a feature structure holding only SYNSEM with a word
+order domain; it records no daughters.  The derivation tree lives once, on
+the parser's edges, and the full AVM with its typed daughter structure
+(``DTRS``) exists only on derivations rebuilt from their lexical leaves
+(:func:`vorfeld.parser.replay`).  Both the chart and the rebuild apply the
+schemata through :func:`apply_schema`; only the rebuild keeps ``DTRS``.
+Five schemata combine signs:
 
 * head-complement: binary; saturates the last (most oblique) element of a
   closed COMPS list.  A single fixed saturation order keeps the Mittelfeld
@@ -32,6 +36,7 @@ application never mutates the daughters and returns None on failure.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,7 +55,6 @@ from .orderdomain import (
 )
 from .tfs import (
     APPEND,
-    AVM,
     CLOSED,
     OPEN,
     FeatureStructure,
@@ -103,64 +107,28 @@ class SignFacts:
 
 @dataclass(frozen=True, eq=False)
 class Sign:
-    """A word or phrase: feature structure, order domain, derivation record."""
+    """A word or phrase: feature structure and order domain."""
 
     hierarchy: TypeHierarchy
     fs: FeatureStructure
     dom: Domain
-    schema: Optional[str]
-    dtrs: tuple["Sign", ...]
     facts: SignFacts
     synsem_fs: FeatureStructure
 
-    @property
-    def coverage(self) -> int:
-        return self.dom.coverage
-
-    def resolve(self, path: Sequence[str]) -> int:
-        return self.fs.resolve(path)
-
-
-def _type_or_none(fs: FeatureStructure, path) -> Optional[str]:
-    try:
-        node = fs.nodes[fs.resolve(path)]
-    except PathError:
-        return None
-    return node.type if node.kind == AVM else node.kind
-
-
-def _type_from(fs: FeatureStructure, start: int, path) -> Optional[str]:
-    cur = start
-    for feat in path:
-        node = fs.nodes[cur]
-        if node.kind != AVM:
-            return None
-        for name, child in node.feats:
-            if name == feat:
-                cur = child
-                break
-        else:
-            return None
-    node = fs.nodes[cur]
-    return node.type if node.kind == AVM else node.kind
-
 
 def _facts(fs: FeatureStructure) -> SignFacts:
-    head = _type_or_none(fs, P_HEAD)
-    comps_kind = None
+    comps_kind = comps_last_head = comps_last_case = None
     comps_len = 0
-    comps_last_head = None
-    comps_last_case = None
     try:
         comps = fs.nodes[fs.resolve(P_COMPS)]
         comps_kind = comps.kind
         comps_len = len(comps.elems)
         if comps.kind == CLOSED and comps.elems:
-            comps_last_head = _type_from(fs, comps.elems[-1], ("LOC", "CAT", "HEAD"))
-            comps_last_case = _type_from(fs, comps.elems[-1], ("LOC", "CAT", "HEAD", "CASE"))
+            comps_last_head = fs.type_at(("LOC", "CAT", "HEAD"), comps.elems[-1])
+            comps_last_case = fs.type_at(("LOC", "CAT", "HEAD", "CASE"), comps.elems[-1])
     except PathError:
         pass
-    vcomp_type = _type_or_none(fs, P_VCOMP)
+    vcomp_type = fs.type_at(P_VCOMP)
     vcomp_vform = None
     if vcomp_type is None:
         vcomp = "missing"
@@ -168,7 +136,7 @@ def _facts(fs: FeatureStructure) -> SignFacts:
         vcomp = "none"
     elif vcomp_type == "synsem":
         vcomp = "sel"
-        vcomp_vform = _type_or_none(fs, P_VCOMP + ("LOC", "CAT", "HEAD", "VFORM"))
+        vcomp_vform = fs.type_at(P_VCOMP + ("LOC", "CAT", "HEAD", "VFORM"))
     else:
         vcomp = "open"
     slash: Optional[int] = None
@@ -176,33 +144,25 @@ def _facts(fs: FeatureStructure) -> SignFacts:
         slash = len(fs.nodes[fs.resolve(P_SLASH)].elems)
     except PathError:
         pass
-    mod_head = _type_or_none(fs, P_MOD + ("LOC", "CAT", "HEAD"))
-    has_mod = False
-    try:
-        fs.resolve(P_MOD)
-        has_mod = True
-    except PathError:
-        pass
     return SignFacts(
-        head=head,
-        vform=_type_or_none(fs, P_VFORM),
-        case=_type_or_none(fs, P_CASE),
-        lex=_type_or_none(fs, P_LEX),
+        head=fs.type_at(P_HEAD),
+        vform=fs.type_at(P_VFORM),
+        case=fs.type_at(P_CASE),
+        lex=fs.type_at(P_LEX),
         comps_kind=comps_kind,
         comps_len=comps_len,
         vcomp=vcomp,
         slash=slash,
-        has_mod=has_mod,
+        has_mod=fs.has_path(P_MOD),
         comps_last_head=comps_last_head,
         comps_last_case=comps_last_case,
         vcomp_vform=vcomp_vform,
-        mod_head=mod_head,
+        mod_head=fs.type_at(P_MOD + ("LOC", "CAT", "HEAD")),
     )
 
 
-def make_sign(hierarchy: TypeHierarchy, fs: FeatureStructure, dom: Domain,
-              schema: Optional[str] = None, dtrs: tuple[Sign, ...] = ()) -> Sign:
-    return Sign(hierarchy, fs, dom, schema, dtrs, _facts(fs), path_get(fs, P_SYNSEM))
+def make_sign(hierarchy: TypeHierarchy, fs: FeatureStructure, dom: Domain) -> Sign:
+    return Sign(hierarchy, fs, dom, _facts(fs), path_get(fs, P_SYNSEM))
 
 
 def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
@@ -210,7 +170,7 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
     """Wrap a lexical entry structure as a sign covering ``tokens`` at ``start``."""
     sign = make_sign(hierarchy, fs, EMPTY_DOMAIN)
     element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.synsem_fs)
-    return Sign(hierarchy, fs, Domain((element,)), None, (), sign.facts, sign.synsem_fs)
+    return Sign(hierarchy, fs, Domain((element,)), sign.facts, sign.synsem_fs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +226,7 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
     return od.domain_union(head.dom, Domain((element,)))
 
 
-def _underspecified_mother(head: Sign, other: Sign, schema: str, dom: Optional[Domain],
+def _underspecified_mother(head: Sign, other: Sign, dom: Optional[Domain],
                            cluster: bool) -> Optional[Sign]:
     """Mother for trace-mode combinations on underspecified heads.
 
@@ -274,7 +234,8 @@ def _underspecified_mother(head: Sign, other: Sign, schema: str, dom: Optional[D
     defect being demonstrated), so no unification is needed; the mother is
     built from the daughters' synsems alone — and memoized, since the
     other daughter contributes nothing beyond a possible SLASH element —
-    to keep the exploding chart affordable.
+    to keep the exploding chart affordable.  It records no daughters, not
+    even when a derivation is rebuilt.
     """
     if dom is None:
         return None
@@ -284,19 +245,20 @@ def _underspecified_mother(head: Sign, other: Sign, schema: str, dom: Optional[D
     fs = _underspec_fs(head.hierarchy, head.synsem_fs, donor, cluster)
     if fs is None:
         return None
-    return make_sign(head.hierarchy, fs, dom, schema, (head, other))
+    return make_sign(head.hierarchy, fs, dom)
 
 
-_UNDERSPEC_CACHE: dict = {}
+# hierarchy -> memo of _underspec_fs; an entry goes with its hierarchy
+_UNDERSPEC_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _underspec_fs(hierarchy: TypeHierarchy, head_synsem: FeatureStructure,
                   slash_donor: Optional[FeatureStructure],
                   cluster: bool) -> Optional[FeatureStructure]:
-    key = (id(hierarchy), head_synsem.nodes,
-           slash_donor.nodes if slash_donor is not None else None, cluster)
-    if key in _UNDERSPEC_CACHE:
-        return _UNDERSPEC_CACHE[key]
+    cache = _UNDERSPEC_CACHE.setdefault(hierarchy, {})
+    key = (head_synsem.nodes, slash_donor.nodes if slash_donor is not None else None, cluster)
+    if key in cache:
+        return cache[key]
     ws = Workspace(hierarchy)
     h = ws.graft(head_synsem)
     if slash_donor is not None:
@@ -319,36 +281,39 @@ def _underspec_fs(hierarchy: TypeHierarchy, head_synsem: FeatureStructure,
     nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
     synsem = ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex)
     fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem))
-    _UNDERSPEC_CACHE[key] = fs
+    cache[key] = fs
     return fs
 
 
-def _mother(ws: Workspace, struct_type: str, struct_feats: dict[str, int],
-            loc: int, lex: Optional[int], slash: int) -> int:
+def _mother(ws: Workspace, dom: Optional[Domain], struct_type: str,
+            struct_feats: dict[str, int], loc: int, lex: Optional[int], slash: int,
+            keep_dtrs: bool) -> Optional[Sign]:
+    """The mother sign; None when its domain or the extraction fails.
+
+    A chart mother is ``phrasal-sign[SYNSEM]``; only the rebuild of a
+    derivation (``keep_dtrs``) records the daughters under ``DTRS``.
+    """
+    if dom is None:
+        return None
     nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
     feats = {"LOC": loc, "NONLOC": nonloc}
     if lex is not None:
         feats["LEX"] = lex
-    synsem = ws.avm("synsem", **feats)
-    dtrs = ws.avm(struct_type, **struct_feats)
-    return ws.avm(TYPE_PHRASAL, SYNSEM=synsem, DTRS=dtrs)
-
-
-def _finish(ws: Workspace, root: int, hierarchy: TypeHierarchy, dom: Optional[Domain],
-            schema: str, dtrs: tuple[Sign, ...]) -> Optional[Sign]:
-    if dom is None:
-        return None
-    fs = ws.extract(root)
+    mother = {"SYNSEM": ws.avm("synsem", **feats)}
+    if keep_dtrs:
+        mother["DTRS"] = ws.avm(struct_type, **struct_feats)
+    fs = ws.extract(ws.avm(TYPE_PHRASAL, **mother))
     if fs is None:
         return None
-    return make_sign(hierarchy, fs, dom, schema, dtrs)
+    return make_sign(ws.hierarchy, fs, dom)
 
 
 # ---------------------------------------------------------------------------
 # the schemata
 
 
-def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False) -> Optional[Sign]:
+def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False,
+                          keep_dtrs: bool = False) -> Optional[Sign]:
     """Saturate the last element of the head's COMPS list with ``comp``.
 
     The head's verbal complement must already be discharged (VCOMP none):
@@ -369,8 +334,7 @@ def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False) -> O
     if open_comps:
         if not allow_open or head.facts.vcomp not in ("none", "open"):
             return None
-        return _underspecified_mother(head, comp, SCHEMA_HEAD_COMPLEMENT,
-                                      _insert_comp_dom(head, comp), cluster=False)
+        return _underspecified_mother(head, comp, _insert_comp_dom(head, comp), cluster=False)
     if head.facts.vcomp != "none":
         return None
     if head.facts.comps_kind != CLOSED or head.facts.comps_len == 0:
@@ -396,17 +360,14 @@ def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False) -> O
         COMPS=new_comps,
         VCOMP=ws.resolve(h, P_VCOMP),
     )
-    loc = ws.avm("local", CAT=cat)
-    root = _mother(
-        ws, "head-complement-structure",
+    return _mother(
+        ws, _insert_comp_dom(head, comp), "head-complement-structure",
         {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])},
-        loc, ws.atom("-"), slash,
+        ws.avm("local", CAT=cat), ws.atom("-"), slash, keep_dtrs,
     )
-    dom = _insert_comp_dom(head, comp)
-    return _finish(ws, root, head.hierarchy, dom, SCHEMA_HEAD_COMPLEMENT, (head, comp))
 
 
-def apply_head_adjunct(head: Sign, adjunct: Sign) -> Optional[Sign]:
+def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False) -> Optional[Sign]:
     """Attach a modifier; its MOD value unifies with the head's synsem.
 
     The mother shares the head's whole CAT (category, valence) and LEX
@@ -427,16 +388,14 @@ def apply_head_adjunct(head: Sign, adjunct: Sign) -> Optional[Sign]:
     slash = _union_slash(ws, (h, a))
     if slash is None:
         return None
-    root = _mother(
-        ws, "head-adjunct-structure",
+    return _mother(
+        ws, od.domain_union(head.dom, adjunct.dom), "head-adjunct-structure",
         {"HEAD-DTR": h, "ADJUNCT-DTR": a},
-        ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), slash,
+        ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), slash, keep_dtrs,
     )
-    dom = od.domain_union(head.dom, adjunct.dom)
-    return _finish(ws, root, head.hierarchy, dom, SCHEMA_HEAD_ADJUNCT, (head, adjunct))
 
 
-def apply_verb_cluster(head: Sign, cluster: Sign) -> Optional[Sign]:
+def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False) -> Optional[Sign]:
     """Combine a verb with its verbal complement into a (partial) cluster.
 
     The embedded sign's full synsem unifies with the head's VCOMP value,
@@ -459,8 +418,7 @@ def apply_verb_cluster(head: Sign, cluster: Sign) -> Optional[Sign]:
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
-        return _underspecified_mother(head, cluster, SCHEMA_VERB_CLUSTER,
-                                      od.domain_union(head.dom, cluster.dom),
+        return _underspecified_mother(head, cluster, od.domain_union(head.dom, cluster.dom),
                                       cluster=True)
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, cluster.facts.vform):
         return None
@@ -478,17 +436,15 @@ def apply_verb_cluster(head: Sign, cluster: Sign) -> Optional[Sign]:
         COMPS=ws.resolve(h, P_COMPS),
         VCOMP=ws.atom("none"),
     )
-    loc = ws.avm("local", CAT=cat)
-    root = _mother(
-        ws, "head-cluster-structure",
+    return _mother(
+        ws, od.domain_union(head.dom, cluster.dom), "head-cluster-structure",
         {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])},
-        loc, ws.atom("+"), slash,
+        ws.avm("local", CAT=cat), ws.atom("+"), slash, keep_dtrs,
     )
-    dom = od.domain_union(head.dom, cluster.dom)
-    return _finish(ws, root, head.hierarchy, dom, SCHEMA_VERB_CLUSTER, (head, cluster))
 
 
-def apply_pvp_slash_introduction(head: Sign, licenser: Sign) -> Optional[Sign]:
+def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
+                                 keep_dtrs: bool = False) -> Optional[Sign]:
     """Discharge the head's VCOMP into SLASH, licensed by a real projection.
 
     Only the licenser's LOC unifies with the VCOMP restriction — LEX lives
@@ -522,20 +478,17 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign) -> Optional[Sign]:
         COMPS=ws.resolve(h, P_COMPS),
         VCOMP=ws.atom("none"),
     )
-    loc = ws.avm("local", CAT=cat)
-    slash = ws.set_value([ws.find(vcomp_loc)])
-    root = _mother(
-        ws, "complement-slash-licencing-structure",
+    mother = _mother(
+        ws, head.dom, "complement-slash-licencing-structure",
         {"HEAD-DTR": h, "VCOMP-DTR": li},
-        loc, ws.atom("+"), slash,
+        ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]), keep_dtrs,
     )
-    mother = _finish(ws, root, head.hierarchy, head.dom, SCHEMA_SLASH_INTRO, (head, licenser))
     if mother is None or not check_comps_closed(mother):
         return None
     return mother
 
 
-def apply_filler_head(filler: Sign, head: Sign) -> Optional[Sign]:
+def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False) -> Optional[Sign]:
     """Bind the clause's SLASH element against the fronted filler.
 
     The head must be a saturated finite clause carrying exactly one SLASH
@@ -559,13 +512,37 @@ def apply_filler_head(filler: Sign, head: Sign) -> Optional[Sign]:
     slash_elems = ws.elems_of(ws.resolve(h, P_SLASH))
     if not ws.unify_nodes(slash_elems[0], ws.resolve(f, P_SYNSEM + ("LOC",))):
         return None
-    root = _mother(
-        ws, "filler-head-structure",
+    return _mother(
+        ws, od.insert_filler_domain(head.dom, filler, verb_pos), "filler-head-structure",
         {"HEAD-DTR": h, "FILLER-DTR": f},
-        ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), ws.set_value([]),
+        ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), ws.set_value([]), keep_dtrs,
     )
-    dom = od.insert_filler_domain(head.dom, filler, verb_pos)
-    return _finish(ws, root, head.hierarchy, dom, SCHEMA_FILLER_HEAD, (filler, head))
+
+
+# schema label -> name of the function applying it, looked up in this
+# module's namespace at every call rather than bound here, so that a wrapper
+# installed on the module attribute (perfbench/tracer.py) sees every call
+_APPLY = {
+    SCHEMA_HEAD_COMPLEMENT: "apply_head_complement",
+    SCHEMA_HEAD_ADJUNCT: "apply_head_adjunct",
+    SCHEMA_VERB_CLUSTER: "apply_verb_cluster",
+    SCHEMA_SLASH_INTRO: "apply_pvp_slash_introduction",
+    SCHEMA_FILLER_HEAD: "apply_filler_head",
+}
+
+
+def apply_schema(schema: str, first: Sign, second: Sign, allow_open: bool = False,
+                 keep_dtrs: bool = False) -> Optional[Sign]:
+    """Apply the schema labelled ``schema`` to its daughters in derivation order.
+
+    The one dispatch for both callers: the chart builds mothers of SYNSEM
+    and domain only; the rebuild of a derivation passes ``keep_dtrs`` and
+    gets the full structure.  ``allow_open`` only concerns head-complement.
+    """
+    apply = globals()[_APPLY[schema]]
+    if schema == SCHEMA_HEAD_COMPLEMENT:
+        return apply(first, second, allow_open, keep_dtrs=keep_dtrs)
+    return apply(first, second, keep_dtrs=keep_dtrs)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +555,11 @@ def check_comps_closed(sign: Sign) -> bool:
     A sign still selecting its verbal complement defers the check: its
     valence is tagged to the embedded verb's lists and becomes instantiated
     the moment the complement (or its licenser) is found.  Once VCOMP is
-    discharged, every list in the structure must have determinate length;
-    a trace in the verbal-complement slot leaves the attracted COMPS list
-    open, which is precisely the defect this predicate detects.
+    discharged, every list in the sign's structure must have determinate
+    length; a trace in the verbal-complement slot leaves the attracted
+    COMPS list open, which is precisely the defect this predicate detects.
+    A chart sign carries only SYNSEM, so only SYNSEM is checked there; on
+    a rebuilt sign the ``DTRS`` are checked too.
     """
     if sign.facts.vcomp in ("sel", "open", "missing"):
         return True

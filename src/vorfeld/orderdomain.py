@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .tfs import FeatureStructure, PathError
+from .tfs import FeatureStructure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .grammar import Sign
+    from .parser import Edge
 
 # schema labels (shared with grammar/parser; defined here so lp_check can
 # walk derivations without importing the grammar module)
@@ -202,17 +203,11 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
 
 
 def _head_type(synsem: FeatureStructure) -> Optional[str]:
-    try:
-        return synsem.type_at(("LOC", "CAT", "HEAD"))
-    except PathError:
-        return None
+    return synsem.type_at(("LOC", "CAT", "HEAD"))
 
 
 def _vform(synsem: FeatureStructure) -> Optional[str]:
-    try:
-        return synsem.type_at(("LOC", "CAT", "HEAD", "VFORM"))
-    except PathError:
-        return None
+    return synsem.type_at(("LOC", "CAT", "HEAD", "VFORM"))
 
 
 def _is_finite_verb(e: DomainElement) -> bool:
@@ -232,20 +227,19 @@ def _non_interleaving(elements: Sequence[DomainElement]) -> bool:
     return True
 
 
-def _cluster_nodes(sign: "Sign"):
-    stack = [sign]
+def _cluster_nodes(root: "Edge"):
+    stack = [root]
     while stack:
-        s = stack.pop()
-        if s.schema == SCHEMA_VERB_CLUSTER:
-            yield s
-        stack.extend(s.dtrs)
+        edge = stack.pop()
+        if edge.schema == SCHEMA_VERB_CLUSTER:
+            yield edge
+        stack.extend(edge.daughters)
 
 
-def _cluster_constraints(root: "Sign", clause_type: str, lb_coverage: int) -> bool:
+def _cluster_constraints(root: "Edge", clause_type: str, lb_coverage: int) -> bool:
     for node in _cluster_nodes(root):
-        coverage = node.dom.coverage
-        head = node.dtrs[0]
-        head_cov = head.dom.coverage
+        coverage = node.coverage
+        head_cov = node.daughters[0].coverage
         head_pos = mask_min(head_cov) if head_cov else -1
         effective = coverage & ~lb_coverage if clause_type == V2 else coverage
         if not mask_is_contiguous(effective):
@@ -258,9 +252,13 @@ def _cluster_constraints(root: "Sign", clause_type: str, lb_coverage: int) -> bo
     return True
 
 
-def lp_check(root: "Sign", clause_type: str) -> bool:
-    """Topological-field validation of a complete clause candidate."""
-    elements = root.dom.elements
+def lp_check(root: "Edge", clause_type: str) -> bool:
+    """Topological-field validation of a complete clause candidate.
+
+    The fields are read off the root sign's domain; the verb clusters and
+    their heads' coverages come from the edge's derivation tree.
+    """
+    elements = root.sign.dom.elements
     if not elements or not _non_interleaving(elements):
         return False
     if clause_type == V2:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import grammar as G
@@ -75,9 +76,10 @@ class ParseOptions:
 class Edge:
     """Chart item: a sign plus coverage and derivation bookkeeping.
 
-    The ``can_*`` flags cache which schemata the edge could possibly feed,
-    so the quadratic pairing loop rejects dead pairs on attribute checks
-    alone.
+    ``daughters`` is the one record of the derivation tree; the sign
+    itself carries no daughters.  The ``can_*`` flags cache which schemata
+    the edge could possibly feed, so the quadratic pairing loop rejects
+    dead pairs on attribute checks alone.
     """
 
     id: int
@@ -108,9 +110,13 @@ class Derivation:
 
     root: Edge
 
-    @property
+    @cached_property
     def sign(self) -> Sign:
-        return self.root.sign
+        """The full root sign, ``DTRS`` included, rebuilt once by :func:`replay`."""
+        sign = replay(self)
+        if sign is None:
+            raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
+        return sign
 
     def canonical_key(self) -> str:
         return self.root.key()
@@ -264,41 +270,31 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     trace_mode = options.mode == TRACE
 
+    def attach(schema: str, a: Edge, b: Edge, coverage: int,
+               licenser_id: Optional[int], terminal: bool = False) -> None:
+        mother = G.apply_schema(schema, a.sign, b.sign, allow_open=trace_mode)
+        if mother is not None:
+            add(mother, coverage, schema, (a, b), licenser_id, terminal=terminal)
+
     def combine(a: Edge, b: Edge) -> None:
         """Try every schema with ``a`` as the head-like first argument."""
         if a.coverage & b.coverage:
             return
         both_slashed = a.slash1 and b.slash1
         if a.can_hc_head and not both_slashed:
-            mother = G.apply_head_complement(a.sign, b.sign, allow_open=trace_mode)
-            if mother is not None:
-                add(mother, a.coverage | b.coverage, SCHEMA_HEAD_COMPLEMENT,
-                    (a, b), licenser_of((a, b)))
+            attach(SCHEMA_HEAD_COMPLEMENT, a, b, a.coverage | b.coverage, licenser_of((a, b)))
         if b.has_mod and not both_slashed:
-            mother = G.apply_head_adjunct(a.sign, b.sign)
-            if mother is not None:
-                add(mother, a.coverage | b.coverage, SCHEMA_HEAD_ADJUNCT,
-                    (a, b), licenser_of((a, b)))
+            attach(SCHEMA_HEAD_ADJUNCT, a, b, a.coverage | b.coverage, licenser_of((a, b)))
         if a.can_vc_head and b.is_verb and not both_slashed:
-            mother = G.apply_verb_cluster(a.sign, b.sign)
-            if mother is not None:
-                add(mother, a.coverage | b.coverage, SCHEMA_VERB_CLUSTER,
-                    (a, b), licenser_of((a, b)))
+            attach(SCHEMA_VERB_CLUSTER, a, b, a.coverage | b.coverage, licenser_of((a, b)))
         if not trace_mode and a.can_intro_head and b.is_verb and not b.slash1:
-            mother = G.apply_pvp_slash_introduction(a.sign, b.sign)
-            if mother is not None:
-                # the licenser stays out of the coverage until the
-                # dependency is bound
-                add(mother, a.coverage, SCHEMA_SLASH_INTRO, (a, b),
-                    licenser_id=b.id)
+            # the licenser stays out of the coverage until the dependency is bound
+            attach(SCHEMA_SLASH_INTRO, a, b, a.coverage, licenser_id=b.id)
         if clause_type == V2 and b.can_bind_head and not a.slash1:
             identity_ok = (b.licenser_id == a.id if not trace_mode
                            else b.licenser_id is None)
             if identity_ok:
-                mother = G.apply_filler_head(a.sign, b.sign)
-                if mother is not None:
-                    add(mother, a.coverage | b.coverage, SCHEMA_FILLER_HEAD,
-                        (a, b), terminal=True)
+                attach(SCHEMA_FILLER_HEAD, a, b, a.coverage | b.coverage, None, terminal=True)
 
     while agenda and not state["limit_hit"]:
         e = agenda.popleft()
@@ -320,7 +316,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             continue
         if not is_complete_clause(e.sign, clause_type):
             continue
-        if not od.lp_check(e.sign, clause_type):
+        if not od.lp_check(e, clause_type):
             continue
         if e.sign.dom.phon() != tokens:
             continue
@@ -361,27 +357,18 @@ def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
 
 
 def replay(derivation: Derivation) -> Optional[Sign]:
-    """Re-apply every schema along the derivation; None on divergence.
+    """Re-apply every schema from the lexical leaves up; None on divergence.
 
-    Soundness: the replayed root must be structure-equal to the stored one.
+    Unlike the chart, the rebuild keeps each mother's ``DTRS``, so the
+    result is the full sign: an AVM with the whole derivation inside.
+    Soundness: its SYNSEM and domain equal those of the chart's root.
     """
     def rebuild(edge: Edge) -> Optional[Sign]:
         if not edge.daughters:
             return edge.sign
-        parts = [rebuild(d) for d in edge.daughters]
-        if any(p is None for p in parts):
+        a, b = (rebuild(d) for d in edge.daughters)
+        if a is None or b is None:
             return None
-        a, b = parts
-        if edge.schema == SCHEMA_HEAD_COMPLEMENT:
-            return G.apply_head_complement(a, b, allow_open=True)
-        if edge.schema == SCHEMA_HEAD_ADJUNCT:
-            return G.apply_head_adjunct(a, b)
-        if edge.schema == SCHEMA_VERB_CLUSTER:
-            return G.apply_verb_cluster(a, b)
-        if edge.schema == SCHEMA_SLASH_INTRO:
-            return G.apply_pvp_slash_introduction(a, b)
-        if edge.schema == SCHEMA_FILLER_HEAD:
-            return G.apply_filler_head(a, b)
-        return None
+        return G.apply_schema(edge.schema, a, b, allow_open=True, keep_dtrs=True)
 
     return rebuild(derivation.root)

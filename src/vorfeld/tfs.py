@@ -189,10 +189,6 @@ class TypeHierarchy:
         ]
 
 
-def glb(hierarchy: TypeHierarchy, a: str, b: str) -> Optional[str]:
-    return hierarchy.glb(a, b)
-
-
 # ---------------------------------------------------------------------------
 # feature structures
 
@@ -223,13 +219,13 @@ class FeatureStructure:
     def node(self, i: int) -> Node:
         return self.nodes[i]
 
-    def resolve(self, path: Iterable[str]) -> int:
-        """Node index reached by following ``path`` from the root.
+    def resolve(self, path: Iterable[str], start: int = 0) -> int:
+        """Node index reached by following ``path`` from node ``start``.
 
         Raises PathError when a feature is undefined or the path steps
         through a non-AVM node.
         """
-        cur = 0
+        cur = start
         for feat in path:
             node = self.nodes[cur]
             if node.kind != AVM:
@@ -249,8 +245,12 @@ class FeatureStructure:
         except PathError:
             return False
 
-    def type_at(self, path: Iterable[str]) -> str:
-        node = self.nodes[self.resolve(path)]
+    def type_at(self, path: Iterable[str], start: int = 0) -> Optional[str]:
+        """Type (or list/set kind) at ``path`` from node ``start``; None if undefined."""
+        try:
+            node = self.nodes[self.resolve(path, start)]
+        except PathError:
+            return None
         return node.type if node.kind == AVM else node.kind
 
 

@@ -18,7 +18,7 @@ from vorfeld.grammar import (
 )
 from vorfeld.lexicon import corpus_text
 from vorfeld.orderdomain import SCHEMA_SLASH_INTRO, SCHEMA_VERB_CLUSTER
-from vorfeld.parser import ParseOptions, demonstrate_trace_mode, parse, replay
+from vorfeld.parser import Derivation, ParseOptions, demonstrate_trace_mode, parse, replay
 from vorfeld.tfs import fs_equal, subsumes, unify
 
 SENTENCES = [line.split("\t", 1)[1] for line in corpus_text().splitlines()
@@ -122,7 +122,8 @@ def test_criterion_4_schema_contracts(fragment):
                     violations.append(f"cluster VCOMP {f.vcomp!r} in {sentence!r}")
                 if f.comps_kind != "closed":
                     violations.append(f"cluster COMPS {f.comps_kind!r} in {sentence!r}")
-                comp_dtrs = e.sign.fs.nodes[e.sign.fs.resolve(("DTRS", "COMP-DTRS"))]
+                full = Derivation(e).sign  # chart signs carry no DTRS; rebuild them
+                comp_dtrs = full.fs.nodes[full.fs.resolve(("DTRS", "COMP-DTRS"))]
                 if comp_dtrs.elems != ():
                     violations.append(f"cluster with complement daughters in {sentence!r}")
             elif e.schema == SCHEMA_SLASH_INTRO:
@@ -183,8 +184,10 @@ def test_criterion_6_derivation_replay(fragment):
         result = parse(tokens, fragment)
         for d in result.derivations:
             derivations += 1
-            again = replay(d)
-            if again is None or not fs_equal(again.fs, d.sign.fs) or again.dom != d.sign.dom:
+            again, chart = replay(d), d.root.sign
+            if (again is None or not again.fs.has_path(("DTRS",))
+                    or not fs_equal(again.synsem_fs, chart.synsem_fs)
+                    or again.dom != chart.dom or not check_comps_closed(again)):
                 divergences += 1
     ok = divergences == 0 and derivations > 0
     _verdict(6, "derivation replay", ok,

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -13,6 +14,36 @@ from vorfeld.cli import (
 )
 from vorfeld.lexicon import corpus_text
 from vorfeld.tfs import fs_equal
+
+# SHA-256 of `vorfeld parse --print-avm --print-derivation --sentence S` for
+# each bundled corpus line, recorded before chart signs stopped carrying
+# DTRS: the rebuilt AVMs and the printed trees must stay byte-identical.
+PRINTED_DIGESTS = {
+    "Erzählen wird er seiner Tochter ein Märchen.":
+        "d6fdef5576a1bf02792cbca87a91bd28516a7ab2c095d2431cfcf66b1dcba891",
+    "Erzählen müssen wird er seiner Tochter ein Märchen.":
+        "8073b9ac27383da43dc19b9d921ac25a24efc3b4575977887600393356251ed9",
+    "Er wird seiner Tochter ein Märchen erzählen müssen.":
+        "e08b2cfc40b7c769e062065766490c708392383f2bfa6113488dba38aa84d0dc",
+    "Seiner Tochter ein Märchen erzählen wird er.":
+        "40718cf17183dd3590682c26f55f3bb6a8e0f8cef9aec4d39e26f43686dcf1a5",
+    "Ein Märchen erzählen wird er seiner Tochter.":
+        "4750bb3a9c4516a8b0f28dcc9db07cb2b1343d7056b1c807ed175863019c0d64",
+    "Ein Märchen erzählen wird er seiner Tochter müssen.":
+        "2854a78bf1069f1ff878dbf778f9515d3375d1e0f3f2c290dc91c7ce78b0ba10",
+    "Seiner Tochter erzählen wird er das Märchen.":
+        "edd7966d6f95d2ceff370d9d40b554898ed0d0532245ee0224a124b3b669c6cb",
+    "Den Kanzlerkandidaten ermorden wollte die Frau mit diesem Messer.":
+        "71b710ffa6f85c99c0f1d0d56e056541f660a6a678779e3971e4ee1dc2e8d8f6",
+    "Müssen wird er ihr ein Märchen erzählen.":
+        "2c295f9f69f72830a4635a68a1893e6779abde2bf9cf415a6ec63dd981c1e3c3",
+    "weil er ihr ein Märchen erzählen müssen wird.":
+        "5a212ea8cea195b838f858675b159bc00b032144f25e982b1d13255568bd0894",
+    "weil er ihm ein Märchen erzählen lassen hat.":
+        "3f8ae311907176f83be22890707588bb6a0c7ff7611ac8b74380dd8c950ff6dd",
+    "Vortragen wird er es morgen.":
+        "0bb01a479ca121d3aaa70d8099f8ee8fdd010c4d5a457a1a29f88c64d9384271",
+}
 
 
 class TestTokenizer:
@@ -90,6 +121,28 @@ class TestCmdParse:
         assert rc == 0
         out = capsys.readouterr().out
         assert "VF" in out and "LB" in out and "pvp-slash-intro" in out
+
+    def test_printed_output_is_pinned(self, capsys):
+        for sentence, digest in PRINTED_DIGESTS.items():
+            main(["parse", "--print-avm", "--print-derivation", "--sentence", sentence])
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, sentence
+
+    def test_bare_parse_renders_no_avm(self, capsys, monkeypatch):
+        from vorfeld import parser
+        calls = []
+        for name in ("print_fs", "replay"):
+            def counted(*args, _name=name, _original=getattr(parser, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(parser, name, counted)
+        sentence = "Vortragen wird er es morgen"
+        assert main(["parse", "--sentence", sentence]) == 0
+        assert main(["parse", "--sentence", sentence, "--print-derivation"]) == 0
+        assert calls == []
+        assert main(["parse", "--sentence", sentence, "--print-avm"]) == 0
+        assert calls.count("print_fs") == calls.count("replay") == 10
+        capsys.readouterr()
 
     def test_bad_flag_exits_two(self, capsys):
         assert main(["parse", "--sentence", "Er wird", "--mode", "psychic"]) == 2

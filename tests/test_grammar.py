@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
 from conftest import sign_at
+from vorfeld import grammar
 from vorfeld.avm import read_fs
 from vorfeld.grammar import (
     ModeError,
@@ -9,18 +12,28 @@ from vorfeld.grammar import (
     P_LEX,
     P_SLASH,
     P_VCOMP,
+    Sign,
     apply_filler_head,
     apply_head_adjunct,
     apply_head_complement,
     apply_pvp_slash_introduction,
+    apply_schema,
     apply_verb_cluster,
     check_comps_closed,
     generic_verbal_synsem,
     lexical_sign,
     make_vcomp_trace,
 )
-from vorfeld.orderdomain import mask_positions
-from vorfeld.tfs import glb
+from vorfeld.orderdomain import (
+    SCHEMA_HEAD_ADJUNCT,
+    SCHEMA_HEAD_COMPLEMENT,
+    SCHEMA_SLASH_INTRO,
+    SCHEMA_VERB_CLUSTER,
+    mask_positions,
+)
+from vorfeld.lexicon import load_fragment
+from vorfeld.parser import Derivation, Edge, ParseOptions, parse
+from vorfeld.tfs import fs_equal
 
 
 def _comps_cases(sign):
@@ -38,6 +51,28 @@ def _comps_cases(sign):
 def _hfp_holds(mother):
     return (mother.fs.resolve(P_HEAD)
             == mother.fs.resolve(("DTRS", "HEAD-DTR") + P_HEAD))
+
+
+def _rebuilt(tree):
+    """The full sign, DTRS included, that a derivation rebuilds.
+
+    ``tree`` is a lexical Sign or a ``(schema, first, second)`` triple of
+    subtrees; its chart edges are built as the parser builds them, and the
+    rebuilt root's SYNSEM and domain must equal the chart root's.
+    """
+    def edge(node):
+        if isinstance(node, Sign):
+            return Edge(0, node, node.dom.coverage, "lex", ())
+        schema, first, second = node
+        a, b = edge(first), edge(second)
+        mother = apply_schema(schema, a.sign, b.sign)
+        assert mother is not None
+        return Edge(0, mother, mother.dom.coverage, schema, (a, b))
+
+    root = edge(tree)
+    full = Derivation(root).sign
+    assert fs_equal(full.synsem_fs, root.sign.synsem_fs) and full.dom == root.sign.dom
+    return full
 
 
 TOKENS_1A = "Erzählen wird er seiner Tochter ein Märchen".split()
@@ -59,7 +94,8 @@ class TestHeadComplement:
         assert mother is not None
         assert _comps_cases(mother) == ["nom", "dat"]
         assert mother.fs.nodes[mother.fs.resolve(P_LEX)].type == "-"
-        assert _hfp_holds(mother)
+        assert _hfp_holds(_rebuilt((SCHEMA_HEAD_COMPLEMENT,
+                                    (SCHEMA_SLASH_INTRO, wird, erz3), em)))
 
     def test_saturated_head_takes_nothing(self, fragment):
         er = sign_at(fragment, "er", TOKENS_1A, 2)
@@ -68,7 +104,7 @@ class TestHeadComplement:
 
     def test_case_clash_fails(self, fragment):
         """Offering the dative for the accusative slot has no GLB to meet."""
-        assert glb(fragment.hierarchy, "dat", "acc") is None
+        assert fragment.hierarchy.glb("dat", "acc") is None
         wird = sign_at(fragment, "wird", TOKENS_1A, 1)
         erz3 = sign_at(fragment, "Erzählen", TOKENS_1A, 0, arity=2)
         projection = apply_pvp_slash_introduction(wird, erz3)
@@ -91,7 +127,8 @@ class TestHeadAdjunct:
         assert mother is not None
         assert len(mother.dom.elements) == 3
         assert mask_positions(mother.dom.coverage) == (0, 1, 2, 6, 7, 8)
-        assert _hfp_holds(mother)
+        assert _hfp_holds(_rebuilt((SCHEMA_HEAD_ADJUNCT,
+                                    (SCHEMA_HEAD_COMPLEMENT, ermorden, dk), pp)))
 
     def test_adverb_preserves_lex(self, fragment):
         vortragen = sign_at(fragment, "Vortragen", TOKENS_7B, 0)
@@ -100,7 +137,8 @@ class TestHeadAdjunct:
         assert mother is not None
         assert mother.fs.nodes[mother.fs.resolve(P_LEX)].type == "+"
         # the LEX value is the head's own node, not a copy
-        assert mother.fs.resolve(P_LEX) == mother.fs.resolve(("DTRS", "HEAD-DTR") + P_LEX)
+        full = _rebuilt((SCHEMA_HEAD_ADJUNCT, vortragen, morgen))
+        assert full.fs.resolve(P_LEX) == full.fs.resolve(("DTRS", "HEAD-DTR") + P_LEX)
 
     def test_mod_clash_fails(self, fragment):
         pp = sign_at(fragment, "mit diesem Messer", TOKENS_4, 6)
@@ -123,7 +161,8 @@ class TestVerbCluster:
         assert outer.fs.nodes[outer.fs.resolve(P_LEX)].type == "+"
         assert outer.fs.nodes[outer.fs.resolve(P_VCOMP)].type == "none"
         assert len(outer.dom.elements) == 3
-        assert _hfp_holds(outer)
+        assert _hfp_holds(_rebuilt((SCHEMA_VERB_CLUSTER, hat,
+                                    (SCHEMA_VERB_CLUSTER, lassen, erz2))))
 
     def test_modal_cluster_keeps_subject_apart(self, fragment):
         erz3 = sign_at(fragment, "Erzählen", TOKENS_1B, 0, arity=2)
@@ -307,8 +346,19 @@ class TestTrace:
             make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
                              "licensing", fragment.hierarchy)
 
+    def test_trace_memo_goes_with_its_lexicon(self):
+        """The trace-mode memo keeps no entry once its lexicon is gone."""
+        gc.collect()
+        before = len(grammar._UNDERSPEC_CACHE)
+        lexicon = load_fragment()
+        result = parse(TOKENS_1A, lexicon, ParseOptions(mode="trace", edge_limit=300))
+        assert len(grammar._UNDERSPEC_CACHE) > before
+        del lexicon, result
+        gc.collect()
+        assert len(grammar._UNDERSPEC_CACHE) == before
+
     def test_trace_is_phonologically_empty(self, fragment):
         trace = make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
                                  "trace", fragment.hierarchy)
         assert trace.dom.elements == ()
-        assert trace.coverage == 0
+        assert trace.dom.coverage == 0

@@ -8,6 +8,7 @@ from vorfeld.orderdomain import (
     mask_span,
 )
 from vorfeld.parser import (
+    Derivation,
     LexicalGapError,
     ParseOptions,
     demonstrate_trace_mode,
@@ -130,6 +131,8 @@ class TestChartInvariants:
             assert result.open_comps_rejected == 0
             for e in result.edges:
                 assert check_comps_closed(e.sign)
+                # The chart sign has no DTRS; its rebuild checks the daughters.
+                assert check_comps_closed(Derivation(e).sign)
 
     def test_filler_identity_matches_licenser(self, fragment):
         for sentence in PINNED_READINGS:
@@ -176,10 +179,14 @@ class TestSoundness:
             result = parse(sentence.split(), fragment)
             assert result.readings == expected
             for derivation in result.derivations:
-                again = replay(derivation)
+                again, chart = replay(derivation), derivation.root.sign
                 assert again is not None
-                assert fs_equal(again.fs, derivation.sign.fs)
-                assert again.dom == derivation.sign.dom
+                assert again.fs.has_path(("DTRS",))
+                assert fs_equal(again.synsem_fs, chart.synsem_fs)
+                assert again.dom == chart.dom
+                # Chart signs carry no DTRS, so the licensing-mode check
+                # covers the daughters only on the rebuilt sign.
+                assert check_comps_closed(again)
 
     def test_linearization_reproduces_the_input(self, fragment):
         for sentence in PINNED_READINGS:
@@ -187,6 +194,17 @@ class TestSoundness:
             result = parse(list(tokens), fragment)
             for derivation in result.derivations:
                 assert derivation.sign.dom.phon() == tokens
+
+
+class TestDerivationRecord:
+    """The derivation tree lives on the edges only; chart signs carry no DTRS."""
+
+    def test_no_chart_sign_has_dtrs(self, fragment):
+        for sentence in _corpus_sentences():
+            result = parse(sentence, fragment)
+            assert not [e for e in result.edges if e.sign.fs.has_path(("DTRS",))]
+        trace = parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800))
+        assert not [e for e in trace.edges if e.sign.fs.has_path(("DTRS",))]
 
 
 class TestReadings:
@@ -248,3 +266,10 @@ class TestAmbiguousLexiconStillDeterministic:
 def _fragment_source():
     from vorfeld.lexicon import fragment_text
     return fragment_text()
+
+
+def _corpus_sentences():
+    from vorfeld.cli import parse_corpus_line, tokenize_sentence
+    from vorfeld.lexicon import corpus_text
+    lines = [parse_corpus_line(n, raw) for n, raw in enumerate(corpus_text().splitlines(), 1)]
+    return [tokenize_sentence(line.sentence) for line in lines if line is not None]

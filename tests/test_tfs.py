@@ -8,7 +8,6 @@ from vorfeld.tfs import (
     TypeHierarchy,
     Workspace,
     fs_equal,
-    glb,
     path_get,
     subsumes,
     unify,
@@ -20,11 +19,11 @@ from vorfeld.tfs import (
 
 class TestHierarchy:
     def test_glb_idempotent(self, diamond):
-        assert glb(diamond, "a", "a") == "a"
+        assert diamond.glb("a", "a") == "a"
 
     def test_glb_top_is_identity(self, diamond):
-        assert glb(diamond, "top", "a") == "a"
-        assert glb(diamond, "x", "top") == "x"
+        assert diamond.glb("top", "a") == "a"
+        assert diamond.glb("x", "top") == "x"
 
     def test_glb_of_incomparable_types_with_common_subtype(self, diamond):
         # independent oracle: scan all common subtypes, pick the maximum
@@ -33,14 +32,14 @@ class TestHierarchy:
         maxima = [t for t in common
                   if all(diamond.subsumes_type(t, u) for u in common)]
         assert maxima == ["c"]
-        assert glb(diamond, "a", "b") == "c"
+        assert diamond.glb("a", "b") == "c"
 
     def test_glb_failure(self, diamond):
-        assert glb(diamond, "x", "y") is None
+        assert diamond.glb("x", "y") is None
 
     def test_unknown_type_is_configuration_error(self, diamond):
         with pytest.raises(ConfigurationError):
-            glb(diamond, "a", "nope")
+            diamond.glb("a", "nope")
 
     def test_non_unique_glb_rejected(self):
         with pytest.raises(HierarchyError):
