@@ -32,6 +32,7 @@ from .tfs import (
     Node,
     TypeHierarchy,
     _canonicalize,
+    postorder,
     validate,
 )
 
@@ -39,6 +40,10 @@ _TAG_DEF = re.compile(r"^#(\d+)=$")
 _TAG_REF = re.compile(r"^#(\d+)#$")
 
 _LIST_HEADS = {"list": CLOSED, "openlist": OPEN, "append": APPEND, "set": SET}
+
+#: deepest nesting of parentheses an AVM value may have; the reader recurses
+#: once per level, and the bundled fragment nests at most 17 deep
+MAX_DEPTH = 100
 
 
 class AvmSyntaxError(Exception):
@@ -149,7 +154,7 @@ def build_fs(form, hierarchy: TypeHierarchy,
                 store[nid] = Node(node.kind, "", (), tuple(c + offset for c in node.elems))
         return offset
 
-    def build(expr) -> int:
+    def build(expr, depth: int) -> int:
         if isinstance(expr, sexpr.Symbol):
             name = expr.name
             ref = _TAG_REF.match(name)
@@ -160,7 +165,7 @@ def build_fs(form, hierarchy: TypeHierarchy,
                 return tags[ref.group(1)]
             m = re.match(r"^#(\d+)=(.+)$", name)
             if m:
-                nid = build(sexpr.Symbol(m.group(2), expr.line, expr.col))
+                nid = build(sexpr.Symbol(m.group(2), expr.line, expr.col), depth)
                 tags[m.group(1)] = nid
                 return nid
             if name in templates:
@@ -174,6 +179,9 @@ def build_fs(form, hierarchy: TypeHierarchy,
             raise AvmSyntaxError("string literal where a value was expected")
         if not isinstance(expr, sexpr.SList) or len(expr) == 0:
             raise AvmSyntaxError(f"line {getattr(expr, 'line', '?')}: empty value")
+        if depth > MAX_DEPTH:
+            raise AvmSyntaxError(
+                f"line {expr.line}, column {expr.col}: value nested deeper than {MAX_DEPTH} levels")
         head = expr.items[0]
         if isinstance(head, sexpr.Symbol):
             m = _TAG_DEF.match(head.name)
@@ -183,7 +191,7 @@ def build_fs(form, hierarchy: TypeHierarchy,
                     raise AvmSyntaxError(f"line {head.line}: #{tag}= must tag exactly one value")
                 # references only resolve after the tagged value is built, so
                 # cyclic text cannot be expressed (self-references error out)
-                inner = build(expr.items[1])
+                inner = build(expr.items[1], depth + 1)
                 tags[tag] = inner
                 return inner
         if not isinstance(head, sexpr.Symbol):
@@ -191,7 +199,7 @@ def build_fs(form, hierarchy: TypeHierarchy,
         items = [head] + _fuse_tags(expr.items[1:])
         if head.name in _LIST_HEADS:
             kind = _LIST_HEADS[head.name]
-            elems = tuple(build(x) for x in items[1:])
+            elems = tuple(build(x, depth + 1) for x in items[1:])
             if kind == SET and len(elems) > 1:
                 raise AvmSyntaxError(f"line {head.line}: sets hold at most one element")
             if kind == APPEND and len(elems) < 2:
@@ -217,14 +225,18 @@ def build_fs(form, hierarchy: TypeHierarchy,
             if f in seen:
                 raise AvmSyntaxError(f"line {head.line}: duplicate feature {f!r}")
             seen.add(f)
-        built = tuple((f, build(v)) for f, v in feats)
+        built = tuple(sorted((f, build(v, depth + 2)) for f, v in feats))
         store[nid] = Node(AVM, head.name, built)
         return nid
 
-    root = build(form)
-    if _cyclic(store, root):
+    def children(nid: int):
+        node = store[nid]
+        return [c for _, c in node.feats] if node.kind == AVM else node.elems
+
+    root = build(form, 1)
+    if postorder(root, children) is None:
         raise AvmSyntaxError("cyclic structure in AVM text")
-    fs = _canonicalize(store, root)
+    fs = _canonicalize(root, *zip(*(store[nid] for nid in range(len(store)))))
     if check:
         try:
             validate(fs, hierarchy)
@@ -232,27 +244,3 @@ def build_fs(form, hierarchy: TypeHierarchy,
             raise AvmSyntaxError(str(exc)) from exc
     return fs
 
-
-def _cyclic(store: dict[int, Node], root: int) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    stack = [(root, False)]
-    while stack:
-        cur, done = stack.pop()
-        if done:
-            color[cur] = BLACK
-            continue
-        if color.get(cur, WHITE) == BLACK:
-            continue
-        if color.get(cur, WHITE) == GRAY:
-            return True
-        color[cur] = GRAY
-        stack.append((cur, True))
-        node = store[cur]
-        children = [c for _, c in node.feats] if node.kind == AVM else list(node.elems)
-        for child in children:
-            if color.get(child, WHITE) == GRAY:
-                return True
-            if color.get(child, WHITE) == WHITE:
-                stack.append((child, False))
-    return False

@@ -242,10 +242,11 @@ def _underspecified_mother(head: Sign, other: Sign, dom: Optional[Domain],
     if head.facts.slash == 1 and other.facts.slash == 1:
         return None
     donor = other.synsem_fs if (head.facts.slash != 1 and other.facts.slash == 1) else None
-    fs = _underspec_fs(head.hierarchy, head.synsem_fs, donor, cluster)
-    if fs is None:
+    memo = _underspec_fs(head.hierarchy, head.synsem_fs, donor, cluster)
+    if memo is None:
         return None
-    return make_sign(head.hierarchy, fs, dom)
+    fs, facts, synsem_fs = memo
+    return Sign(head.hierarchy, fs, dom, facts, synsem_fs)
 
 
 # hierarchy -> memo of _underspec_fs; an entry goes with its hierarchy
@@ -254,7 +255,12 @@ _UNDERSPEC_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _underspec_fs(hierarchy: TypeHierarchy, head_synsem: FeatureStructure,
                   slash_donor: Optional[FeatureStructure],
-                  cluster: bool) -> Optional[FeatureStructure]:
+                  cluster: bool) -> Optional[tuple[FeatureStructure, SignFacts, FeatureStructure]]:
+    """The mother's structure, facts and synsem, as :func:`make_sign` derives them.
+
+    The memo holds no :class:`Sign`: its ``hierarchy`` field would keep the
+    weak key alive.
+    """
     cache = _UNDERSPEC_CACHE.setdefault(hierarchy, {})
     key = (head_synsem.nodes, slash_donor.nodes if slash_donor is not None else None, cluster)
     if key in cache:
@@ -281,8 +287,12 @@ def _underspec_fs(hierarchy: TypeHierarchy, head_synsem: FeatureStructure,
     nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
     synsem = ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex)
     fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem))
-    cache[key] = fs
-    return fs
+    if fs is None:
+        cache[key] = None
+    else:
+        sign = make_sign(hierarchy, fs, EMPTY_DOMAIN)
+        cache[key] = (sign.fs, sign.facts, sign.synsem_fs)
+    return cache[key]
 
 
 def _mother(ws: Workspace, dom: Optional[Domain], struct_type: str,

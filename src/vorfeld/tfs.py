@@ -24,7 +24,7 @@ remainder is undecidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 AVM = "avm"
 CLOSED = "closed"
@@ -193,8 +193,7 @@ class TypeHierarchy:
 # feature structures
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str
     type: str = ""
     feats: tuple[tuple[str, int], ...] = ()
@@ -263,8 +262,20 @@ def path_get(fs: FeatureStructure, path: Sequence[str]) -> FeatureStructure:
     target = fs.resolve(path)
     if target == 0:
         return fs
-    store = {i: n for i, n in enumerate(fs.nodes)}
-    return _canonicalize(store, target)
+    if target == 1 and len(fs.nodes[0].feats) == 1:
+        # node 1 is the root's only child, so every other node lies under it
+        # and keeps its depth-first order: drop the root, renumber by one
+        # (a node without children has nothing to renumber and is reused)
+        nodes = []
+        for n in fs.nodes[1:]:
+            if n.feats:
+                nodes.append(Node(AVM, n.type, tuple([(f, c - 1) for f, c in n.feats])))
+            elif n.elems:
+                nodes.append(Node(n.kind, "", (), tuple([c - 1 for c in n.elems])))
+            else:
+                nodes.append(n)
+        return FeatureStructure(tuple(nodes))
+    return _canonicalize(target, *zip(*fs.nodes))
 
 
 def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
@@ -272,11 +283,39 @@ def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
     return a.nodes == b.nodes
 
 
-def _canonicalize(store: Mapping[int, Node], root: int) -> FeatureStructure:
-    """Renumber reachable nodes in deterministic DFS order.
+def postorder(root: int, children: Callable[[int], Iterable[int]]) -> Optional[list[int]]:
+    """The nodes reachable from ``root``, each after all of its children.
 
-    Assumes the graph is acyclic (reader and workspace check before
-    calling).
+    This is the occurs check: returns None when the graph has a cycle.
+    Node ids are non-negative; ``~node`` on the stack marks leaving it.
+    """
+    order: list[int] = []
+    finished: dict[int, bool] = {}  # False while the node is on the current path
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        if cur < 0:
+            finished[~cur] = True
+            order.append(~cur)
+        elif cur not in finished:
+            finished[cur] = False
+            stack.append(~cur)
+            stack.extend(children(cur))
+        elif not finished[cur]:
+            return None
+    return order
+
+
+def _canonicalize(root: int, kinds: Mapping[int, str], types: Mapping[int, str],
+                  feats: Mapping[int, Sequence[tuple[str, int]]],
+                  elems: Mapping[int, Sequence[int]]) -> FeatureStructure:
+    """Renumber the nodes reachable from ``root`` in deterministic DFS order.
+
+    Node ``n`` has kind ``kinds[n]``; an AVM node has type ``types[n]`` and
+    features ``feats[n]``, sorted by name; any other node has elements
+    ``elems[n]``.  A sequence of nodes gives these mappings as
+    ``zip(*nodes)``.  Assumes the graph is acyclic (reader and workspace
+    check before calling).
     """
     order: dict[int, int] = {}
     visit = [root]
@@ -285,16 +324,16 @@ def _canonicalize(store: Mapping[int, Node], root: int) -> FeatureStructure:
         if cur in order:
             continue
         order[cur] = len(order)
-        node = store[cur]
-        children = [c for _, c in sorted(node.feats)] if node.kind == AVM else list(node.elems)
-        visit.extend(reversed(children))
-    nodes = [Node(AVM)] * len(order)
-    for old, new in order.items():
-        node = store[old]
-        if node.kind == AVM:
-            nodes[new] = Node(AVM, node.type, tuple((f, order[c]) for f, c in sorted(node.feats)))
+        if kinds[cur] == AVM:
+            visit.extend([c for _, c in reversed(feats[cur])])
         else:
-            nodes[new] = Node(node.kind, "", (), tuple(order[c] for c in node.elems))
+            visit.extend(reversed(elems[cur]))
+    nodes = []
+    for old in order:
+        if kinds[old] == AVM:
+            nodes.append(Node(AVM, types[old], tuple([(f, order[c]) for f, c in feats[old]])))
+        else:
+            nodes.append(Node(kinds[old], "", (), tuple([order[c] for c in elems[old]])))
     return FeatureStructure(tuple(nodes))
 
 
@@ -539,84 +578,38 @@ class Workspace:
 
     # -- extraction ---------------------------------------------------
 
-    def _normalize_appends(self, root: int) -> None:
-        """Rewrite append nodes whose parts are all closed into closed lists."""
-        changed = True
-        while changed:
-            changed = False
-            for nid in self._reachable(root):
-                if self._kind[nid] != APPEND:
-                    continue
-                parts = [self.find(p) for p in self._elems[nid]]
-                if all(self._kind[p] == CLOSED for p in parts):
-                    flat: list[int] = []
-                    for p in parts:
-                        flat.extend(self.find(e) for e in self._elems[p])
-                    self._kind[nid] = CLOSED
-                    self._elems[nid] = flat
-                    changed = True
-
-    def _reachable(self, root: int) -> list[int]:
-        seen: set[int] = set()
-        stack = [self.find(root)]
-        while stack:
-            cur = self.find(stack.pop())
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if self._kind[cur] == AVM:
-                stack.extend(self._feats[cur].values())
-            else:
-                stack.extend(self._elems[cur])
-        return sorted(seen)
-
-    def _is_cyclic(self, root: int) -> bool:
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[int, int] = {}
-        stack: list[tuple[int, bool]] = [(self.find(root), False)]
-        while stack:
-            cur, done = stack.pop()
-            cur = self.find(cur)
-            if done:
-                color[cur] = BLACK
-                continue
-            state = color.get(cur, WHITE)
-            if state == GRAY:
-                return True
-            if state == BLACK:
-                continue
-            color[cur] = GRAY
-            stack.append((cur, True))
-            children = self._feats[cur].values() if self._kind[cur] == AVM else self._elems[cur]
-            for child in children:
-                child = self.find(child)
-                if color.get(child, WHITE) == GRAY:
-                    return True
-                if color.get(child, WHITE) == WHITE:
-                    stack.append((child, False))
-        return False
+    def _children(self, nid: int) -> Iterable[int]:
+        """Children of ``nid``, stored back as their union-find representatives."""
+        find = self.find
+        if self._kind[nid] == AVM:
+            feats = self._feats[nid] = {f: find(c) for f, c in self._feats[nid].items()}
+            return feats.values()
+        elems = self._elems[nid] = [find(c) for c in self._elems[nid]]
+        return elems
 
     def extract(self, root: int) -> Optional[FeatureStructure]:
         """Seal the subgraph under ``root`` as an immutable structure.
 
+        Append nodes whose parts are all closed become closed lists.
         Returns None if a unification failed earlier or the merge produced
         a cycle (occurs check).
         """
         if self.failed:
             return None
-        self._normalize_appends(root)
         root = self.find(root)
-        if self._is_cyclic(root):
+        reached = postorder(root, self._children)
+        if reached is None:
             return None
-        store: dict[int, Node] = {}
-        for nid in self._reachable(root):
-            if self._kind[nid] == AVM:
-                store[nid] = Node(AVM, self._type[nid],
-                                  tuple((f, self.find(c)) for f, c in sorted(self._feats[nid].items())))
-            else:
-                store[nid] = Node(self._kind[nid], "", (),
-                                  tuple(self.find(c) for c in self._elems[nid]))
-        return _canonicalize(store, root)
+        kinds, elems = self._kind, self._elems
+        feats: dict[int, list[tuple[str, int]]] = {}
+        for nid in reached:
+            if kinds[nid] == AVM:
+                feats[nid] = sorted(self._feats[nid].items())
+            elif kinds[nid] == APPEND and all(kinds[p] == CLOSED for p in elems[nid]):
+                # the parts come earlier in post-order, so they are already final
+                kinds[nid] = CLOSED
+                elems[nid] = [e for p in elems[nid] for e in elems[p]]
+        return _canonicalize(root, kinds, self._type, feats, elems)
 
 
 # ---------------------------------------------------------------------------

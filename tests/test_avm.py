@@ -1,6 +1,6 @@
 import pytest
 
-from vorfeld.avm import AvmSyntaxError, print_fs, read_fs
+from vorfeld.avm import MAX_DEPTH, AvmSyntaxError, print_fs, read_fs
 from vorfeld.sexpr import SexprError, parse_all
 from vorfeld.tfs import fs_equal
 
@@ -37,6 +37,16 @@ class TestReader:
     def test_dangling_tag_rejected(self, diamond):
         with pytest.raises(AvmSyntaxError, match="dangling"):
             read_fs("(b (H (list #1=)))", diamond)
+
+    def test_nesting_depth_is_capped_with_a_position(self, diamond):
+        def nested(depth):
+            return "(list " * depth + ")" * depth
+
+        assert read_fs(nested(MAX_DEPTH), diamond).nodes[0].kind == "closed"
+        with pytest.raises(AvmSyntaxError, match=f"line 1, column {6 * MAX_DEPTH + 1}: .*deeper"):
+            read_fs(nested(MAX_DEPTH + 1), diamond)
+        with pytest.raises(AvmSyntaxError, match="deeper"):
+            read_fs(nested(3000), diamond)
 
     def test_unbalanced_parens(self):
         with pytest.raises(SexprError, match="unclosed"):

@@ -12,7 +12,7 @@ from vorfeld.cli import (
     run_corpus,
     tokenize_sentence,
 )
-from vorfeld.lexicon import corpus_text
+from vorfeld.lexicon import corpus_text, fragment_text
 from vorfeld.tfs import fs_equal
 
 # SHA-256 of `vorfeld parse --print-avm --print-derivation --sentence S` for
@@ -104,6 +104,15 @@ class TestCmdParse:
     def test_missing_lexicon_file_exits_two(self, capsys):
         rc = main(["parse", "--lexicon", "/nonexistent.lex", "--sentence", "Er wird"])
         assert rc == 2
+
+    def test_deeply_nested_lexicon_value_exits_two(self, capsys, tmp_path):
+        deep = "(list " * 3000 + ")" * 3000
+        text = fragment_text().replace("(CASE nom))) (COMPS (list))", f"(CASE nom))) (COMPS {deep})", 1)
+        path = tmp_path / "deep.lex"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["parse", "--lexicon", str(path), "--sentence", "er"])
+        assert rc == 2
+        assert "nested deeper" in capsys.readouterr().err
 
     def test_printed_avm_reads_back(self, capsys, fragment):
         rc = main(["parse", "--sentence", "Seiner Tochter ein Märchen erzählen wird er",

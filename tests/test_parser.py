@@ -1,7 +1,8 @@
 import pytest
 
-from vorfeld.grammar import check_comps_closed
-from vorfeld.lexicon import load_lexicon
+from vorfeld import grammar
+from vorfeld.grammar import P_SYNSEM, check_comps_closed
+from vorfeld.lexicon import load_fragment, load_lexicon
 from vorfeld.orderdomain import (
     SCHEMA_FILLER_HEAD,
     SCHEMA_SLASH_INTRO,
@@ -16,7 +17,7 @@ from vorfeld.parser import (
     parse,
     replay,
 )
-from vorfeld.tfs import fs_equal
+from vorfeld.tfs import _canonicalize, fs_equal
 
 S_1A = "Erzählen wird er seiner Tochter ein Märchen"
 S_2 = "Er wird seiner Tochter ein Märchen erzählen müssen"
@@ -206,6 +207,18 @@ class TestDerivationRecord:
         trace = parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800))
         assert not [e for e in trace.edges if e.sign.fs.has_path(("DTRS",))]
 
+    def test_chart_synsem_is_the_synsem_node_canonicalised(self, fragment):
+        """Ties the synsem of every chart sign, built without a walk from a
+        one-feature root or taken from the trace-mode memo, to the general
+        canonicalisation of its SYNSEM node."""
+        results = [parse(sentence, fragment) for sentence in _corpus_sentences()]
+        results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800)))
+        for result in results:
+            for edge in result.edges:
+                fs = edge.sign.fs
+                general = _canonicalize(fs.resolve(P_SYNSEM), *zip(*fs.nodes))
+                assert fs_equal(edge.sign.synsem_fs, general)
+
 
 class TestReadings:
     def test_empty(self):
@@ -232,6 +245,19 @@ class TestTraceMode:
         assert report.open_comps_edges >= 1
         assert report.sample_open_comps_avm is not None
         assert "append" in report.sample_open_comps_avm or "openlist" in report.sample_open_comps_avm
+
+    def test_memo_hits_build_no_sign(self, monkeypatch):
+        """Work count: a trace-mode mother taken from the memo reuses the
+        memo's facts and synsem, so ``make_sign`` runs only for lexical
+        signs, traces and structures not seen before; sending every hit
+        through ``make_sign`` would count one call per edge."""
+        calls = []
+        make_sign = grammar.make_sign
+        monkeypatch.setattr(grammar, "make_sign",
+                            lambda *args: calls.append(args) or make_sign(*args))
+        report = demonstrate_trace_mode(S_1A.split(), load_fragment())  # a cold memo
+        assert report.edges_built == 10000
+        assert len(calls) == 290
 
     def test_licensing_mode_contrast(self, fragment):
         result = parse(S_1A.split(), fragment, ParseOptions(edge_limit=10000))

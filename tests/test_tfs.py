@@ -1,5 +1,6 @@
 import pytest
 
+from fsgen import structure_pairs
 from vorfeld.avm import read_fs
 from vorfeld.tfs import (
     ConfigurationError,
@@ -162,6 +163,44 @@ class TestUnify:
         assert unify(lhs, rhs, diamond) is None
 
 
+# -------------------------------------------------------------- extraction
+
+
+class TestExtract:
+    def test_nested_appends_of_closed_lists_become_one_closed_list(self, diamond):
+        ws = Workspace(diamond)
+        x, y, z = ws.atom("x"), ws.atom("y"), ws.atom("z")
+        inner = ws.append_list([ws.closed_list([x]), ws.closed_list([y, z])])
+        outer = ws.append_list([ws.closed_list([]), inner, ws.closed_list([x])])
+        fs = ws.extract(ws.avm("b", H=outer))
+        assert fs_equal(fs, read_fs("(b (H (list #1=x y z #1#)))", diamond))
+
+    def test_append_with_an_open_part_stays_an_append(self, diamond):
+        ws = Workspace(diamond)
+        inner = ws.append_list([ws.closed_list([ws.atom("x")]), ws.open_list([ws.atom("y")])])
+        outer = ws.append_list([ws.closed_list([ws.atom("z")]), inner])
+        fs = ws.extract(ws.avm("b", H=outer))
+        expected = "(b (H (append (list z) (append (list x) (openlist y)))))"
+        assert fs_equal(fs, read_fs(expected, diamond))
+
+    @pytest.mark.parametrize("part", ["closed", "open"])
+    def test_cycle_through_an_append_part_is_rejected(self, diamond, part):
+        """The root sits in an append part: resolved (closed) or not (open)."""
+        ws = Workspace(diamond)
+        root = ws.avm("b")
+        inside = ws.closed_list([root]) if part == "closed" else ws.open_list([root])
+        ws.set_feat(root, "H", ws.append_list([ws.closed_list([]), inside]))
+        assert ws.extract(root) is None
+
+    def test_extract_of_a_graft_is_the_structure_itself(self, diamond, fragment):
+        cases = [(fs, diamond) for pair in structure_pairs(diamond, seed=5, count=100)
+                 for fs in pair]
+        cases += [(entry.fs, fragment.hierarchy) for entry in fragment.entries]
+        for fs, hierarchy in cases:
+            ws = Workspace(hierarchy)
+            assert fs_equal(ws.extract(ws.graft(fs)), fs)
+
+
 def _naive_merge(a, b, hierarchy):
     """Fixpoint partition merger, independent of the workspace machinery."""
     nodes = {}
@@ -247,6 +286,13 @@ class TestPaths:
         x = read_fs("(b (H (list x)))", diamond)
         with pytest.raises(PathError):
             path_get(x, ("H", "F"))
+
+    @pytest.mark.parametrize("sibling", ["", " (G y)"])
+    def test_substructure_is_standalone(self, diamond, sibling):
+        """With or without a sibling of the value, the result is renumbered alone."""
+        value = "(b (H (list #1=x (openlist #1#))))"
+        x = read_fs(f"(a (F {value}){sibling})", diamond)
+        assert fs_equal(path_get(x, ("F",)), read_fs(value, diamond))
 
     def test_wird_vform_is_finite(self, fragment):
         (entry,) = fragment.find("wird")
