@@ -107,7 +107,10 @@ def read_fs(text: str, hierarchy: TypeHierarchy,
     template expands to a fresh copy.  With ``check`` the result is
     validated against the hierarchy's appropriateness table.
     """
-    forms = _fuse_tags(sexpr.parse_all(text))
+    try:
+        forms = _fuse_tags(sexpr.parse_all(text))
+    except sexpr.SexprError as exc:
+        raise AvmSyntaxError(str(exc)) from exc
     if len(forms) != 1:
         raise AvmSyntaxError(f"expected exactly one AVM, got {len(forms)} forms")
     return build_fs(forms[0], hierarchy, templates, check=check)

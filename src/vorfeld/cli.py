@@ -95,11 +95,17 @@ def parse_corpus_line(number: int, raw: str) -> Optional[CorpusLine]:
     return CorpusLine(number, verdict, expected, sentence)
 
 
-def _load_lexicon_arg(path: Optional[str]) -> Lexicon:
-    if path is None:
-        return load_lexicon(fragment_text())
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; undecodable bytes raise ValueError naming the file."""
     with open(path, encoding="utf-8") as handle:
-        return load_lexicon(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_lexicon_arg(path: Optional[str]) -> Lexicon:
+    return load_lexicon(fragment_text() if path is None else _read_text(path))
 
 
 def _print_derivation(derivation: Derivation, clause_type: str, out: TextIO) -> None:
@@ -114,15 +120,15 @@ def _print_derivation(derivation: Derivation, clause_type: str, out: TextIO) -> 
 def cmd_parse(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     try:
         lexicon = _load_lexicon_arg(args.lexicon)
-    except (OSError, LexiconError) as exc:
+        options = ParseOptions(mode=args.mode, edge_limit=args.edge_limit,
+                               clause_type=args.clause_type)
+    except (OSError, ValueError, LexiconError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     tokens = tokenize_sentence(args.sentence)
     if not tokens:
         print("error: empty sentence", file=err)
         return 2
-    options = ParseOptions(mode=args.mode, edge_limit=args.edge_limit,
-                           clause_type=args.clause_type)
     try:
         result = parse(tokens, lexicon, options)
     except LexicalGapError as exc:
@@ -151,6 +157,7 @@ def run_corpus(lexicon: Lexicon, text: str, edge_limit: int = 50000) -> Report:
     Lines are processed in order (outcomes keep corpus order); a lexical
     gap counts as a failing line, not a crash.
     """
+    options = ParseOptions(edge_limit=edge_limit)
     outcomes: list[LineOutcome] = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = parse_corpus_line(number, raw)
@@ -161,7 +168,7 @@ def run_corpus(lexicon: Lexicon, text: str, edge_limit: int = 50000) -> Report:
         error = None
         readings = 0
         try:
-            result = parse(tokens, lexicon, ParseOptions(edge_limit=edge_limit))
+            result = parse(tokens, lexicon, options)
             readings = result.readings
         except LexicalGapError as exc:
             error = str(exc)
@@ -227,23 +234,19 @@ def machine_report(report: Report) -> str:
 def cmd_corpus(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     try:
         lexicon = _load_lexicon_arg(args.lexicon)
-        if args.corpus is None:
-            text = corpus_text()
-        else:
-            with open(args.corpus, encoding="utf-8") as handle:
-                text = handle.read()
-    except (OSError, LexiconError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    try:
+        text = corpus_text() if args.corpus is None else _read_text(args.corpus)
         report = run_corpus(lexicon, text, edge_limit=args.edge_limit)
-    except ValueError as exc:
+    except (OSError, ValueError, LexiconError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     print(format_report(report), file=out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(machine_report(report))
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(machine_report(report))
+        except OSError as exc:
+            print(f"error: {exc}", file=err)
+            return 2
     return 0 if report.passed else 1
 
 

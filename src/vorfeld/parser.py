@@ -78,8 +78,9 @@ class Edge:
 
     ``daughters`` is the one record of the derivation tree; the sign
     itself carries no daughters.  The ``can_*`` flags cache which schemata
-    the edge could possibly feed, so the quadratic pairing loop rejects
-    dead pairs on attribute checks alone.
+    the edge could possibly feed, so the pairing loop rejects dead pairs on
+    attribute checks alone; ``slash1`` also indexes the processed edges,
+    since no two SLASH-carrying edges are ever paired.
     """
 
     id: int
@@ -262,7 +263,16 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             trace = make_vcomp_trace(requirement, TRACE, lexicon.hierarchy)
             add(trace, 0, TRACE_SCHEMA, (), label=f"@{boundary}")
 
+    # Processed edges in id order, and the subsequence of those without a
+    # SLASH element.  No schema combines two SLASH-carrying daughters
+    # (head-complement, head-adjunct and verb-cluster reject the overflow;
+    # slash introduction needs SLASH 0 on both; filler-head a SLASH-free
+    # filler and a SLASH 1 head), so a slash1 edge is paired only with
+    # ``unslashed``: the pairs skipped would add nothing, and the chart is
+    # the one the full loop builds, edge ids included.  Terminal edges
+    # (filler-head mothers) feed no schema and are paired with nothing.
     processed: list[Edge] = []
+    unslashed: list[Edge] = []
 
     def licenser_of(daughters: tuple[Edge, ...]) -> Optional[int]:
         ids = [d.licenser_id for d in daughters if d.licenser_id is not None]
@@ -280,17 +290,16 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         """Try every schema with ``a`` as the head-like first argument."""
         if a.coverage & b.coverage:
             return
-        both_slashed = a.slash1 and b.slash1
-        if a.can_hc_head and not both_slashed:
+        if a.can_hc_head:
             attach(SCHEMA_HEAD_COMPLEMENT, a, b, a.coverage | b.coverage, licenser_of((a, b)))
-        if b.has_mod and not both_slashed:
+        if b.has_mod:
             attach(SCHEMA_HEAD_ADJUNCT, a, b, a.coverage | b.coverage, licenser_of((a, b)))
-        if a.can_vc_head and b.is_verb and not both_slashed:
+        if a.can_vc_head and b.is_verb:
             attach(SCHEMA_VERB_CLUSTER, a, b, a.coverage | b.coverage, licenser_of((a, b)))
         if not trace_mode and a.can_intro_head and b.is_verb and not b.slash1:
             # the licenser stays out of the coverage until the dependency is bound
             attach(SCHEMA_SLASH_INTRO, a, b, a.coverage, licenser_id=b.id)
-        if clause_type == V2 and b.can_bind_head and not a.slash1:
+        if clause_type == V2 and b.can_bind_head:
             identity_ok = (b.licenser_id == a.id if not trace_mode
                            else b.licenser_id is None)
             if identity_ok:
@@ -298,17 +307,18 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     while agenda and not state["limit_hit"]:
         e = agenda.popleft()
-        if not e.terminal:
-            for f in processed:
-                if f.terminal:
-                    continue
-                combine(e, f)
-                if state["limit_hit"]:
-                    break
-                combine(f, e)
-                if state["limit_hit"]:
-                    break
+        if e.terminal:
+            continue
+        for f in unslashed if e.slash1 else processed:
+            combine(e, f)
+            if state["limit_hit"]:
+                break
+            combine(f, e)
+            if state["limit_hit"]:
+                break
         processed.append(e)
+        if not e.slash1:
+            unslashed.append(e)
 
     derivations = []
     for e in edges:

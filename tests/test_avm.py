@@ -52,6 +52,13 @@ class TestReader:
         with pytest.raises(SexprError, match="unclosed"):
             parse_all("(a (F x)")
 
+    def test_sexpr_errors_are_avm_syntax_errors_with_a_position(self, diamond):
+        for text, where in (('(a (F "x))', "line 1, column 7: unterminated"),
+                            ("(a (F x)", "line 1, column 1: unclosed"),
+                            ("(a)\n  (F x))", "line 2, column 8: unbalanced")):
+            with pytest.raises(AvmSyntaxError, match=where):
+                read_fs(text, diamond)
+
     def test_templates_expand_to_fresh_copies(self, diamond):
         shared = read_fs("(a (F #1=(b)) (G #1#))", diamond)
         fs = read_fs("(b (H (list tpl tpl)))", diamond, templates={"tpl": shared})

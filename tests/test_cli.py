@@ -156,6 +156,19 @@ class TestCmdParse:
     def test_bad_flag_exits_two(self, capsys):
         assert main(["parse", "--sentence", "Er wird", "--mode", "psychic"]) == 2
 
+    def test_nonpositive_edge_limit_exits_two(self, capsys):
+        for limit in ("0", "-3"):
+            assert main(["parse", "--sentence", "Er wird", "--edge-limit", limit]) == 2
+            assert capsys.readouterr().err == "error: edge_limit must be positive\n"
+
+    def test_non_utf8_lexicon_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.lex"
+        path.write_bytes(b"\xff(type top ())\n")
+        for command in (["parse", "--sentence", "Er wird"], ["corpus"]):
+            assert main(command + ["--lexicon", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "latin1.lex: not UTF-8" in err
+
 
 class TestCmdCorpus:
     def test_bundled_corpus_passes(self, capsys):
@@ -195,6 +208,30 @@ class TestCmdCorpus:
         err = capsys.readouterr().err
         assert rc == 2
         assert "line 2" in err
+
+    def test_nonpositive_edge_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("# no records\n", encoding="utf-8")
+        for corpus in ([], ["--corpus", str(path)]):
+            assert main(["corpus", "--edge-limit", "0"] + corpus) == 2
+            assert capsys.readouterr().err == "error: edge_limit must be positive\n"
+
+    def test_non_utf8_corpus_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"OK\tEr wird seiner Tochter ein M\xe4rchen erz\xe4hlen m\xfcssen.\n")
+        assert main(["corpus", "--corpus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "corpus.tsv: not UTF-8" in captured.err
+
+    def test_unwritable_report_path_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("BAD\tMüssen wird er ihr ein Märchen erzählen.\n", encoding="utf-8")
+        out_path = tmp_path / "missing" / "report.tsv"
+        assert main(["corpus", "--corpus", str(corpus), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.tsv" in err
+        assert not out_path.exists()
 
     def test_machine_report_written(self, tmp_path, capsys):
         out_path = tmp_path / "report.tsv"

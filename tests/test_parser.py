@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from vorfeld import grammar
@@ -5,7 +8,10 @@ from vorfeld.grammar import P_SYNSEM, check_comps_closed
 from vorfeld.lexicon import load_fragment, load_lexicon
 from vorfeld.orderdomain import (
     SCHEMA_FILLER_HEAD,
+    SCHEMA_HEAD_ADJUNCT,
+    SCHEMA_HEAD_COMPLEMENT,
     SCHEMA_SLASH_INTRO,
+    SCHEMA_VERB_CLUSTER,
     mask_span,
 )
 from vorfeld.parser import (
@@ -278,6 +284,70 @@ class TestTraceMode:
             ParseOptions(edge_limit=0)
         with pytest.raises(ValueError):
             ParseOptions(clause_type="v1")
+
+
+# SHA-256 over every edge of the criterion-2 trace chart (10,000 edges),
+# recorded before the processed edges were indexed by SLASH: the index must
+# leave the chart as the full pairing loop builds it, edge ids included.
+TRACE_CHART_DIGEST = "3bf05b0fcb7373c1bb729af6d3978fa32400615e88f8b0b6703d1c33c3a6d754"
+
+SCHEMATA = (SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
+            SCHEMA_SLASH_INTRO, SCHEMA_FILLER_HEAD)
+
+
+@pytest.fixture(scope="module")
+def trace_chart(fragment):
+    return parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=10000))
+
+
+def _chart_digest(edges) -> str:
+    h = hashlib.sha256()
+    for e in edges:
+        h.update(repr((e.id, e.schema, e.coverage, tuple(d.id for d in e.daughters),
+                       e.label, e.licenser_id)).encode())
+        h.update(repr(e.sign.fs.nodes).encode())
+    return h.hexdigest()
+
+
+class TestSlashIndex:
+    """Pairing skips every pair of SLASH-carrying edges; nothing else moves."""
+
+    def test_trace_chart_digest_pinned(self, trace_chart):
+        assert trace_chart.limit_hit
+        assert len(trace_chart.edges) == 10000
+        assert _chart_digest(trace_chart.edges) == TRACE_CHART_DIGEST
+
+    def test_schema_applications_pinned(self, monkeypatch, fragment):
+        """Work count: the schema applications of the criterion-2 demo, the
+        same with and without the index (no skipped pair reached a schema)."""
+        calls = []
+        apply_schema = grammar.apply_schema
+        monkeypatch.setattr(grammar, "apply_schema",
+                            lambda *args, **kw: calls.append(args[0]) or apply_schema(*args, **kw))
+        report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000)
+        assert report.edges_built == 10000
+        assert len(calls) == 13264
+
+    def test_no_schema_combines_two_slashed_edges(self, fragment, trace_chart):
+        """The invariant the index rests on, checked on the schemata
+        themselves for sampled pairs, in both argument orders."""
+        charts = [trace_chart.edges]
+        charts += [parse(sentence, fragment).edges for sentence in _corpus_sentences()]
+        rng = random.Random(4)
+        pairs = 0
+        for edges in charts:
+            slashed = [e for e in edges if e.slash1]
+            if len(slashed) ** 2 <= 400:
+                sample = [(a, b) for a in slashed for b in slashed]
+            else:
+                sample = [(rng.choice(slashed), rng.choice(slashed)) for _ in range(400)]
+            for a, b in sample:
+                for schema in SCHEMATA:
+                    for allow_open in (False, True):
+                        assert grammar.apply_schema(schema, a.sign, b.sign, allow_open) is None
+                        assert grammar.apply_schema(schema, b.sign, a.sign, allow_open) is None
+            pairs += len(sample)
+        assert pairs > 2000
 
 
 class TestAmbiguousLexiconStillDeterministic:
