@@ -33,12 +33,21 @@ All schemata share the head daughter's HEAD value with the mother (Head
 Feature Principle) and union the daughters' SLASH sets (Nonlocal Feature
 Principle), failing when the union would exceed one element.  Schema
 application never mutates the daughters and returns None on failure.
+
+A mother's structure depends only on the schema and its daughters'
+structures, never on their coverage or domain.  So a schema takes an
+optional memo: after its prechecks (which may read the domains) it looks up
+``(schema, first structure, second structure)``, unifies on a miss, and
+stores the mother's structure, facts and synsem (a sign with an empty
+domain), or None; the domain is always built from the daughters at hand.
+The parser passes one memo per parse, which also holds the trace-mode
+mothers; the rebuild of a derivation passes none, so it unifies every
+step afresh.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import orderdomain as od
 from .orderdomain import (
@@ -80,6 +89,14 @@ P_SLASH = ("SYNSEM", "NONLOC", "INHER", "SLASH")
 
 TYPE_LEXICAL = "lexical-sign"
 TYPE_PHRASAL = "phrasal-sign"
+
+# every type the schemata, the rebuild of a derivation and the traces build
+BUILT_TYPES = (
+    TYPE_LEXICAL, TYPE_PHRASAL, "synsem", "local", "cat", "nonlocal", "inherited",
+    "vcomp-val", "none", "verb", "+", "-",
+    "head-complement-structure", "head-adjunct-structure", "head-cluster-structure",
+    "complement-slash-licencing-structure", "filler-head-structure",
+)
 
 
 class ModeError(Exception):
@@ -226,85 +243,81 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
     return od.domain_union(head.dom, Domain((element,)))
 
 
-def _underspecified_mother(head: Sign, other: Sign, dom: Optional[Domain],
-                           cluster: bool) -> Optional[Sign]:
-    """Mother for trace-mode combinations on underspecified heads.
+def _memoized(memo: Optional[dict], key: tuple,
+              build: Callable[[], Optional[Sign]]) -> Optional[Sign]:
+    """``build()``, run once per ``key`` of ``memo`` (every time without one)."""
+    if memo is None:
+        return build()
+    try:
+        return memo[key]
+    except KeyError:
+        mother = memo[key] = build()
+        return mother
 
-    The head imposes no constraint on the other daughter (that is the
-    defect being demonstrated), so no unification is needed; the mother is
-    built from the daughters' synsems alone — and memoized, since the
-    other daughter contributes nothing beyond a possible SLASH element —
-    to keep the exploding chart affordable.  It records no daughters, not
-    even when a derivation is rebuilt.
+
+def _placed(mother: Sign, dom: Optional[Domain]) -> Optional[Sign]:
+    """A mother structure from the memo, given the domain of its own daughters.
+
+    Callers test the structure first, so a failed combination builds no
+    domain.
     """
     if dom is None:
         return None
-    if head.facts.slash == 1 and other.facts.slash == 1:
-        return None
-    donor = other.synsem_fs if (head.facts.slash != 1 and other.facts.slash == 1) else None
-    memo = _underspec_fs(head.hierarchy, head.synsem_fs, donor, cluster)
-    if memo is None:
-        return None
-    fs, facts, synsem_fs = memo
-    return Sign(head.hierarchy, fs, dom, facts, synsem_fs)
+    return Sign(mother.hierarchy, mother.fs, dom, mother.facts, mother.synsem_fs)
 
 
-# hierarchy -> memo of _underspec_fs; an entry goes with its hierarchy
-_UNDERSPEC_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool,
+                           memo: Optional[dict]) -> Optional[Sign]:
+    """Mother structure for trace-mode combinations on underspecified heads.
 
-
-def _underspec_fs(hierarchy: TypeHierarchy, head_synsem: FeatureStructure,
-                  slash_donor: Optional[FeatureStructure],
-                  cluster: bool) -> Optional[tuple[FeatureStructure, SignFacts, FeatureStructure]]:
-    """The mother's structure, facts and synsem, as :func:`make_sign` derives them.
-
-    The memo holds no :class:`Sign`: its ``hierarchy`` field would keep the
-    weak key alive.
+    The head imposes no constraint on the other daughter (that is the
+    defect being demonstrated), so no unification is needed; the mother is
+    built from the daughters' synsems alone.  The other daughter
+    contributes nothing beyond a possible SLASH element, so the memo key is
+    the head's synsem, the SLASH donor and the kind of combination, which
+    keeps the exploding chart affordable.  The mother records no daughters,
+    not even when a derivation is rebuilt.
     """
-    cache = _UNDERSPEC_CACHE.setdefault(hierarchy, {})
-    key = (head_synsem.nodes, slash_donor.nodes if slash_donor is not None else None, cluster)
-    if key in cache:
-        return cache[key]
-    ws = Workspace(hierarchy)
-    h = ws.graft(head_synsem)
-    if slash_donor is not None:
-        d = ws.graft(slash_donor)
-        slash = _try_resolve(ws, d, ("NONLOC", "INHER", "SLASH"))
-    else:
-        slash = _try_resolve(ws, h, ("NONLOC", "INHER", "SLASH"))
-    if slash is None:
-        slash = ws.set_value([])
-    if cluster:
-        comps = ws.resolve(h, ("LOC", "CAT", "COMPS"))
-        vcomp = ws.atom("none")
-        lex = ws.atom("+")
-    else:
-        comps = ws.open_list([])
-        vcomp = ws.resolve(h, ("LOC", "CAT", "VCOMP"))
-        lex = ws.atom("-")
-    cat = ws.avm("cat", HEAD=ws.resolve(h, ("LOC", "CAT", "HEAD")),
-                 COMPS=comps, VCOMP=vcomp)
-    nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
-    synsem = ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex)
-    fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem))
-    if fs is None:
-        cache[key] = None
-    else:
-        sign = make_sign(hierarchy, fs, EMPTY_DOMAIN)
-        cache[key] = (sign.fs, sign.facts, sign.synsem_fs)
-    return cache[key]
+    donor = other.synsem_fs if (head.facts.slash != 1 and other.facts.slash == 1) else None
+
+    def build() -> Optional[Sign]:
+        ws = Workspace(head.hierarchy)
+        h = ws.graft(head.synsem_fs)
+        if donor is not None:
+            d = ws.graft(donor)
+            slash = _try_resolve(ws, d, ("NONLOC", "INHER", "SLASH"))
+        else:
+            slash = _try_resolve(ws, h, ("NONLOC", "INHER", "SLASH"))
+        if slash is None:
+            slash = ws.set_value([])
+        if as_cluster:
+            comps = ws.resolve(h, ("LOC", "CAT", "COMPS"))
+            vcomp = ws.atom("none")
+            lex = ws.atom("+")
+        else:
+            comps = ws.open_list([])
+            vcomp = ws.resolve(h, ("LOC", "CAT", "VCOMP"))
+            lex = ws.atom("-")
+        cat = ws.avm("cat", HEAD=ws.resolve(h, ("LOC", "CAT", "HEAD")),
+                     COMPS=comps, VCOMP=vcomp)
+        nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
+        synsem = ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex)
+        fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem))
+        if fs is None:
+            return None
+        return make_sign(head.hierarchy, fs, EMPTY_DOMAIN)
+
+    key = (head.synsem_fs.nodes, donor.nodes if donor is not None else None, as_cluster)
+    return _memoized(memo, key, build)
 
 
-def _mother(ws: Workspace, dom: Optional[Domain], struct_type: str,
-            struct_feats: dict[str, int], loc: int, lex: Optional[int], slash: int,
-            keep_dtrs: bool) -> Optional[Sign]:
-    """The mother sign; None when its domain or the extraction fails.
+def _mother(ws: Workspace, struct_type: str, struct_feats: dict[str, int], loc: int,
+            lex: Optional[int], slash: int, keep_dtrs: bool) -> Optional[Sign]:
+    """The mother structure, with an empty domain; None when extraction fails.
 
     A chart mother is ``phrasal-sign[SYNSEM]``; only the rebuild of a
     derivation (``keep_dtrs``) records the daughters under ``DTRS``.
     """
-    if dom is None:
-        return None
     nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
     feats = {"LOC": loc, "NONLOC": nonloc}
     if lex is not None:
@@ -315,7 +328,7 @@ def _mother(ws: Workspace, dom: Optional[Domain], struct_type: str,
     fs = ws.extract(ws.avm(TYPE_PHRASAL, **mother))
     if fs is None:
         return None
-    return make_sign(ws.hierarchy, fs, dom)
+    return make_sign(ws.hierarchy, fs, EMPTY_DOMAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +336,7 @@ def _mother(ws: Workspace, dom: Optional[Domain], struct_type: str,
 
 
 def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False,
-                          keep_dtrs: bool = False) -> Optional[Sign]:
+                          keep_dtrs: bool = False, memo: Optional[dict] = None) -> Optional[Sign]:
     """Saturate the last element of the head's COMPS list with ``comp``.
 
     The head's verbal complement must already be discharged (VCOMP none):
@@ -344,7 +357,8 @@ def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False,
     if open_comps:
         if not allow_open or head.facts.vcomp not in ("none", "open"):
             return None
-        return _underspecified_mother(head, comp, _insert_comp_dom(head, comp), cluster=False)
+        mother = _underspecified_mother(head, comp, as_cluster=False, memo=memo)
+        return mother and _placed(mother, _insert_comp_dom(head, comp))
     if head.facts.vcomp != "none":
         return None
     if head.facts.comps_kind != CLOSED or head.facts.comps_len == 0:
@@ -354,30 +368,35 @@ def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False,
     if not _compatible(head.hierarchy, head.facts.comps_last_case, comp.facts.case):
         return None
 
-    ws = Workspace(head.hierarchy)
-    h = ws.graft(head.fs)
-    c = ws.graft(comp.fs)
-    elems = ws.elems_of(ws.resolve(h, P_COMPS))
-    if not ws.unify_nodes(elems[-1], ws.resolve(c, P_SYNSEM)):
-        return None
-    new_comps = ws.closed_list(elems[:-1])
-    slash = _union_slash(ws, (h, c))
-    if slash is None:
-        return None
-    cat = ws.avm(
-        "cat",
-        HEAD=ws.resolve(h, P_HEAD),
-        COMPS=new_comps,
-        VCOMP=ws.resolve(h, P_VCOMP),
-    )
-    return _mother(
-        ws, _insert_comp_dom(head, comp), "head-complement-structure",
-        {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])},
-        ws.avm("local", CAT=cat), ws.atom("-"), slash, keep_dtrs,
-    )
+    def build() -> Optional[Sign]:
+        ws = Workspace(head.hierarchy)
+        h = ws.graft(head.fs)
+        c = ws.graft(comp.fs)
+        elems = ws.elems_of(ws.resolve(h, P_COMPS))
+        if not ws.unify_nodes(elems[-1], ws.resolve(c, P_SYNSEM)):
+            return None
+        new_comps = ws.closed_list(elems[:-1])
+        slash = _union_slash(ws, (h, c))
+        if slash is None:
+            return None
+        cat = ws.avm(
+            "cat",
+            HEAD=ws.resolve(h, P_HEAD),
+            COMPS=new_comps,
+            VCOMP=ws.resolve(h, P_VCOMP),
+        )
+        return _mother(
+            ws, "head-complement-structure",
+            {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])},
+            ws.avm("local", CAT=cat), ws.atom("-"), slash, keep_dtrs,
+        )
+
+    mother = _memoized(memo, (SCHEMA_HEAD_COMPLEMENT, head.fs.nodes, comp.fs.nodes), build)
+    return mother and _placed(mother, _insert_comp_dom(head, comp))
 
 
-def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False) -> Optional[Sign]:
+def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False,
+                       memo: Optional[dict] = None) -> Optional[Sign]:
     """Attach a modifier; its MOD value unifies with the head's synsem.
 
     The mother shares the head's whole CAT (category, valence) and LEX
@@ -390,22 +409,27 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False) -> Op
         return None
     if _slash_overflow(head, adjunct):
         return None
-    ws = Workspace(head.hierarchy)
-    h = ws.graft(head.fs)
-    a = ws.graft(adjunct.fs)
-    if not ws.unify_nodes(ws.resolve(a, P_MOD), ws.resolve(h, P_SYNSEM)):
-        return None
-    slash = _union_slash(ws, (h, a))
-    if slash is None:
-        return None
-    return _mother(
-        ws, od.domain_union(head.dom, adjunct.dom), "head-adjunct-structure",
-        {"HEAD-DTR": h, "ADJUNCT-DTR": a},
-        ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), slash, keep_dtrs,
-    )
+
+    def build() -> Optional[Sign]:
+        ws = Workspace(head.hierarchy)
+        h = ws.graft(head.fs)
+        a = ws.graft(adjunct.fs)
+        if not ws.unify_nodes(ws.resolve(a, P_MOD), ws.resolve(h, P_SYNSEM)):
+            return None
+        slash = _union_slash(ws, (h, a))
+        if slash is None:
+            return None
+        return _mother(
+            ws, "head-adjunct-structure", {"HEAD-DTR": h, "ADJUNCT-DTR": a},
+            ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), slash, keep_dtrs,
+        )
+
+    mother = _memoized(memo, (SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), build)
+    return mother and _placed(mother, od.domain_union(head.dom, adjunct.dom))
 
 
-def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False) -> Optional[Sign]:
+def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
+                       memo: Optional[dict] = None) -> Optional[Sign]:
     """Combine a verb with its verbal complement into a (partial) cluster.
 
     The embedded sign's full synsem unifies with the head's VCOMP value,
@@ -428,33 +452,38 @@ def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False) -> Op
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
-        return _underspecified_mother(head, cluster, od.domain_union(head.dom, cluster.dom),
-                                      cluster=True)
+        mother = _underspecified_mother(head, cluster, as_cluster=True, memo=memo)
+        return mother and _placed(mother, od.domain_union(head.dom, cluster.dom))
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, cluster.facts.vform):
         return None
-    ws = Workspace(head.hierarchy)
-    h = ws.graft(head.fs)
-    c = ws.graft(cluster.fs)
-    if not ws.unify_nodes(ws.resolve(h, P_VCOMP), ws.resolve(c, P_SYNSEM)):
-        return None
-    slash = _union_slash(ws, (h, c))
-    if slash is None:
-        return None
-    cat = ws.avm(
-        "cat",
-        HEAD=ws.resolve(h, P_HEAD),
-        COMPS=ws.resolve(h, P_COMPS),
-        VCOMP=ws.atom("none"),
-    )
-    return _mother(
-        ws, od.domain_union(head.dom, cluster.dom), "head-cluster-structure",
-        {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])},
-        ws.avm("local", CAT=cat), ws.atom("+"), slash, keep_dtrs,
-    )
+
+    def build() -> Optional[Sign]:
+        ws = Workspace(head.hierarchy)
+        h = ws.graft(head.fs)
+        c = ws.graft(cluster.fs)
+        if not ws.unify_nodes(ws.resolve(h, P_VCOMP), ws.resolve(c, P_SYNSEM)):
+            return None
+        slash = _union_slash(ws, (h, c))
+        if slash is None:
+            return None
+        cat = ws.avm(
+            "cat",
+            HEAD=ws.resolve(h, P_HEAD),
+            COMPS=ws.resolve(h, P_COMPS),
+            VCOMP=ws.atom("none"),
+        )
+        return _mother(
+            ws, "head-cluster-structure",
+            {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])},
+            ws.avm("local", CAT=cat), ws.atom("+"), slash, keep_dtrs,
+        )
+
+    mother = _memoized(memo, (SCHEMA_VERB_CLUSTER, head.fs.nodes, cluster.fs.nodes), build)
+    return mother and _placed(mother, od.domain_union(head.dom, cluster.dom))
 
 
-def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
-                                 keep_dtrs: bool = False) -> Optional[Sign]:
+def apply_pvp_slash_introduction(head: Sign, licenser: Sign, keep_dtrs: bool = False,
+                                 memo: Optional[dict] = None) -> Optional[Sign]:
     """Discharge the head's VCOMP into SLASH, licensed by a real projection.
 
     Only the licenser's LOC unifies with the VCOMP restriction — LEX lives
@@ -474,31 +503,37 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
         return None
     if head.dom.coverage & licenser.dom.coverage:
         return None
-    ws = Workspace(head.hierarchy)
-    h = ws.graft(head.fs)
-    li = ws.graft(licenser.fs)
-    vcomp_loc = _try_resolve(ws, h, P_VCOMP + ("LOC",))
-    if vcomp_loc is None:
-        return None
-    if not ws.unify_nodes(vcomp_loc, ws.resolve(li, P_SYNSEM + ("LOC",))):
-        return None
-    cat = ws.avm(
-        "cat",
-        HEAD=ws.resolve(h, P_HEAD),
-        COMPS=ws.resolve(h, P_COMPS),
-        VCOMP=ws.atom("none"),
-    )
-    mother = _mother(
-        ws, head.dom, "complement-slash-licencing-structure",
-        {"HEAD-DTR": h, "VCOMP-DTR": li},
-        ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]), keep_dtrs,
-    )
-    if mother is None or not check_comps_closed(mother):
-        return None
-    return mother
+
+    def build() -> Optional[Sign]:
+        ws = Workspace(head.hierarchy)
+        h = ws.graft(head.fs)
+        li = ws.graft(licenser.fs)
+        vcomp_loc = _try_resolve(ws, h, P_VCOMP + ("LOC",))
+        if vcomp_loc is None:
+            return None
+        if not ws.unify_nodes(vcomp_loc, ws.resolve(li, P_SYNSEM + ("LOC",))):
+            return None
+        cat = ws.avm(
+            "cat",
+            HEAD=ws.resolve(h, P_HEAD),
+            COMPS=ws.resolve(h, P_COMPS),
+            VCOMP=ws.atom("none"),
+        )
+        mother = _mother(
+            ws, "complement-slash-licencing-structure", {"HEAD-DTR": h, "VCOMP-DTR": li},
+            ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]),
+            keep_dtrs,
+        )
+        if mother is None or not check_comps_closed(mother):
+            return None
+        return mother
+
+    mother = _memoized(memo, (SCHEMA_SLASH_INTRO, head.fs.nodes, licenser.fs.nodes), build)
+    return mother and _placed(mother, head.dom)
 
 
-def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False) -> Optional[Sign]:
+def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False,
+                      memo: Optional[dict] = None) -> Optional[Sign]:
     """Bind the clause's SLASH element against the fronted filler.
 
     The head must be a saturated finite clause carrying exactly one SLASH
@@ -516,17 +551,21 @@ def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False) -> Opti
     verb_pos = finite_verb_position(head)
     if verb_pos is None:
         return None
-    ws = Workspace(head.hierarchy)
-    h = ws.graft(head.fs)
-    f = ws.graft(filler.fs)
-    slash_elems = ws.elems_of(ws.resolve(h, P_SLASH))
-    if not ws.unify_nodes(slash_elems[0], ws.resolve(f, P_SYNSEM + ("LOC",))):
-        return None
-    return _mother(
-        ws, od.insert_filler_domain(head.dom, filler, verb_pos), "filler-head-structure",
-        {"HEAD-DTR": h, "FILLER-DTR": f},
-        ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), ws.set_value([]), keep_dtrs,
-    )
+
+    def build() -> Optional[Sign]:
+        ws = Workspace(head.hierarchy)
+        h = ws.graft(head.fs)
+        f = ws.graft(filler.fs)
+        slash_elems = ws.elems_of(ws.resolve(h, P_SLASH))
+        if not ws.unify_nodes(slash_elems[0], ws.resolve(f, P_SYNSEM + ("LOC",))):
+            return None
+        return _mother(
+            ws, "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f},
+            ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), ws.set_value([]), keep_dtrs,
+        )
+
+    mother = _memoized(memo, (SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), build)
+    return mother and _placed(mother, od.insert_filler_domain(head.dom, filler, verb_pos))
 
 
 # schema label -> name of the function applying it, looked up in this
@@ -542,17 +581,20 @@ _APPLY = {
 
 
 def apply_schema(schema: str, first: Sign, second: Sign, allow_open: bool = False,
-                 keep_dtrs: bool = False) -> Optional[Sign]:
+                 keep_dtrs: bool = False, memo: Optional[dict] = None) -> Optional[Sign]:
     """Apply the schema labelled ``schema`` to its daughters in derivation order.
 
     The one dispatch for both callers: the chart builds mothers of SYNSEM
-    and domain only; the rebuild of a derivation passes ``keep_dtrs`` and
-    gets the full structure.  ``allow_open`` only concerns head-complement.
+    and domain only, sharing one ``memo`` over a parse; the rebuild of a
+    derivation passes ``keep_dtrs`` and gets the full structure, built
+    afresh.  ``allow_open`` only concerns head-complement.
     """
+    if keep_dtrs and memo is not None:
+        raise ValueError("a memo holds chart mothers only; a rebuild takes none")
     apply = globals()[_APPLY[schema]]
     if schema == SCHEMA_HEAD_COMPLEMENT:
-        return apply(first, second, allow_open, keep_dtrs=keep_dtrs)
-    return apply(first, second, keep_dtrs=keep_dtrs)
+        return apply(first, second, allow_open, keep_dtrs=keep_dtrs, memo=memo)
+    return apply(first, second, keep_dtrs=keep_dtrs, memo=memo)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from . import sexpr
 from .avm import AvmSyntaxError, build_fs
 from .grammar import (
+    BUILT_TYPES,
     P_CAT,
     P_COMPS,
     P_HEAD,
@@ -46,6 +47,13 @@ from .tfs import (
     Workspace,
     validate,
 )
+
+
+# the types the grammar builds, and those the entry checks and the finite
+# form rule name; a lexicon with entries must declare them all, since
+# without them a parse would fail mid-way (a file without entries parses
+# nothing)
+REQUIRED_TYPES = ("sign", "fin") + BUILT_TYPES
 
 
 class LexiconError(Exception):
@@ -179,6 +187,11 @@ def load_lexicon(text: str) -> Lexicon:
         hierarchy = TypeHierarchy(decls)
     except HierarchyError as exc:
         raise LexiconError(str(exc)) from exc
+    entry_lines = [form.line for form in others if form[0].name in ("word", "stem")]
+    missing = [t for t in REQUIRED_TYPES if t not in hierarchy]
+    if entry_lines and missing:
+        raise LexiconError(f"line {entry_lines[0]}: entries need types the hierarchy "
+                           f"does not declare: {', '.join(missing)}")
 
     templates: dict[str, FeatureStructure] = {}
     entries: list[LexEntry] = []

@@ -279,10 +279,13 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         return ids[0] if ids else None
 
     trace_mode = options.mode == TRACE
+    # one schema memo per parse (see vorfeld.grammar): each (schema,
+    # daughter structures) triple is unified once, whatever the coverages
+    memo: dict = {}
 
     def attach(schema: str, a: Edge, b: Edge, coverage: int,
                licenser_id: Optional[int], terminal: bool = False) -> None:
-        mother = G.apply_schema(schema, a.sign, b.sign, allow_open=trace_mode)
+        mother = G.apply_schema(schema, a.sign, b.sign, allow_open=trace_mode, memo=memo)
         if mother is not None:
             add(mother, coverage, schema, (a, b), licenser_id, terminal=terminal)
 
@@ -371,7 +374,9 @@ def replay(derivation: Derivation) -> Optional[Sign]:
 
     Unlike the chart, the rebuild keeps each mother's ``DTRS``, so the
     result is the full sign: an AVM with the whole derivation inside.
-    Soundness: its SYNSEM and domain equal those of the chart's root.
+    Soundness: its SYNSEM and domain equal those of the chart's root.  The
+    rebuild shares no memo with the chart: every step unifies afresh, so
+    the comparison checks the chart rather than the memo against itself.
     """
     def rebuild(edge: Edge) -> Optional[Sign]:
         if not edge.daughters:

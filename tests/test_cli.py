@@ -170,6 +170,22 @@ class TestCmdParse:
             assert err.startswith("error: ") and "latin1.lex: not UTF-8" in err
 
 
+    @pytest.mark.parametrize("text, missing", [
+        ('(type top ()) (type a (top)) (word "x" (a))', "sign"),
+        ("\n".join(line for line in fragment_text().splitlines()
+                   if not line.startswith("(type phrasal-sign ")), "phrasal-sign"),
+    ], ids=["bare-hierarchy", "fragment-without-phrasal-sign"])
+    def test_hierarchy_lacking_grammar_types_exits_two(self, capsys, tmp_path, text, missing):
+        """The hierarchy is checked against the types the grammar builds at
+        load time, not when a parse first builds one."""
+        path = tmp_path / "partial.lex"
+        path.write_text(text, encoding="utf-8")
+        sentence = "Er wird seiner Tochter ein Märchen erzählen müssen"
+        assert main(["parse", "--sentence", sentence, "--lexicon", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not declare" in err
+        assert missing in err.strip().split("declare: ")[1].split(", ")
+
 class TestCmdCorpus:
     def test_bundled_corpus_passes(self, capsys):
         rc = main(["corpus"])

@@ -1,5 +1,3 @@
-import gc
-
 import pytest
 
 from conftest import sign_at
@@ -31,8 +29,7 @@ from vorfeld.orderdomain import (
     SCHEMA_VERB_CLUSTER,
     mask_positions,
 )
-from vorfeld.lexicon import load_fragment
-from vorfeld.parser import Derivation, Edge, ParseOptions, parse
+from vorfeld.parser import Derivation, Edge, demonstrate_trace_mode, parse
 from vorfeld.tfs import fs_equal
 
 
@@ -346,16 +343,19 @@ class TestTrace:
             make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
                              "licensing", fragment.hierarchy)
 
-    def test_trace_memo_goes_with_its_lexicon(self):
-        """The trace-mode memo keeps no entry once its lexicon is gone."""
-        gc.collect()
-        before = len(grammar._UNDERSPEC_CACHE)
-        lexicon = load_fragment()
-        result = parse(TOKENS_1A, lexicon, ParseOptions(mode="trace", edge_limit=300))
-        assert len(grammar._UNDERSPEC_CACHE) > before
-        del lexicon, result
-        gc.collect()
-        assert len(grammar._UNDERSPEC_CACHE) == before
+    def test_no_memo_outlives_a_parse(self, fragment, monkeypatch):
+        """Each parse starts with an empty memo: a second trace-mode run over
+        the same lexicon builds every mother structure again."""
+        calls = []
+        make_sign = grammar.make_sign
+        monkeypatch.setattr(grammar, "make_sign",
+                            lambda *args: calls.append(args) or make_sign(*args))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            demonstrate_trace_mode(TOKENS_1A, fragment, edge_limit=2000)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_trace_is_phonologically_empty(self, fragment):
         trace = make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),

@@ -36,6 +36,11 @@ MINI_TYPES = """
 (type vform (top)) (type fin (vform)) (type bse (vform))
 (type case (top)) (type nom (case)) (type dat (case)) (type acc (case))
 (type con-struc (top) (HEAD-DTR sign) (COMP-DTRS *list*))
+(type head-complement-structure (con-struc))
+(type head-adjunct-structure (con-struc) (ADJUNCT-DTR sign))
+(type head-cluster-structure (con-struc) (CLUSTER-DTR sign))
+(type complement-slash-licencing-structure (con-struc) (VCOMP-DTR sign))
+(type filler-head-structure (con-struc) (FILLER-DTR sign))
 """
 
 

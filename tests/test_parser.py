@@ -5,7 +5,7 @@ import pytest
 
 from vorfeld import grammar
 from vorfeld.grammar import P_SYNSEM, check_comps_closed
-from vorfeld.lexicon import load_fragment, load_lexicon
+from vorfeld.lexicon import load_lexicon
 from vorfeld.orderdomain import (
     SCHEMA_FILLER_HEAD,
     SCHEMA_HEAD_ADJUNCT,
@@ -23,7 +23,7 @@ from vorfeld.parser import (
     parse,
     replay,
 )
-from vorfeld.tfs import _canonicalize, fs_equal
+from vorfeld.tfs import Workspace, _canonicalize, fs_equal
 
 S_1A = "Erzählen wird er seiner Tochter ein Märchen"
 S_2 = "Er wird seiner Tochter ein Märchen erzählen müssen"
@@ -252,18 +252,20 @@ class TestTraceMode:
         assert report.sample_open_comps_avm is not None
         assert "append" in report.sample_open_comps_avm or "openlist" in report.sample_open_comps_avm
 
-    def test_memo_hits_build_no_sign(self, monkeypatch):
-        """Work count: a trace-mode mother taken from the memo reuses the
-        memo's facts and synsem, so ``make_sign`` runs only for lexical
-        signs, traces and structures not seen before; sending every hit
-        through ``make_sign`` would count one call per edge."""
+    def test_memo_hits_build_no_sign(self, monkeypatch, fragment):
+        """Work count: a mother taken from the parse's memo reuses the
+        memo's structure, facts and synsem, so ``make_sign`` runs only for
+        lexical signs, traces and mother structures not seen before in the
+        parse (290 calls with the earlier trace-only memo, which built the
+        unified mothers of every pair afresh); sending every hit through
+        ``make_sign`` would count one call per edge."""
         calls = []
         make_sign = grammar.make_sign
         monkeypatch.setattr(grammar, "make_sign",
                             lambda *args: calls.append(args) or make_sign(*args))
-        report = demonstrate_trace_mode(S_1A.split(), load_fragment())  # a cold memo
+        report = demonstrate_trace_mode(S_1A.split(), fragment)
         assert report.edges_built == 10000
-        assert len(calls) == 290
+        assert len(calls) == 38
 
     def test_licensing_mode_contrast(self, fragment):
         result = parse(S_1A.split(), fragment, ParseOptions(edge_limit=10000))
@@ -348,6 +350,50 @@ class TestSlashIndex:
                         assert grammar.apply_schema(schema, b.sign, a.sign, allow_open) is None
             pairs += len(sample)
         assert pairs > 2000
+
+
+class TestSchemaMemo:
+    """A parse unifies each (schema, daughter structures) key once; a
+    rebuild shares nothing with the chart."""
+
+    def test_one_build_per_memo_key(self, monkeypatch, fragment):
+        """Work count: each sentence builds one mother structure per distinct
+        memo key, and over the bundled corpus ``Workspace.extract`` runs 447
+        times (744 when every pair of edges was unified afresh); a build
+        whose unification fails extracts nothing."""
+        extracts, keys, builds = [], set(), []
+        extract, memoized = Workspace.extract, grammar._memoized
+        monkeypatch.setattr(Workspace, "extract",
+                            lambda ws, root: extracts.append(root) or extract(ws, root))
+        monkeypatch.setattr(grammar, "_memoized", lambda memo, key, build: keys.add(key) or
+                            memoized(memo, key, lambda: builds.append(key) or build()))
+        for sentence in _corpus_sentences():
+            keys.clear()
+            builds.clear()
+            parse(sentence, fragment)
+            assert len(builds) == len(keys) > 0
+        assert len(extracts) == 447
+
+    def test_replay_unifies_every_step_again(self, monkeypatch, fragment):
+        """After the chart has filled its memo, rebuilding each reading still
+        extracts once per internal edge of its derivation."""
+        result = parse(S_7B.split(), fragment)
+        assert result.readings == PINNED_READINGS[S_7B]
+        extracts = []
+        extract = Workspace.extract
+        monkeypatch.setattr(Workspace, "extract",
+                            lambda ws, root: extracts.append(root) or extract(ws, root))
+        for derivation in result.derivations:
+            extracts.clear()
+            assert replay(derivation) is not None
+            assert len(extracts) == sum(1 for e in derivation.edges() if e.daughters)
+
+    def test_a_rebuild_takes_no_memo(self, fragment):
+        result = parse(S_2.split(), fragment)
+        root = result.derivations[0].root
+        a, b = root.daughters
+        with pytest.raises(ValueError, match="memo"):
+            grammar.apply_schema(root.schema, a.sign, b.sign, keep_dtrs=True, memo={})
 
 
 class TestAmbiguousLexiconStillDeterministic:
