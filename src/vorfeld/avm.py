@@ -223,11 +223,11 @@ def build_fs(form, hierarchy: TypeHierarchy,
             if pair is None or len(pair) != 2 or not isinstance(pair[0], sexpr.Symbol):
                 raise AvmSyntaxError(f"line {head.line}: features of {head.name!r} must be (NAME value) pairs")
             feats.append((pair[0].name, pair[1]))
-        seen = set()
+        names = set()
         for f, _ in feats:
-            if f in seen:
+            if f in names:
                 raise AvmSyntaxError(f"line {head.line}: duplicate feature {f!r}")
-            seen.add(f)
+            names.add(f)
         built = tuple(sorted((f, build(v, depth + 2)) for f, v in feats))
         store[nid] = Node(AVM, head.name, built)
         return nid

@@ -34,6 +34,11 @@ Feature Principle) and union the daughters' SLASH sets (Nonlocal Feature
 Principle), failing when the union would exceed one element.  Schema
 application never mutates the daughters and returns None on failure.
 
+What a schema asks of one daughter alone is stated once, in two role masks
+of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
+sign may be the first daughter of, ``deps`` the second.  A schema tests the
+masks, then its conditions on the pair; the parser pairs on the same masks.
+
 A mother's structure depends only on the schema and its daughters'
 structures, never on their coverage or domain.  So a schema takes an
 optional memo: after its prechecks (which may read the domains) it looks up
@@ -99,13 +104,19 @@ BUILT_TYPES = (
 )
 
 
+# the schemata in the order the parser tries them; their bits in the role masks
+SCHEMATA = (SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
+            SCHEMA_SLASH_INTRO, SCHEMA_FILLER_HEAD)
+SCHEMA_BIT = {schema: 1 << i for i, schema in enumerate(SCHEMATA)}
+
+
 class ModeError(Exception):
     """An operation was used outside its parsing mode."""
 
 
 @dataclass(frozen=True)
 class SignFacts:
-    """Cheap category summary used for combination prechecks."""
+    """Cheap category summary: the schemata's daughter-local preconditions."""
 
     head: Optional[str]
     vform: Optional[str]
@@ -120,6 +131,8 @@ class SignFacts:
     comps_last_case: Optional[str] = None
     vcomp_vform: Optional[str] = None
     mod_head: Optional[str] = None
+    heads: int = 0  # role masks, one SCHEMA_BIT per schema: first daughter
+    deps: int = 0  # ... and second daughter
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,21 +174,47 @@ def _facts(fs: FeatureStructure) -> SignFacts:
         slash = len(fs.nodes[fs.resolve(P_SLASH)].elems)
     except PathError:
         pass
+    head, vform, has_mod = fs.type_at(P_HEAD), fs.type_at(P_VFORM), fs.has_path(P_MOD)
+    # the schemata's daughter-local preconditions, stated here only
+    heads = _roles(
+        # head-complement: a closed COMPS list once the cluster is formed, or
+        # an underspecified one (a trace, or anything built on one)
+        (vcomp == "none" and comps_kind == CLOSED and comps_len > 0)
+        or (comps_kind in (OPEN, APPEND) and vcomp in ("none", "open")),
+        True,  # head-adjunct
+        vcomp in ("sel", "open"),  # verb-cluster
+        vcomp == "sel" and slash == 0,  # slash introduction
+        slash == 0)  # filler-head: the filler
+    deps = _roles(
+        True,  # head-complement
+        has_mod,  # head-adjunct
+        head == "verb",  # verb-cluster
+        head == "verb" and slash == 0,  # slash introduction: the licenser
+        # filler-head: a saturated finite clause with one SLASH element
+        slash == 1 and head == "verb" and vform == "fin" and comps_kind == CLOSED
+        and comps_len == 0)
     return SignFacts(
-        head=fs.type_at(P_HEAD),
-        vform=fs.type_at(P_VFORM),
+        head=head,
+        vform=vform,
         case=fs.type_at(P_CASE),
         lex=fs.type_at(P_LEX),
         comps_kind=comps_kind,
         comps_len=comps_len,
         vcomp=vcomp,
         slash=slash,
-        has_mod=fs.has_path(P_MOD),
+        has_mod=has_mod,
         comps_last_head=comps_last_head,
         comps_last_case=comps_last_case,
         vcomp_vform=vcomp_vform,
         mod_head=fs.type_at(P_MOD + ("LOC", "CAT", "HEAD")),
+        heads=heads,
+        deps=deps,
     )
+
+
+def _roles(*admitted: bool) -> int:
+    """The role mask with the bit of each schema, in ``SCHEMATA`` order, admitted."""
+    return sum(1 << i for i, holds in enumerate(admitted) if holds)
 
 
 def make_sign(hierarchy: TypeHierarchy, fs: FeatureStructure, dom: Domain) -> Sign:
@@ -194,18 +233,11 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
 # schema plumbing
 
 
-def _slash_node(ws: Workspace, root: int) -> Optional[int]:
-    try:
-        return ws.resolve(root, P_SLASH)
-    except PathError:
-        return None
-
-
 def _union_slash(ws: Workspace, roots: Sequence[int]) -> Optional[int]:
     """SLASH set of the mother: union of the daughters', capped at one element."""
     nonempty = []
     for r in roots:
-        node = _slash_node(ws, r)
+        node = _try_resolve(ws, r, P_SLASH)
         if node is not None and ws.elems_of(node):
             nonempty.append(node)
     if len(nonempty) > 1:
@@ -224,6 +256,11 @@ def _try_resolve(ws: Workspace, root: int, path) -> Optional[int]:
 
 def _compatible(hierarchy: TypeHierarchy, a: Optional[str], b: Optional[str]) -> bool:
     return a is None or b is None or hierarchy.glb(a, b) is not None
+
+
+def _admits(schema: str, first: Sign, second: Sign) -> bool:
+    """The daughters' role masks admit them to ``schema``, in this order."""
+    return bool(first.facts.heads & second.facts.deps & SCHEMA_BIT[schema])
 
 
 def _slash_overflow(a: Sign, b: Sign) -> bool:
@@ -335,8 +372,8 @@ def _mother(ws: Workspace, struct_type: str, struct_feats: dict[str, int], loc: 
 # the schemata
 
 
-def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False,
-                          keep_dtrs: bool = False, memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_head_complement(head: Sign, comp: Sign, keep_dtrs: bool = False,
+                          memo: Optional[dict] = None) -> Optional[Sign]:
     """Saturate the last element of the head's COMPS list with ``comp``.
 
     The head's verbal complement must already be discharged (VCOMP none):
@@ -345,24 +382,18 @@ def apply_head_complement(head: Sign, comp: Sign, allow_open: bool = False,
     complementizer head, whose clausal complement stays domain-transparent
     so the linearization checks can see the verb cluster.
 
-    With ``allow_open`` (the trace-mode demonstration) a head with an
-    underspecified COMPS list accepts any complement whatsoever and keeps
-    its valence underspecified — a trace, or anything built on one,
-    qualifies; this is exactly the defect the licensing schema exists to
-    avoid.
+    A head with an underspecified COMPS list accepts any complement
+    whatsoever and keeps its valence underspecified — a trace, or anything
+    built on one, qualifies; this is exactly the defect the licensing
+    schema exists to avoid.  Licensing mode drops every sign whose valence
+    stays open once its VCOMP is none, and in the bundled fragment only
+    traces leave VCOMP underspecified, so this surfaces in trace mode alone.
     """
-    open_comps = head.facts.comps_kind in (OPEN, APPEND)
-    if _slash_overflow(head, comp):
+    if not _admits(SCHEMA_HEAD_COMPLEMENT, head, comp) or _slash_overflow(head, comp):
         return None
-    if open_comps:
-        if not allow_open or head.facts.vcomp not in ("none", "open"):
-            return None
+    if head.facts.comps_kind != CLOSED:
         mother = _underspecified_mother(head, comp, as_cluster=False, memo=memo)
         return mother and _placed(mother, _insert_comp_dom(head, comp))
-    if head.facts.vcomp != "none":
-        return None
-    if head.facts.comps_kind != CLOSED or head.facts.comps_len == 0:
-        return None
     if not _compatible(head.hierarchy, head.facts.comps_last_head, comp.facts.head):
         return None
     if not _compatible(head.hierarchy, head.facts.comps_last_case, comp.facts.case):
@@ -403,11 +434,9 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False,
     value; the adjunct joins the domain as its own element and may end up
     separated from the head.
     """
-    if not adjunct.facts.has_mod:
+    if not _admits(SCHEMA_HEAD_ADJUNCT, head, adjunct) or _slash_overflow(head, adjunct):
         return None
     if not _compatible(head.hierarchy, adjunct.facts.mod_head, head.facts.head):
-        return None
-    if _slash_overflow(head, adjunct):
         return None
 
     def build() -> Optional[Sign]:
@@ -443,11 +472,7 @@ def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
     the trace account suffers from.  Licensing-mode signs always pin VCOMP
     to none or a synsem, so this only surfaces in trace mode.
     """
-    if head.facts.vcomp not in ("sel", "open"):
-        return None
-    if cluster.facts.head != "verb":
-        return None
-    if _slash_overflow(head, cluster):
+    if not _admits(SCHEMA_VERB_CLUSTER, head, cluster) or _slash_overflow(head, cluster):
         return None
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
@@ -493,11 +518,7 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign, keep_dtrs: bool = F
     COMPS comes out fully instantiated; an underspecified result is
     rejected.  The licenser contributes nothing to the mother's domain.
     """
-    if head.facts.vcomp != "sel":
-        return None
-    if licenser.facts.head != "verb":
-        return None
-    if head.facts.slash != 0 or licenser.facts.slash != 0:
+    if not _admits(SCHEMA_SLASH_INTRO, head, licenser):
         return None
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, licenser.facts.vform):
         return None
@@ -542,11 +563,7 @@ def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False,
     The parser additionally requires the filler to be the very edge that
     licensed the dependency.
     """
-    if head.facts.slash != 1 or filler.facts.slash != 0:
-        return None
-    if head.facts.head != "verb" or head.facts.vform != "fin":
-        return None
-    if head.facts.comps_kind != CLOSED or head.facts.comps_len != 0:
+    if not _admits(SCHEMA_FILLER_HEAD, filler, head):
         return None
     verb_pos = finite_verb_position(head)
     if verb_pos is None:
@@ -580,21 +597,19 @@ _APPLY = {
 }
 
 
-def apply_schema(schema: str, first: Sign, second: Sign, allow_open: bool = False,
-                 keep_dtrs: bool = False, memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_schema(schema: str, first: Sign, second: Sign, keep_dtrs: bool = False,
+                 memo: Optional[dict] = None) -> Optional[Sign]:
     """Apply the schema labelled ``schema`` to its daughters in derivation order.
 
     The one dispatch for both callers: the chart builds mothers of SYNSEM
     and domain only, sharing one ``memo`` over a parse; the rebuild of a
     derivation passes ``keep_dtrs`` and gets the full structure, built
-    afresh.  ``allow_open`` only concerns head-complement.
+    afresh.  Every schema first tests the daughters' role masks
+    (``SignFacts.heads`` and ``deps``), then its conditions on the pair.
     """
     if keep_dtrs and memo is not None:
         raise ValueError("a memo holds chart mothers only; a rebuild takes none")
-    apply = globals()[_APPLY[schema]]
-    if schema == SCHEMA_HEAD_COMPLEMENT:
-        return apply(first, second, allow_open, keep_dtrs=keep_dtrs, memo=memo)
-    return apply(first, second, keep_dtrs=keep_dtrs, memo=memo)
+    return globals()[_APPLY[schema]](first, second, keep_dtrs=keep_dtrs, memo=memo)
 
 
 # ---------------------------------------------------------------------------

@@ -195,14 +195,14 @@ def load_lexicon(text: str) -> Lexicon:
 
     templates: dict[str, FeatureStructure] = {}
     entries: list[LexEntry] = []
-    seen: set[tuple[tuple[str, ...], tuple]] = set()
+    loaded: set[tuple[tuple[str, ...], tuple]] = set()
 
     def add_entry(entry: LexEntry) -> None:
         key = (entry.phon, entry.fs.nodes)
-        if key in seen:
+        if key in loaded:
             raise LexiconError(
                 f"line {entry.line}: duplicate entry for {' '.join(entry.phon)!r}")
-        seen.add(key)
+        loaded.add(key)
         entries.append(entry)
 
     for form in others:

@@ -109,9 +109,6 @@ class DomainElement:
         if len(self.phon) != bin(self.coverage).count("1"):
             raise ValueError("phon length must match coverage size")
 
-    def with_field(self, field: str) -> "DomainElement":
-        return DomainElement(self.phon, self.coverage, self.synsem, field)
-
 
 @dataclass(frozen=True)
 class Domain:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 from . import grammar as G
 from . import orderdomain as od
 from .avm import print_fs
-from .grammar import Sign, check_comps_closed, is_complete_clause, make_vcomp_trace
+from .grammar import SCHEMA_BIT, Sign, check_comps_closed, is_complete_clause, make_vcomp_trace
 from .lexicon import Lexicon
 from .orderdomain import (
     SCHEMA_FILLER_HEAD,
@@ -47,6 +47,8 @@ TRACE = "trace"
 LEX_SCHEMA = "lex"
 TRACE_SCHEMA = "trace"
 
+_HC, _HA, _VC, _SI, _FH = (SCHEMA_BIT[schema] for schema in G.SCHEMATA)
+
 
 class LexicalGapError(Exception):
     """Input tokens not covered by any lexical entry."""
@@ -61,7 +63,6 @@ class ParseOptions:
     mode: str = LICENSING
     edge_limit: int = 50000
     clause_type: str = "auto"  # auto | v2 | vfinal
-    propose_traces: bool = True  # trace mode only; False gives the bare baseline
 
     def __post_init__(self):
         if self.mode not in (LICENSING, TRACE):
@@ -77,10 +78,10 @@ class Edge:
     """Chart item: a sign plus coverage and derivation bookkeeping.
 
     ``daughters`` is the one record of the derivation tree; the sign
-    itself carries no daughters.  The ``can_*`` flags cache which schemata
-    the edge could possibly feed, so the pairing loop rejects dead pairs on
-    attribute checks alone; ``slash1`` also indexes the processed edges,
-    since no two SLASH-carrying edges are ever paired.
+    itself carries no daughters.  ``heads`` and ``deps`` copy the sign's
+    role masks (see :class:`vorfeld.grammar.SignFacts`), so the pairing loop
+    rejects dead pairs with one bitwise and; ``slash1`` indexes the
+    processed edges, since no two SLASH-carrying edges are ever paired.
     """
 
     id: int
@@ -91,12 +92,8 @@ class Edge:
     licenser_id: Optional[int] = None
     label: str = ""
     terminal: bool = False  # filler-head output: closes the clause
-    can_hc_head: bool = False
-    can_vc_head: bool = False
-    can_intro_head: bool = False
-    can_bind_head: bool = False
-    is_verb: bool = False
-    has_mod: bool = False
+    heads: int = 0
+    deps: int = 0
     slash1: bool = False
 
     def key(self) -> str:
@@ -208,7 +205,6 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     edges: list[Edge] = []
     agenda: deque[Edge] = deque()
-    seen: set[tuple] = set()
     state = {"limit_hit": False, "rejected": 0}
 
     def add(sign: Sign, coverage: int, schema: str, daughters: tuple[Edge, ...],
@@ -216,10 +212,6 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             terminal: bool = False) -> None:
         if state["limit_hit"]:
             return
-        key = (schema, tuple(d.id for d in daughters), coverage, label)
-        if key in seen:
-            return
-        seen.add(key)
         if options.mode == LICENSING and not check_comps_closed(sign):
             # well-formedness assertion: licensing mode never retains
             # underspecified valence (the suites pin this counter at zero)
@@ -229,19 +221,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             state["limit_hit"] = True
             return
         f = sign.facts
-        edge = Edge(
-            len(edges), sign, coverage, schema, daughters, licenser_id,
-            label, terminal,
-            can_hc_head=(f.vcomp == "none" and f.comps_kind == "closed" and f.comps_len > 0)
-            or (f.comps_kind in ("open", "append") and f.vcomp in ("none", "open")),
-            can_vc_head=f.vcomp in ("sel", "open"),
-            can_intro_head=f.vcomp == "sel" and f.slash == 0,
-            can_bind_head=(f.slash == 1 and f.head == "verb" and f.vform == "fin"
-                           and f.comps_kind == "closed" and f.comps_len == 0),
-            is_verb=f.head == "verb",
-            has_mod=f.has_mod,
-            slash1=f.slash == 1,
-        )
+        edge = Edge(len(edges), sign, coverage, schema, daughters, licenser_id,
+                    label, terminal, f.heads, f.deps, f.slash == 1)
         edges.append(edge)
         agenda.append(edge)
 
@@ -257,7 +238,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         missing = [tokens[p] for p in mask_positions(full & ~covered)]
         raise LexicalGapError(missing)
 
-    if options.mode == TRACE and options.propose_traces:
+    if options.mode == TRACE:
         requirement = G.generic_verbal_synsem(lexicon.hierarchy)
         for boundary in range(n + 1):
             trace = make_vcomp_trace(requirement, TRACE, lexicon.hierarchy)
@@ -274,18 +255,21 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     processed: list[Edge] = []
     unslashed: list[Edge] = []
 
-    def licenser_of(daughters: tuple[Edge, ...]) -> Optional[int]:
-        ids = [d.licenser_id for d in daughters if d.licenser_id is not None]
-        return ids[0] if ids else None
-
     trace_mode = options.mode == TRACE
+    # The schemata this parse may apply: traces stand in for slash
+    # introduction, and only a verb-second clause has a Vorfeld to fill.
+    active = sum(SCHEMA_BIT.values())
+    if trace_mode:
+        active &= ~_SI
+    if clause_type != V2:
+        active &= ~_FH
     # one schema memo per parse (see vorfeld.grammar): each (schema,
     # daughter structures) triple is unified once, whatever the coverages
     memo: dict = {}
 
     def attach(schema: str, a: Edge, b: Edge, coverage: int,
                licenser_id: Optional[int], terminal: bool = False) -> None:
-        mother = G.apply_schema(schema, a.sign, b.sign, allow_open=trace_mode, memo=memo)
+        mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
         if mother is not None:
             add(mother, coverage, schema, (a, b), licenser_id, terminal=terminal)
 
@@ -293,20 +277,24 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         """Try every schema with ``a`` as the head-like first argument."""
         if a.coverage & b.coverage:
             return
-        if a.can_hc_head:
-            attach(SCHEMA_HEAD_COMPLEMENT, a, b, a.coverage | b.coverage, licenser_of((a, b)))
-        if b.has_mod:
-            attach(SCHEMA_HEAD_ADJUNCT, a, b, a.coverage | b.coverage, licenser_of((a, b)))
-        if a.can_vc_head and b.is_verb:
-            attach(SCHEMA_VERB_CLUSTER, a, b, a.coverage | b.coverage, licenser_of((a, b)))
-        if not trace_mode and a.can_intro_head and b.is_verb and not b.slash1:
+        fits = a.heads & b.deps & active
+        if not fits:
+            return
+        coverage = a.coverage | b.coverage
+        licenser_id = a.licenser_id if a.licenser_id is not None else b.licenser_id
+        if fits & _HC:
+            attach(SCHEMA_HEAD_COMPLEMENT, a, b, coverage, licenser_id)
+        if fits & _HA:
+            attach(SCHEMA_HEAD_ADJUNCT, a, b, coverage, licenser_id)
+        if fits & _VC:
+            attach(SCHEMA_VERB_CLUSTER, a, b, coverage, licenser_id)
+        if fits & _SI:
             # the licenser stays out of the coverage until the dependency is bound
-            attach(SCHEMA_SLASH_INTRO, a, b, a.coverage, licenser_id=b.id)
-        if clause_type == V2 and b.can_bind_head:
-            identity_ok = (b.licenser_id == a.id if not trace_mode
-                           else b.licenser_id is None)
-            if identity_ok:
-                attach(SCHEMA_FILLER_HEAD, a, b, a.coverage | b.coverage, None, terminal=True)
+            attach(SCHEMA_SLASH_INTRO, a, b, a.coverage, b.id)
+        # the filler is the very edge that licensed the dependency (trace
+        # mode has no licensers)
+        if fits & _FH and b.licenser_id == (None if trace_mode else a.id):
+            attach(SCHEMA_FILLER_HEAD, a, b, coverage, None, terminal=True)
 
     while agenda and not state["limit_hit"]:
         e = agenda.popleft()
@@ -323,21 +311,19 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         if not e.slash1:
             unslashed.append(e)
 
-    derivations = []
-    for e in edges:
-        if e.coverage != full:
-            continue
-        if not is_complete_clause(e.sign, clause_type):
-            continue
-        if not od.lp_check(e, clause_type):
-            continue
-        if e.sign.dom.phon() != tokens:
-            continue
-        derivations.append(Derivation(e))
-    derivations.sort(key=Derivation.canonical_key)
+    derivations = sorted((Derivation(e) for e in edges if is_reading(e, tokens, clause_type)),
+                         key=Derivation.canonical_key)
     return ParseResult(tokens, options.mode, clause_type, tuple(derivations),
                        tuple(edges), options.edge_limit, state["limit_hit"],
                        state["rejected"])
+
+
+def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
+    """Root filter: ``edge`` analyses the whole of ``tokens`` as a complete clause."""
+    return (edge.coverage == mask_span(0, len(tokens))
+            and is_complete_clause(edge.sign, clause_type)
+            and od.lp_check(edge, clause_type)
+            and edge.sign.dom.phon() == tokens)
 
 
 def enumerate_readings(derivations: Sequence[Derivation]) -> list[tuple[Derivation, str]]:
@@ -384,6 +370,6 @@ def replay(derivation: Derivation) -> Optional[Sign]:
         a, b = (rebuild(d) for d in edge.daughters)
         if a is None or b is None:
             return None
-        return G.apply_schema(edge.schema, a, b, allow_open=True, keep_dtrs=True)
+        return G.apply_schema(edge.schema, a, b, keep_dtrs=True)
 
     return rebuild(derivation.root)

@@ -118,13 +118,6 @@ def parse_all(text: str) -> list:
     return top
 
 
-def parse_one(text: str):
-    forms = parse_all(text)
-    if len(forms) != 1:
-        raise SexprError(f"expected exactly one form, got {len(forms)}", 1, 1)
-    return forms[0]
-
-
 def write(form, indent: int = 0, width: int = 78) -> str:
     """Render a form (Symbol / str / SList) back to text, breaking long lists."""
     flat = _write_flat(form)

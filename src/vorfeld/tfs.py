@@ -94,14 +94,14 @@ class TypeHierarchy:
         self._check_appropriateness()
         self._glb_cache: dict[tuple[str, str], Optional[str]] = {}
 
-    def _ancestors_of(self, name: str, seen: tuple[str, ...]) -> frozenset[str]:
-        if name in seen:
+    def _ancestors_of(self, name: str, below: tuple[str, ...]) -> frozenset[str]:
+        if name in below:
             raise HierarchyError(f"cycle in hierarchy through {name!r}")
         if name in self._ancestors:
             return self._ancestors[name]
         acc = {name}
         for p in self._parents[name]:
-            acc |= self._ancestors_of(p, seen + (name,))
+            acc |= self._ancestors_of(p, below + (name,))
         result = frozenset(acc)
         self._ancestors[name] = result
         return result
@@ -425,9 +425,6 @@ class Workspace:
                 raise PathError(f"feature {feat!r} undefined on type {self._type[cur]!r}")
             cur = self.find(feats[feat])
         return cur
-
-    def kind_of(self, node: int) -> str:
-        return self._kind[self.find(node)]
 
     def type_of(self, node: int) -> str:
         return self._type[self.find(node)]

@@ -46,3 +46,11 @@ def sign_at(lexicon: Lexicon, phrase: str, tokens: list[str], position: int,
 
 def signs_at(lexicon: Lexicon, tokens: list[str], position: int):
     return [sign for _, sign in lexicon.lookup(tokens, position)]
+
+
+def corpus_sentences() -> list[list[str]]:
+    """The tokens of each sentence of the bundled corpus."""
+    from vorfeld.cli import parse_corpus_line, tokenize_sentence
+    from vorfeld.lexicon import corpus_text
+    lines = [parse_corpus_line(n, raw) for n, raw in enumerate(corpus_text().splitlines(), 1)]
+    return [tokenize_sentence(line.sentence) for line in lines if line is not None]

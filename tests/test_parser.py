@@ -3,23 +3,19 @@ import random
 
 import pytest
 
+from conftest import corpus_sentences
+from oracle import closure
 from vorfeld import grammar
-from vorfeld.grammar import P_SYNSEM, check_comps_closed
+from vorfeld.grammar import P_SYNSEM, SCHEMATA, check_comps_closed
 from vorfeld.lexicon import load_lexicon
-from vorfeld.orderdomain import (
-    SCHEMA_FILLER_HEAD,
-    SCHEMA_HEAD_ADJUNCT,
-    SCHEMA_HEAD_COMPLEMENT,
-    SCHEMA_SLASH_INTRO,
-    SCHEMA_VERB_CLUSTER,
-    mask_span,
-)
+from vorfeld.orderdomain import SCHEMA_FILLER_HEAD, SCHEMA_SLASH_INTRO
 from vorfeld.parser import (
     Derivation,
     LexicalGapError,
     ParseOptions,
     demonstrate_trace_mode,
     enumerate_readings,
+    is_reading,
     parse,
     replay,
 )
@@ -207,7 +203,7 @@ class TestDerivationRecord:
     """The derivation tree lives on the edges only; chart signs carry no DTRS."""
 
     def test_no_chart_sign_has_dtrs(self, fragment):
-        for sentence in _corpus_sentences():
+        for sentence in corpus_sentences():
             result = parse(sentence, fragment)
             assert not [e for e in result.edges if e.sign.fs.has_path(("DTRS",))]
         trace = parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800))
@@ -217,7 +213,7 @@ class TestDerivationRecord:
         """Ties the synsem of every chart sign, built without a walk from a
         one-feature root or taken from the trace-mode memo, to the general
         canonicalisation of its SYNSEM node."""
-        results = [parse(sentence, fragment) for sentence in _corpus_sentences()]
+        results = [parse(sentence, fragment) for sentence in corpus_sentences()]
         results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800)))
         for result in results:
             for edge in result.edges:
@@ -274,10 +270,12 @@ class TestTraceMode:
         assert offenders == []
 
     def test_without_traces_fronting_is_unanalyzable(self, fragment):
-        options = ParseOptions(mode="trace", propose_traces=False)
-        result = parse(S_1A.split(), fragment, options)
-        assert result.readings == 0
-        assert not result.limit_hit
+        """The baseline: with neither traces nor slash introduction, the
+        grammar's whole closure holds no reading of (1a)."""
+        tokens = tuple(S_1A.split())
+        chart = closure(tokens, fragment, mode="trace", traces=False)
+        assert chart
+        assert not [e for e in chart if is_reading(e, tokens, "v2")]
 
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
@@ -292,9 +290,6 @@ class TestTraceMode:
 # recorded before the processed edges were indexed by SLASH: the index must
 # leave the chart as the full pairing loop builds it, edge ids included.
 TRACE_CHART_DIGEST = "3bf05b0fcb7373c1bb729af6d3978fa32400615e88f8b0b6703d1c33c3a6d754"
-
-SCHEMATA = (SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
-            SCHEMA_SLASH_INTRO, SCHEMA_FILLER_HEAD)
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +329,7 @@ class TestSlashIndex:
         """The invariant the index rests on, checked on the schemata
         themselves for sampled pairs, in both argument orders."""
         charts = [trace_chart.edges]
-        charts += [parse(sentence, fragment).edges for sentence in _corpus_sentences()]
+        charts += [parse(sentence, fragment).edges for sentence in corpus_sentences()]
         rng = random.Random(4)
         pairs = 0
         for edges in charts:
@@ -345,9 +340,8 @@ class TestSlashIndex:
                 sample = [(rng.choice(slashed), rng.choice(slashed)) for _ in range(400)]
             for a, b in sample:
                 for schema in SCHEMATA:
-                    for allow_open in (False, True):
-                        assert grammar.apply_schema(schema, a.sign, b.sign, allow_open) is None
-                        assert grammar.apply_schema(schema, b.sign, a.sign, allow_open) is None
+                    assert grammar.apply_schema(schema, a.sign, b.sign) is None
+                    assert grammar.apply_schema(schema, b.sign, a.sign) is None
             pairs += len(sample)
         assert pairs > 2000
 
@@ -367,7 +361,7 @@ class TestSchemaMemo:
                             lambda ws, root: extracts.append(root) or extract(ws, root))
         monkeypatch.setattr(grammar, "_memoized", lambda memo, key, build: keys.add(key) or
                             memoized(memo, key, lambda: builds.append(key) or build()))
-        for sentence in _corpus_sentences():
+        for sentence in corpus_sentences():
             keys.clear()
             builds.clear()
             parse(sentence, fragment)
@@ -408,10 +402,3 @@ class TestAmbiguousLexiconStillDeterministic:
 def _fragment_source():
     from vorfeld.lexicon import fragment_text
     return fragment_text()
-
-
-def _corpus_sentences():
-    from vorfeld.cli import parse_corpus_line, tokenize_sentence
-    from vorfeld.lexicon import corpus_text
-    lines = [parse_corpus_line(n, raw) for n, raw in enumerate(corpus_text().splitlines(), 1)]
-    return [tokenize_sentence(line.sentence) for line in lines if line is not None]
