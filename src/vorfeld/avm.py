@@ -40,6 +40,7 @@ _TAG_DEF = re.compile(r"^#(\d+)=$")
 _TAG_REF = re.compile(r"^#(\d+)#$")
 
 _LIST_HEADS = {"list": CLOSED, "openlist": OPEN, "append": APPEND, "set": SET}
+_LIST_NAMES = {kind: name for name, kind in _LIST_HEADS.items()}
 
 #: deepest nesting of parentheses an AVM value may have; the reader recurses
 #: once per level, and the bundled fragment nests at most 17 deep
@@ -51,42 +52,59 @@ class AvmSyntaxError(Exception):
 
 
 def print_fs(fs: FeatureStructure, indent: bool = True) -> str:
-    """Render a structure in the canonical textual syntax."""
+    """Render a structure in the canonical textual syntax.
+
+    Nodes are rendered depth-first with an explicit stack, so the depth of
+    a structure is bounded by memory, not by the interpreter's recursion
+    limit.
+    """
     shared = _shared_nodes(fs)
     tags: dict[int, int] = {}
-    printed: set[int] = set()
+    done: list = []  # the root's form, once rendered
+    # open nodes, innermost last: (items so far, tag prefix, (feature, child)
+    # pairs still to render, feature under which the node sits in its parent)
+    stack: list = []
 
-    def render(i: int):
-        if i in printed:
-            return sexpr.Symbol(f"#{tags[i]}#")
-        printed.add(i)
+    def attach(feat: Optional[str], form) -> None:
+        if feat is not None:
+            form = sexpr.SList((sexpr.Symbol(feat), form))
+        (stack[-1][0] if stack else done).append(form)
+
+    def start(i: int, feat: Optional[str]) -> None:
+        if i in tags:
+            attach(feat, sexpr.Symbol(f"#{tags[i]}#"))
+            return
         prefix = ""
         if i in shared:
             tags[i] = len(tags) + 1
             prefix = f"#{tags[i]}="
         node = fs.nodes[i]
-        if node.kind == AVM:
-            if not node.feats:
-                body = sexpr.Symbol(node.type)
-            else:
-                items = [sexpr.Symbol(node.type)]
-                for f, c in node.feats:
-                    items.append(sexpr.SList((sexpr.Symbol(f), render(c))))
-                body = sexpr.SList(tuple(items))
+        if node.kind == AVM and not node.feats:
+            attach(feat, _tagged(prefix, sexpr.Symbol(node.type)))
+        elif node.kind == AVM:
+            stack.append(([sexpr.Symbol(node.type)], prefix, iter(node.feats), feat))
         else:
-            head = {CLOSED: "list", OPEN: "openlist", APPEND: "append", SET: "set"}[node.kind]
-            items = [sexpr.Symbol(head)]
-            items.extend(render(c) for c in node.elems)
-            body = sexpr.SList(tuple(items))
-        if prefix:
-            if isinstance(body, sexpr.Symbol):
-                return sexpr.Symbol(prefix + body.name)
-            return sexpr.SList((sexpr.Symbol(prefix), body))
-        return body
+            stack.append(([sexpr.Symbol(_LIST_NAMES[node.kind])], prefix,
+                          ((None, c) for c in node.elems), feat))
 
-    form = render(fs.root)
-    text = sexpr.write(form) if indent else sexpr._write_flat(form)
-    return text
+    start(fs.root, None)
+    while stack:
+        items, prefix, pending, feat = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            start(child[1], child[0])
+        else:
+            stack.pop()
+            attach(feat, _tagged(prefix, sexpr.SList(tuple(items))))
+    return sexpr.write(done[0]) if indent else sexpr.write_flat(done[0])
+
+
+def _tagged(prefix: str, body):
+    if not prefix:
+        return body
+    if isinstance(body, sexpr.Symbol):
+        return sexpr.Symbol(prefix + body.name)
+    return sexpr.SList((sexpr.Symbol(prefix), body))
 
 
 def _shared_nodes(fs: FeatureStructure) -> set[int]:

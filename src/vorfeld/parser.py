@@ -110,11 +110,23 @@ class Derivation:
 
     @cached_property
     def sign(self) -> Sign:
-        """The full root sign, ``DTRS`` included, rebuilt once by :func:`replay`."""
-        sign = replay(self)
-        if sign is None:
-            raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
-        return sign
+        """The full root sign, ``DTRS`` included, rebuilt once (see :meth:`rebuild`)."""
+        return self.rebuild(None)
+
+    def rebuild(self, rebuilt: Optional[dict[Edge, Optional[Sign]]]) -> Sign:
+        """:attr:`sign`, rebuilt now unless it is already known.
+
+        ``rebuilt`` maps edges to their full signs and gains this
+        derivation's edges, so derivations that share it unify each shared
+        edge once; with None every step is unified afresh, as by
+        :func:`replay`.
+        """
+        if "sign" not in self.__dict__:
+            sign = _rebuild(self.root, rebuilt)
+            if sign is None:
+                raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
+            self.__dict__["sign"] = sign  # where cached_property keeps it
+        return self.__dict__["sign"]
 
     def canonical_key(self) -> str:
         return self.root.key()
@@ -327,9 +339,16 @@ def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
 
 
 def enumerate_readings(derivations: Sequence[Derivation]) -> list[tuple[Derivation, str]]:
-    """Derivations in deterministic order, each with its root AVM text."""
+    """Derivations in deterministic order, each with its root AVM text.
+
+    The readings of one parse share most of their internal edges, so they
+    are rebuilt through one cache of full signs, which lives for this call
+    only: each distinct edge is unified once.  It is never the chart's
+    schema memo, whose mothers carry no ``DTRS``.
+    """
     ordered = sorted(derivations, key=Derivation.canonical_key)
-    return [(d, print_fs(d.sign.fs)) for d in ordered]
+    rebuilt: dict[Edge, Optional[Sign]] = {}
+    return [(d, print_fs(d.rebuild(rebuilt).fs)) for d in ordered]
 
 
 def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
@@ -364,12 +383,33 @@ def replay(derivation: Derivation) -> Optional[Sign]:
     rebuild shares no memo with the chart: every step unifies afresh, so
     the comparison checks the chart rather than the memo against itself.
     """
-    def rebuild(edge: Edge) -> Optional[Sign]:
-        if not edge.daughters:
-            return edge.sign
-        a, b = (rebuild(d) for d in edge.daughters)
-        if a is None or b is None:
-            return None
-        return G.apply_schema(edge.schema, a, b, keep_dtrs=True)
+    return _rebuild(derivation.root, None)
 
-    return rebuild(derivation.root)
+
+def _rebuild(root: Edge, rebuilt: Optional[dict[Edge, Optional[Sign]]]) -> Optional[Sign]:
+    """The full sign of ``root``, rebuilt bottom-up without recursion.
+
+    Edges found in ``rebuilt`` are taken from it, and every edge rebuilt is
+    added to it.  Without it each step of the tree is unified, a licenser
+    that is also the filler twice.
+    """
+    done: list[Optional[Sign]] = []  # full signs of the finished subtrees
+    stack = [(root, False)]
+    while stack:
+        edge, expanded = stack.pop()
+        if rebuilt is not None and edge in rebuilt:
+            done.append(rebuilt[edge])
+        elif not edge.daughters:
+            done.append(edge.sign)
+        elif not expanded:
+            stack.append((edge, True))
+            stack.extend((d, False) for d in reversed(edge.daughters))
+        else:
+            b = done.pop()
+            a = done.pop()
+            sign = None if a is None or b is None else G.apply_schema(edge.schema, a, b,
+                                                                      keep_dtrs=True)
+            if rebuilt is not None:
+                rebuilt[edge] = sign
+            done.append(sign)
+    return done[0]

@@ -2,7 +2,7 @@ import pytest
 
 from vorfeld.avm import MAX_DEPTH, AvmSyntaxError, print_fs, read_fs
 from vorfeld.sexpr import SexprError, parse_all
-from vorfeld.tfs import fs_equal
+from vorfeld.tfs import AVM, CLOSED, FeatureStructure, Node, fs_equal
 
 
 class TestReader:
@@ -87,6 +87,22 @@ class TestPrinter:
         for text in texts:
             fs = read_fs(text, diamond, check=False)
             assert fs_equal(read_fs(print_fs(fs), diamond, check=False), fs)
+
+
+    def test_prints_a_structure_nested_beyond_the_recursion_limit(self):
+        """Neither the renderer nor the writer recurses: 5,000 nested lists,
+        built as nodes since the reader caps nesting at MAX_DEPTH, print
+        flat and indented."""
+        depth = 5000
+        nodes = [Node(AVM, "b", (("H", 1),))]
+        nodes += [Node(CLOSED, "", (), (i + 1,)) for i in range(1, depth + 1)]
+        nodes.append(Node(AVM, "x"))
+        fs = FeatureStructure(tuple(nodes))
+        assert print_fs(fs, indent=False) == "(b (H " + "(list " * depth + "x" + ")" * (depth + 2)
+        lines = print_fs(fs).split("\n")
+        assert lines[:3] == ["(b", "  (H", "    (list"]
+        assert len(lines) == depth + 3
+        assert lines[-1] == " " * (2 * depth + 4) + "x" + ")" * (depth + 2)
 
 
 class TestFragmentRoundTrip:

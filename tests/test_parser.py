@@ -382,6 +382,23 @@ class TestSchemaMemo:
             assert replay(derivation) is not None
             assert len(extracts) == sum(1 for e in derivation.edges() if e.daughters)
 
+    def test_readings_rebuild_each_distinct_edge_once(self, monkeypatch, fragment):
+        """Rendered together, the readings extract once per distinct internal
+        edge across all of them (fewer times than one replay per reading),
+        and each rebuilt sign equals its standalone replay."""
+        result = parse(S_7B.split(), fragment)
+        internal = [e for d in result.derivations for e in d.edges() if e.daughters]
+        extracts = []
+        extract = Workspace.extract
+        monkeypatch.setattr(Workspace, "extract",
+                            lambda ws, root: extracts.append(root) or extract(ws, root))
+        readings = enumerate_readings(result.derivations)
+        assert len(readings) == PINNED_READINGS[S_7B]
+        assert len(extracts) == len(set(internal)) < len(internal)
+        for derivation, _avm in readings:
+            alone = replay(derivation)
+            assert fs_equal(derivation.sign.fs, alone.fs) and derivation.sign.dom == alone.dom
+
     def test_a_rebuild_takes_no_memo(self, fragment):
         result = parse(S_2.split(), fragment)
         root = result.derivations[0].root
