@@ -110,23 +110,11 @@ class Derivation:
 
     @cached_property
     def sign(self) -> Sign:
-        """The full root sign, ``DTRS`` included, rebuilt once (see :meth:`rebuild`)."""
-        return self.rebuild(None)
-
-    def rebuild(self, rebuilt: Optional[dict[Edge, Optional[Sign]]]) -> Sign:
-        """:attr:`sign`, rebuilt now unless it is already known.
-
-        ``rebuilt`` maps edges to their full signs and gains this
-        derivation's edges, so derivations that share it unify each shared
-        edge once; with None every step is unified afresh, as by
-        :func:`replay`.
-        """
-        if "sign" not in self.__dict__:
-            sign = _rebuild(self.root, rebuilt)
-            if sign is None:
-                raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
-            self.__dict__["sign"] = sign  # where cached_property keeps it
-        return self.__dict__["sign"]
+        """The full root sign, ``DTRS`` included, rebuilt once by :func:`replay`."""
+        sign = replay(self)
+        if sign is None:
+            raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
+        return sign
 
     def canonical_key(self) -> str:
         return self.root.key()
@@ -348,7 +336,13 @@ def enumerate_readings(derivations: Sequence[Derivation]) -> list[tuple[Derivati
     """
     ordered = sorted(derivations, key=Derivation.canonical_key)
     rebuilt: dict[Edge, Optional[Sign]] = {}
-    return [(d, print_fs(d.rebuild(rebuilt).fs)) for d in ordered]
+    readings = []
+    for d in ordered:
+        sign = _rebuild(d.root, rebuilt)
+        if sign is None:
+            raise RuntimeError(f"derivation {d.canonical_key()} does not replay")
+        readings.append((d, print_fs(sign.fs)))
+    return readings
 
 
 def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,

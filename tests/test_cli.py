@@ -158,7 +158,7 @@ class TestCmdParse:
     def test_bare_parse_renders_no_avm(self, capsys, monkeypatch):
         from vorfeld import parser
         calls = []
-        for name in ("print_fs", "replay"):
+        for name in ("print_fs", "replay", "_rebuild"):
             def counted(*args, _name=name, _original=getattr(parser, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -168,9 +168,10 @@ class TestCmdParse:
         assert main(["parse", "--sentence", sentence, "--print-derivation"]) == 0
         assert calls == []
         assert main(["parse", "--sentence", sentence, "--print-avm"]) == 0
-        # the readings are rebuilt together (parser.enumerate_readings), not
-        # one replay each
-        assert calls.count("print_fs") == 10 and "replay" not in calls
+        # the readings are rebuilt together (parser.enumerate_readings), one
+        # shared-cache rebuild each rather than one replay each
+        assert calls.count("print_fs") == calls.count("_rebuild") == 10
+        assert "replay" not in calls
         capsys.readouterr()
 
     def test_bad_flag_exits_two(self, capsys):

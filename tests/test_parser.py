@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corpus_sentences
 from oracle import closure
-from vorfeld import grammar
+from vorfeld import grammar, parser
 from vorfeld.grammar import P_SYNSEM, SCHEMATA, check_comps_closed
 from vorfeld.lexicon import load_lexicon
 from vorfeld.orderdomain import SCHEMA_FILLER_HEAD, SCHEMA_SLASH_INTRO
@@ -388,16 +388,19 @@ class TestSchemaMemo:
         and each rebuilt sign equals its standalone replay."""
         result = parse(S_7B.split(), fragment)
         internal = [e for d in result.derivations for e in d.edges() if e.daughters]
-        extracts = []
-        extract = Workspace.extract
+        extracts, rebuilt = [], {}
+        extract, rebuild = Workspace.extract, parser._rebuild
         monkeypatch.setattr(Workspace, "extract",
                             lambda ws, root: extracts.append(root) or extract(ws, root))
+        monkeypatch.setattr(parser, "_rebuild", lambda root, cache: rebuilt.setdefault(
+            root, rebuild(root, cache)))
         readings = enumerate_readings(result.derivations)
-        assert len(readings) == PINNED_READINGS[S_7B]
+        assert len(readings) == PINNED_READINGS[S_7B] == len(rebuilt)
         assert len(extracts) == len(set(internal)) < len(internal)
+        monkeypatch.setattr(parser, "_rebuild", rebuild)
         for derivation, _avm in readings:
-            alone = replay(derivation)
-            assert fs_equal(derivation.sign.fs, alone.fs) and derivation.sign.dom == alone.dom
+            shared, alone = rebuilt[derivation.root], replay(derivation)
+            assert fs_equal(shared.fs, alone.fs) and shared.dom == alone.dom
 
     def test_a_rebuild_takes_no_memo(self, fragment):
         result = parse(S_2.split(), fragment)
