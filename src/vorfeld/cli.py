@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from .lexicon import Lexicon, LexiconError, corpus_text, fragment_text, load_lexicon
-from .orderdomain import assign_fields, mask_positions
+from .orderdomain import fields, mask_positions
 from .parser import (
     Derivation,
     LexicalGapError,
@@ -112,7 +112,8 @@ def _print_derivation(derivation: Derivation, clause_type: str, out: TextIO) -> 
     for line in derivation.tree_lines():
         print(line, file=out)
     print("fields:", file=out)
-    for element, fld in assign_fields(derivation.root.sign, clause_type):
+    dom = derivation.root.sign.dom
+    for element, fld in zip(dom.elements, fields(dom, clause_type)):
         cov = ",".join(str(p) for p in mask_positions(element.coverage))
         print(f"  {fld:2s} [{cov}] {' '.join(element.phon)}", file=out)
 
@@ -151,7 +152,8 @@ def cmd_parse(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return 0 if result.readings > 0 else 1
 
 
-def run_corpus(lexicon: Lexicon, text: str, edge_limit: int = 50000) -> Report:
+def run_corpus(lexicon: Lexicon, text: str,
+               edge_limit: int = ParseOptions.edge_limit) -> Report:
     """Parse every corpus line and judge it against its verdict.
 
     Lines are processed in order (outcomes keep corpus order); a lexical
@@ -264,14 +266,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-derivation", action="store_true",
                    help="print each reading's schema tree and field assignment")
     p.add_argument("--mode", choices=["licensing", "trace"], default="licensing")
-    p.add_argument("--edge-limit", type=int, default=50000)
+    p.add_argument("--edge-limit", type=int, default=ParseOptions.edge_limit)
     p.add_argument("--clause-type", choices=["auto", "v2", "vfinal"], default="auto")
 
     c = sub.add_parser("corpus", help="run a regression corpus")
     c.add_argument("--lexicon", help="fragment file (default: bundled German fragment)")
     c.add_argument("--corpus", help="corpus file (default: bundled corpus)")
     c.add_argument("--out", help="write a machine-readable report here")
-    c.add_argument("--edge-limit", type=int, default=50000)
+    c.add_argument("--edge-limit", type=int, default=ParseOptions.edge_limit)
     return top
 
 

@@ -226,7 +226,8 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
     """Wrap a lexical entry structure as a sign covering ``tokens`` at ``start``."""
     sign = make_sign(hierarchy, fs, EMPTY_DOMAIN)
     element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.synsem_fs)
-    return Sign(hierarchy, fs, Domain((element,)), sign.facts, sign.synsem_fs)
+    dom = Domain((element,), element.coverage)
+    return Sign(hierarchy, fs, dom, sign.facts, sign.synsem_fs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
     element = od.compact(comp.dom.elements, synsem=comp.synsem_fs)
     if element is None:
         return None
-    return od.domain_union(head.dom, Domain((element,)))
+    return od.domain_union(head.dom, Domain((element,), element.coverage))
 
 
 def _memoized(memo: Optional[dict], key: tuple,
@@ -516,7 +517,8 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign, keep_dtrs: bool = F
     that clustering would reject.  The licenser's arguments are attracted
     through the same entry reentrancies as in clustering, so the mother's
     COMPS comes out fully instantiated; an underspecified result is
-    rejected.  The licenser contributes nothing to the mother's domain.
+    rejected.  The licenser contributes nothing to the mother's domain,
+    so it stays out of the mother's coverage until the filler binds it.
     """
     if not _admits(SCHEMA_SLASH_INTRO, head, licenser):
         return None

@@ -73,10 +73,6 @@ class LexEntry:
     line: int = 0
     index: int = 0
 
-    @property
-    def label(self) -> str:
-        return f"{' '.join(self.phon)}#{self.index}"
-
 
 class Lexicon:
     """Immutable after load; lookups are safe from concurrent parses."""

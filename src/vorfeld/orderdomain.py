@@ -10,15 +10,21 @@ union is deterministic given the coverages; the shuffle character of the
 union operator is realized by the parser admitting any coverage
 interleaving the combination schemata allow.
 
-``lp_check`` is the linearization gate applied to complete clause
-candidates.  It implements a topological field model: Vorfeld (exactly one
-element before the finite verb in verb-second clauses, and necessarily the
-inserted filler block when a nonlocal dependency was bound), the finite
-verb as left bracket, an unconstrained Mittelfeld, and the verb cluster as
-a contiguous right bracket.  Verb-final clauses start with the
-complementizer and end in a contiguous verb block ordered embedded before
-embedding.  Cluster coverage must be contiguous at the root, except that
-the finite verb of a verb-second clause escapes to the left bracket.
+This module is the one place that decides word order.  Each domain knows
+its coverage, so a chart edge covers exactly what its sign's domain
+covers: the licensing daughter of slash introduction, which gets no place
+in the mother's domain, is thereby left out of the mother's coverage too.
+
+``fields`` is the topological field model: Vorfeld (exactly one element
+before the finite verb in verb-second clauses, and verbal material there
+only as the inserted filler block of a bound nonlocal dependency), the
+finite verb as left bracket, an unconstrained Mittelfeld, and the verb
+cluster as a contiguous right bracket.  Verb-final clauses start with the
+complementizer and end in a contiguous verb block.  ``lp_check``, the
+linearization gate applied to complete clause candidates, passes when the
+field model places every element and, in addition, cluster coverage is
+contiguous at the root (except that the finite verb of a verb-second clause
+escapes to the left bracket) with embedded verbs before their heads.
 """
 from __future__ import annotations
 
@@ -94,8 +100,9 @@ class DomainElement:
 
     ``phon`` holds the input tokens at the covered positions in ascending
     order; ``synsem`` is the synsem of the sign that contributed the
-    element; ``field`` is the topological field tag, assigned for the
-    filler block at insertion time and for the rest at the root.
+    element.  ``field`` is stored only on the Vorfeld block of a bound
+    filler ("VF", set at insertion); every other element's field is
+    computed, never stored, by :func:`fields`.
     """
 
     phon: tuple[str, ...]
@@ -112,14 +119,14 @@ class DomainElement:
 
 @dataclass(frozen=True)
 class Domain:
-    elements: tuple[DomainElement, ...]
+    """Elements in position order, and ``coverage``, the union of theirs.
 
-    @property
-    def coverage(self) -> int:
-        mask = 0
-        for e in self.elements:
-            mask |= e.coverage
-        return mask
+    The coverage is given where the domain is made: :func:`make_domain`
+    passes the mask it builds to rule out overlaps.
+    """
+
+    elements: tuple[DomainElement, ...]
+    coverage: int
 
     def phon(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -128,7 +135,7 @@ class Domain:
         return tuple(out)
 
 
-EMPTY_DOMAIN = Domain(())
+EMPTY_DOMAIN = Domain((), 0)
 
 
 def make_domain(elements: Sequence[DomainElement]) -> Optional[Domain]:
@@ -138,7 +145,7 @@ def make_domain(elements: Sequence[DomainElement]) -> Optional[Domain]:
         if mask & e.coverage:
             return None
         mask |= e.coverage
-    return Domain(tuple(sorted(elements, key=lambda e: mask_min(e.coverage))))
+    return Domain(tuple(sorted(elements, key=lambda e: mask_min(e.coverage))), mask)
 
 
 def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
@@ -146,17 +153,14 @@ def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
     return make_domain(d1.elements + d2.elements)
 
 
-def compact(elems: Sequence[DomainElement], synsem: Optional[FeatureStructure] = None,
+def compact(elems: Sequence[DomainElement], synsem: FeatureStructure,
             field: Optional[str] = None) -> Optional[DomainElement]:
-    """Collapse elements covering a contiguous range into a single element.
+    """Collapse elements covering a contiguous range into one element of ``synsem``.
 
     Non-contiguous coverage signals an unlicensed discontinuity and fails.
-    ``synsem`` must be supplied when collapsing more than one element.
     """
     if not elems:
         return None
-    if len(elems) == 1 and synsem is None and field is None:
-        return elems[0]
     mask = 0
     for e in elems:
         if mask & e.coverage:
@@ -168,10 +172,6 @@ def compact(elems: Sequence[DomainElement], synsem: Optional[FeatureStructure] =
     for e in elems:
         pairs.extend(zip(mask_positions(e.coverage), e.phon))
     pairs.sort()
-    if synsem is None:
-        if len(elems) != 1:
-            raise ValueError("compacting several elements requires a synsem")
-        synsem = elems[0].synsem
     return DomainElement(tuple(p for _, p in pairs), mask, synsem, field)
 
 
@@ -249,68 +249,44 @@ def _cluster_constraints(root: "Edge", clause_type: str, lb_coverage: int) -> bo
     return True
 
 
+def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
+    """The topological field (VF, LB, MF or RB) of each element of ``dom``.
+
+    None when the elements fit no field assignment of ``clause_type``.
+    """
+    elements = dom.elements
+    if not elements or not _non_interleaving(elements):
+        return None
+    if clause_type == V2:
+        if [i for i, e in enumerate(elements) if _is_finite_verb(e)] != [1]:
+            return None  # exactly one element precedes the one finite verb
+        if elements[0].field != "VF" and _is_cluster_verb(elements[0]):
+            return None  # only a bound filler may front verbal material
+        brackets = ("VF", "LB")
+        rb = [i for i, e in enumerate(elements) if i > 1 and _is_cluster_verb(e)]
+    elif clause_type == VFINAL:
+        if _head_type(elements[0].synsem) != "comp":
+            return None
+        if any(e.field == "VF" for e in elements):
+            return None  # no Vorfeld in verb-final clauses
+        brackets = ("LB",)
+        rb = [i for i, e in enumerate(elements) if _head_type(e.synsem) == "verb"]
+    else:
+        raise ValueError(f"unknown clause type {clause_type!r}")
+    rb_start = rb[0] if rb else len(elements)
+    if rb != list(range(rb_start, len(elements))):
+        return None  # the right bracket must be a contiguous, clause-final suffix
+    return brackets + ("MF",) * (rb_start - len(brackets)) + ("RB",) * len(rb)
+
+
 def lp_check(root: "Edge", clause_type: str) -> bool:
     """Topological-field validation of a complete clause candidate.
 
     The fields are read off the root sign's domain; the verb clusters and
     their heads' coverages come from the edge's derivation tree.
     """
-    elements = root.sign.dom.elements
-    if not elements or not _non_interleaving(elements):
+    if fields(root.sign.dom, clause_type) is None:
         return False
-    if clause_type == V2:
-        finite = [i for i, e in enumerate(elements) if _is_finite_verb(e)]
-        if len(finite) != 1:
-            return False
-        lb = finite[0]
-        if lb != 1:
-            return False  # exactly one element precedes the finite verb
-        first = elements[0]
-        if first.field != "VF" and _is_cluster_verb(first):
-            return False  # only a bound filler may front verbal material
-        cluster_idx = [i for i, e in enumerate(elements) if i > lb and _is_cluster_verb(e)]
-        if cluster_idx and cluster_idx != list(range(min(cluster_idx), len(elements))):
-            return False  # right bracket must be a contiguous suffix
-        return _cluster_constraints(root, V2, elements[lb].coverage)
-    if clause_type == VFINAL:
-        if _head_type(elements[0].synsem) != "comp":
-            return False
-        if any(e.field == "VF" for e in elements):
-            return False  # no Vorfeld in verb-final clauses
-        verb_idx = [i for i, e in enumerate(elements) if _head_type(e.synsem) == "verb"]
-        if verb_idx and verb_idx != list(range(min(verb_idx), len(elements))):
-            return False  # verb block must be contiguous and clause-final
-        return _cluster_constraints(root, VFINAL, 0)
-    raise ValueError(f"unknown clause type {clause_type!r}")
-
-
-def assign_fields(root: "Sign", clause_type: str) -> tuple[tuple[DomainElement, str], ...]:
-    """Pair each root domain element with its topological field tag.
-
-    Assumes ``lp_check`` passed; used by derivation printing.
-    """
-    elements = root.dom.elements
-    out: list[tuple[DomainElement, str]] = []
-    if clause_type == V2:
-        cluster_idx = [i for i, e in enumerate(elements) if i > 1 and _is_cluster_verb(e)]
-        rb_start = min(cluster_idx) if cluster_idx else len(elements)
-        for i, e in enumerate(elements):
-            if i == 0:
-                out.append((e, "VF"))
-            elif i == 1:
-                out.append((e, "LB"))
-            elif i >= rb_start:
-                out.append((e, "RB"))
-            else:
-                out.append((e, "MF"))
-    else:
-        verb_idx = [i for i, e in enumerate(elements) if _head_type(e.synsem) == "verb"]
-        rb_start = min(verb_idx) if verb_idx else len(elements)
-        for i, e in enumerate(elements):
-            if i == 0:
-                out.append((e, "LB"))
-            elif i >= rb_start:
-                out.append((e, "RB"))
-            else:
-                out.append((e, "MF"))
-    return tuple(out)
+    # in a verb-second clause ``fields`` has put the finite verb second
+    lb_coverage = root.sign.dom.elements[1].coverage if clause_type == V2 else 0
+    return _cluster_constraints(root, clause_type, lb_coverage)

@@ -78,10 +78,11 @@ class Edge:
     """Chart item: a sign plus coverage and derivation bookkeeping.
 
     ``daughters`` is the one record of the derivation tree; the sign
-    itself carries no daughters.  ``heads`` and ``deps`` copy the sign's
-    role masks (see :class:`vorfeld.grammar.SignFacts`), so the pairing loop
-    rejects dead pairs with one bitwise and; ``slash1`` indexes the
-    processed edges, since no two SLASH-carrying edges are ever paired.
+    itself carries no daughters.  ``coverage`` copies the coverage of the
+    sign's domain, and ``heads`` and ``deps`` the sign's role masks (see
+    :class:`vorfeld.grammar.SignFacts`), so the pairing loop rejects
+    overlapping and dead pairs with one bitwise and each; ``slash1`` indexes
+    the processed edges, since no two SLASH-carrying edges are ever paired.
     """
 
     id: int
@@ -207,7 +208,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     agenda: deque[Edge] = deque()
     state = {"limit_hit": False, "rejected": 0}
 
-    def add(sign: Sign, coverage: int, schema: str, daughters: tuple[Edge, ...],
+    def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
             licenser_id: Optional[int] = None, label: str = "",
             terminal: bool = False) -> None:
         if state["limit_hit"]:
@@ -221,7 +222,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             state["limit_hit"] = True
             return
         f = sign.facts
-        edge = Edge(len(edges), sign, coverage, schema, daughters, licenser_id,
+        edge = Edge(len(edges), sign, sign.dom.coverage, schema, daughters, licenser_id,
                     label, terminal, f.heads, f.deps, f.slash == 1)
         edges.append(edge)
         agenda.append(edge)
@@ -231,8 +232,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     for pos in range(n):
         for k, (span, sign) in enumerate(lexicon.lookup(tokens, pos)):
             covered |= mask_span(pos, span)
-            add(sign, mask_span(pos, span), LEX_SCHEMA, (),
-                label=f"{tokens[pos]}@{pos}/{k}")
+            add(sign, LEX_SCHEMA, (), label=f"{tokens[pos]}@{pos}/{k}")
 
     if covered != full:
         missing = [tokens[p] for p in mask_positions(full & ~covered)]
@@ -242,7 +242,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         requirement = G.generic_verbal_synsem(lexicon.hierarchy)
         for boundary in range(n + 1):
             trace = make_vcomp_trace(requirement, TRACE, lexicon.hierarchy)
-            add(trace, 0, TRACE_SCHEMA, (), label=f"@{boundary}")
+            add(trace, TRACE_SCHEMA, (), label=f"@{boundary}")
 
     # Processed edges in id order, and the subsequence of those without a
     # SLASH element.  No schema combines two SLASH-carrying daughters
@@ -267,11 +267,11 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     # daughter structures) triple is unified once, whatever the coverages
     memo: dict = {}
 
-    def attach(schema: str, a: Edge, b: Edge, coverage: int,
-               licenser_id: Optional[int], terminal: bool = False) -> None:
+    def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int],
+               terminal: bool = False) -> None:
         mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
         if mother is not None:
-            add(mother, coverage, schema, (a, b), licenser_id, terminal=terminal)
+            add(mother, schema, (a, b), licenser_id, terminal=terminal)
 
     def combine(a: Edge, b: Edge) -> None:
         """Try every schema with ``a`` as the head-like first argument."""
@@ -280,21 +280,19 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         fits = a.heads & b.deps & active
         if not fits:
             return
-        coverage = a.coverage | b.coverage
         licenser_id = a.licenser_id if a.licenser_id is not None else b.licenser_id
         if fits & _HC:
-            attach(SCHEMA_HEAD_COMPLEMENT, a, b, coverage, licenser_id)
+            attach(SCHEMA_HEAD_COMPLEMENT, a, b, licenser_id)
         if fits & _HA:
-            attach(SCHEMA_HEAD_ADJUNCT, a, b, coverage, licenser_id)
+            attach(SCHEMA_HEAD_ADJUNCT, a, b, licenser_id)
         if fits & _VC:
-            attach(SCHEMA_VERB_CLUSTER, a, b, coverage, licenser_id)
+            attach(SCHEMA_VERB_CLUSTER, a, b, licenser_id)
         if fits & _SI:
-            # the licenser stays out of the coverage until the dependency is bound
-            attach(SCHEMA_SLASH_INTRO, a, b, a.coverage, b.id)
+            attach(SCHEMA_SLASH_INTRO, a, b, b.id)
         # the filler is the very edge that licensed the dependency (trace
         # mode has no licensers)
         if fits & _FH and b.licenser_id == (None if trace_mode else a.id):
-            attach(SCHEMA_FILLER_HEAD, a, b, coverage, None, terminal=True)
+            attach(SCHEMA_FILLER_HEAD, a, b, None, terminal=True)
 
     while agenda and not state["limit_hit"]:
         e = agenda.popleft()

@@ -89,10 +89,9 @@ class TypeHierarchy:
         for name in self._parents:
             for anc in self._ancestors[name]:
                 self._subtypes[anc].add(name)
-        self._check_glb_unique()
+        self._glb = self._glb_table()
         self._features: dict[str, dict[str, str]] = {}
         self._check_appropriateness()
-        self._glb_cache: dict[tuple[str, str], Optional[str]] = {}
 
     def _ancestors_of(self, name: str, below: tuple[str, ...]) -> frozenset[str]:
         if name in below:
@@ -106,10 +105,15 @@ class TypeHierarchy:
         self._ancestors[name] = result
         return result
 
-    def _check_glb_unique(self) -> None:
+    def _glb_table(self) -> dict[tuple[str, str], str]:
+        """The greatest lower bound of every compatible pair, in both orders.
+
+        Rejects a pair whose maximal common subtypes are not unique.
+        """
+        table: dict[tuple[str, str], str] = {}
         types = sorted(self._parents)
         for i, a in enumerate(types):
-            for b in types[i + 1 :]:
+            for b in types[i:]:
                 common = self._subtypes[a] & self._subtypes[b]
                 if not common:
                     continue
@@ -118,6 +122,8 @@ class TypeHierarchy:
                     raise HierarchyError(
                         f"types {a!r} and {b!r} have no unique greatest lower bound: {sorted(maxima)}"
                     )
+                table[a, b] = table[b, a] = maxima[0]
+        return table
 
     def _check_appropriateness(self) -> None:
         intro: dict[str, str] = {}
@@ -161,20 +167,10 @@ class TypeHierarchy:
 
     def glb(self, a: str, b: str) -> Optional[str]:
         """Greatest lower bound of two types, or None if they are incompatible."""
-        key = (a, b) if a <= b else (b, a)
-        if key in self._glb_cache:
-            return self._glb_cache[key]
-        self.check_type(a)
-        self.check_type(b)
-        if a in self._ancestors[b]:
-            result: Optional[str] = b
-        elif b in self._ancestors[a]:
-            result = a
-        else:
-            common = self._subtypes[a] & self._subtypes[b]
-            maxima = [t for t in common if not any(t != u and t in self._subtypes[u] for u in common)]
-            result = maxima[0] if maxima else None
-        self._glb_cache[key] = result
+        result = self._glb.get((a, b))
+        if result is None:
+            self.check_type(a)
+            self.check_type(b)
         return result
 
     def features_for(self, t: str) -> Mapping[str, str]:
@@ -214,9 +210,6 @@ class FeatureStructure:
     @property
     def root(self) -> int:
         return 0
-
-    def node(self, i: int) -> Node:
-        return self.nodes[i]
 
     def resolve(self, path: Iterable[str], start: int = 0) -> int:
         """Node index reached by following ``path`` from node ``start``.

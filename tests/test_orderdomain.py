@@ -1,17 +1,21 @@
 import pytest
 
-from conftest import sign_at
+import field_oracle
+from conftest import corpus_sentences, sign_at
+from test_cli import ADJUNCT_PRINTED_DIGESTS
 from vorfeld.grammar import (
     apply_head_adjunct,
     apply_head_complement,
     finite_verb_position,
 )
 from vorfeld.orderdomain import (
-    Domain,
+    EMPTY_DOMAIN,
     DomainElement,
     compact,
     domain_union,
+    fields,
     insert_filler_domain,
+    lp_check,
     make_domain,
     mask_from,
     mask_is_contiguous,
@@ -42,20 +46,20 @@ class TestMasks:
 class TestDomainUnion:
     def test_orders_by_position(self, fragment):
         tokens = "weil er ihr ein Märchen erzählen müssen wird".split()
-        erz = Domain((_element(fragment, "erzählen", tokens, 5, arity=2),))
-        mue = Domain((_element(fragment, "müssen", tokens, 6),))
+        erz = make_domain([_element(fragment, "erzählen", tokens, 5, arity=2)])
+        mue = make_domain([_element(fragment, "müssen", tokens, 6)])
         union = domain_union(mue, erz)
         assert union is not None
         assert [e.phon for e in union.elements] == [("erzählen",), ("müssen",)]
 
     def test_empty_is_identity(self, fragment):
         tokens = ["er"]
-        d = Domain((_element(fragment, "er", tokens, 0),))
-        assert domain_union(d, Domain(())) == d
+        d = make_domain([_element(fragment, "er", tokens, 0)])
+        assert domain_union(d, EMPTY_DOMAIN) == d
 
     def test_overlap_fails(self, fragment):
         tokens = ["er"]
-        d = Domain((_element(fragment, "er", tokens, 0),))
+        d = make_domain([_element(fragment, "er", tokens, 0)])
         assert domain_union(d, d) is None
 
 
@@ -70,10 +74,6 @@ class TestCompact:
         assert block.phon == ("Seiner", "Tochter", "ein", "Märchen", "erzählen")
         assert mask_positions(block.coverage) == (0, 1, 2, 3, 4)
         assert block.field == "VF"
-
-    def test_single_element_is_itself(self, fragment):
-        e = _element(fragment, "er", ["er"], 0)
-        assert compact([e]) == e
 
     def test_gap_fails(self, fragment):
         tokens = "Vortragen wird er es morgen".split()
@@ -170,6 +170,32 @@ class TestLpCheck:
         wird = sign_at(fragment, "wird", tokens, 1)
         assert finite_verb_position(wird) == 1
         assert finite_verb_position(sign_at(fragment, "er", tokens, 2)) is None
+
+
+class TestFieldModel:
+    """``fields`` states once the bracket rules that the root filter and the
+    derivation printout each spelled out before (``field_oracle.py``)."""
+
+    @pytest.mark.parametrize("sentence", [" ".join(s) for s in corpus_sentences()]
+                             + list(ADJUNCT_PRINTED_DIGESTS))
+    def test_same_verdicts_and_tags_as_the_reference(self, fragment, sentence):
+        tokens = sentence.split()
+        full = mask_span(0, len(tokens))
+        roots = [e for e in parse(tokens, fragment).edges if e.coverage == full]
+        assert roots
+        for clause_type in ("v2", "vfinal"):
+            for root in roots:
+                verdict = field_oracle.lp_check(root, clause_type)
+                assert lp_check(root, clause_type) == verdict, root.key()
+                if verdict:
+                    expected = field_oracle.assign_fields(root.sign, clause_type)
+                    assert fields(root.sign.dom, clause_type) == tuple(
+                        tag for _, tag in expected), root.key()
+
+    def test_unknown_clause_type_rejected(self, fragment):
+        tokens = "Vortragen wird er es morgen".split()
+        with pytest.raises(ValueError):
+            fields(sign_at(fragment, "wird", tokens, 1).dom, "v1")
 
 
 class TestElementInvariants:

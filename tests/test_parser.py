@@ -119,14 +119,13 @@ class TestChartInvariants:
                 else:
                     assert e.coverage == union
 
-    def test_coverage_matches_domain(self, fragment):
-        for sentence in (S_1A, S_2):
-            result = parse(sentence.split(), fragment)
-            for e in result.edges:
-                assert e.sign.dom.coverage == (
-                    e.daughters[0].coverage if e.schema == SCHEMA_SLASH_INTRO
-                    else e.coverage
-                )
+    def test_coverage_matches_domain(self, fragment, trace_chart):
+        """An edge covers what its sign's domain covers, slash introduction
+        included: its domain alone leaves the licenser out."""
+        charts = [parse(s.split(), fragment).edges for s in PINNED_READINGS]
+        for edges in charts + [trace_chart.edges]:
+            for e in edges:
+                assert e.coverage == e.sign.dom.coverage
 
     def test_licensing_mode_keeps_valence_determinate(self, fragment):
         for sentence in PINNED_READINGS:
