@@ -59,12 +59,6 @@ from .orderdomain import (
     Domain,
     DomainElement,
     EMPTY_DOMAIN,
-    SCHEMA_FILLER_HEAD,
-    SCHEMA_HEAD_ADJUNCT,
-    SCHEMA_HEAD_COMPLEMENT,
-    SCHEMA_SLASH_INTRO,
-    SCHEMA_VERB_CLUSTER,
-    mask_min,
     mask_span,
 )
 from .tfs import (
@@ -104,14 +98,16 @@ BUILT_TYPES = (
 )
 
 
-# the schemata in the order the parser tries them; their bits in the role masks
+# schema labels: the schemata in the order the parser tries them, and their
+# bits in the role masks
+SCHEMA_HEAD_COMPLEMENT = "head-complement"
+SCHEMA_HEAD_ADJUNCT = "head-adjunct"
+SCHEMA_VERB_CLUSTER = "verb-cluster"
+SCHEMA_SLASH_INTRO = "pvp-slash-intro"
+SCHEMA_FILLER_HEAD = "filler-head"
 SCHEMATA = (SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
             SCHEMA_SLASH_INTRO, SCHEMA_FILLER_HEAD)
 SCHEMA_BIT = {schema: 1 << i for i, schema in enumerate(SCHEMATA)}
-
-
-class ModeError(Exception):
-    """An operation was used outside its parsing mode."""
 
 
 @dataclass(frozen=True)
@@ -567,7 +563,7 @@ def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False,
     """
     if not _admits(SCHEMA_FILLER_HEAD, filler, head):
         return None
-    verb_pos = finite_verb_position(head)
+    verb_pos = od.finite_verb_position(head.dom)
     if verb_pos is None:
         return None
 
@@ -635,18 +631,6 @@ def check_comps_closed(sign: Sign) -> bool:
     return not any(node.kind in (OPEN, APPEND) for node in sign.fs.nodes)
 
 
-def finite_verb_position(sign: Sign) -> Optional[int]:
-    """Position of the unique finite-verb element of the sign's domain."""
-    positions = [
-        mask_min(e.coverage)
-        for e in sign.dom.elements
-        if od._is_finite_verb(e)
-    ]
-    if len(positions) != 1:
-        return None
-    return positions[0]
-
-
 def is_complete_clause(sign: Sign, clause_type: str) -> bool:
     """Root condition: saturated, SLASH bound, category per clause type."""
     f = sign.facts
@@ -661,19 +645,13 @@ def is_complete_clause(sign: Sign, clause_type: str) -> bool:
 # traces (the pre-licensing account, kept to demonstrate its defect)
 
 
-def make_vcomp_trace(head_requirement: FeatureStructure, mode: str,
-                     hierarchy: TypeHierarchy) -> Sign:
+def make_vcomp_trace(hierarchy: TypeHierarchy) -> Sign:
     """A phonologically empty verbal complement.
 
     The trace's LOC is shared with its own SLASH element and everything
     else is maximally underspecified: open valence lists, unconstrained
-    verb form.  ``head_requirement`` is unified into the trace's synsem
-    (it flows into the SLASH element through the sharing); use
-    :func:`generic_verbal_synsem` for the weakest restriction.  Only
-    available in trace mode.
+    verb form.
     """
-    if mode != "trace":
-        raise ModeError("traces are only available in trace mode")
     ws = Workspace(hierarchy)
     loc = ws.avm(
         "local",
@@ -689,20 +667,6 @@ def make_vcomp_trace(head_requirement: FeatureStructure, mode: str,
         LOC=loc,
         NONLOC=ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=ws.set_value([loc]))),
     )
-    root = ws.avm(TYPE_LEXICAL, SYNSEM=synsem)
-    req = ws.graft(head_requirement)
-    if not ws.unify_nodes(synsem, req):
-        raise ValueError("head requirement is incompatible with a verbal trace")
-    fs = ws.extract(root)
-    if fs is None:
-        raise ValueError("head requirement is incompatible with a verbal trace")
-    return make_sign(hierarchy, fs, EMPTY_DOMAIN)
-
-
-def generic_verbal_synsem(hierarchy: TypeHierarchy) -> FeatureStructure:
-    """The weakest synsem restriction a verbal-complement trace satisfies."""
-    ws = Workspace(hierarchy)
-    root = ws.avm("synsem", LOC=ws.avm("local", CAT=ws.avm("cat", HEAD=ws.avm("verb"))))
-    fs = ws.extract(root)
+    fs = ws.extract(ws.avm(TYPE_LEXICAL, SYNSEM=synsem))
     assert fs is not None
-    return fs
+    return make_sign(hierarchy, fs, EMPTY_DOMAIN)

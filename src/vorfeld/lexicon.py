@@ -71,7 +71,6 @@ class LexEntry:
     stem: bool = False
     finite_form: Optional[tuple[str, ...]] = None
     line: int = 0
-    index: int = 0
 
 
 class Lexicon:
@@ -217,7 +216,7 @@ def load_lexicon(text: str) -> Lexicon:
             if len(form) != 3 or not isinstance(form[1], str):
                 raise LexiconError(f'line {line}: word takes "PHON" and one expression')
             fs = _build(form[2], hierarchy, templates, line)
-            entry = LexEntry(tuple(form[1].split()), fs, line=line, index=len(entries))
+            entry = LexEntry(tuple(form[1].split()), fs, line=line)
             _check_entry(entry, hierarchy)
             add_entry(entry)
         elif name == "stem":
@@ -225,14 +224,12 @@ def load_lexicon(text: str) -> Lexicon:
                 raise LexiconError(f'line {line}: stem takes "PHON" "FINITE" and one expression')
             fs = _build(form[3], hierarchy, templates, line)
             stem_entry = LexEntry(tuple(form[1].split()), fs, stem=True,
-                                  finite_form=tuple(form[2].split()), line=line,
-                                  index=len(entries))
+                                  finite_form=tuple(form[2].split()), line=line)
             add_entry(stem_entry)
             try:
                 finite = finitivize(stem_entry, hierarchy)
             except InapplicableError as exc:
                 raise LexiconError(f"line {line}: {exc}") from exc
-            finite = LexEntry(finite.phon, finite.fs, line=line, index=len(entries))
             _check_entry(finite, hierarchy)
             add_entry(finite)
         else:

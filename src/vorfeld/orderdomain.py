@@ -20,11 +20,13 @@ before the finite verb in verb-second clauses, and verbal material there
 only as the inserted filler block of a bound nonlocal dependency), the
 finite verb as left bracket, an unconstrained Mittelfeld, and the verb
 cluster as a contiguous right bracket.  Verb-final clauses start with the
-complementizer and end in a contiguous verb block.  ``lp_check``, the
-linearization gate applied to complete clause candidates, passes when the
-field model places every element and, in addition, cluster coverage is
-contiguous at the root (except that the finite verb of a verb-second clause
-escapes to the left bracket) with embedded verbs before their heads.
+complementizer and end in a contiguous verb block.
+
+``cluster_in_order`` is the order of one verb cluster, a condition on that
+cluster's own domain: it is judged where the cluster is formed, not at the
+root.  ``lp_check``, the linearization gate applied to complete clause
+candidates, passes when every cluster below the candidate was in order and
+the field model places every element.
 """
 from __future__ import annotations
 
@@ -36,14 +38,6 @@ from .tfs import FeatureStructure
 if TYPE_CHECKING:  # pragma: no cover
     from .grammar import Sign
     from .parser import Edge
-
-# schema labels (shared with grammar/parser; defined here so lp_check can
-# walk derivations without importing the grammar module)
-SCHEMA_HEAD_COMPLEMENT = "head-complement"
-SCHEMA_HEAD_ADJUNCT = "head-adjunct"
-SCHEMA_VERB_CLUSTER = "verb-cluster"
-SCHEMA_SLASH_INTRO = "pvp-slash-intro"
-SCHEMA_FILLER_HEAD = "filler-head"
 
 V2 = "v2"
 VFINAL = "vfinal"
@@ -224,29 +218,26 @@ def _non_interleaving(elements: Sequence[DomainElement]) -> bool:
     return True
 
 
-def _cluster_nodes(root: "Edge"):
-    stack = [root]
-    while stack:
-        edge = stack.pop()
-        if edge.schema == SCHEMA_VERB_CLUSTER:
-            yield edge
-        stack.extend(edge.daughters)
+def finite_verb_position(dom: Domain) -> Optional[int]:
+    """Position of the unique finite-verb element of ``dom``; None unless there is one."""
+    positions = [mask_min(e.coverage) for e in dom.elements if _is_finite_verb(e)]
+    return positions[0] if len(positions) == 1 else None
 
 
-def _cluster_constraints(root: "Edge", clause_type: str, lb_coverage: int) -> bool:
-    for node in _cluster_nodes(root):
-        coverage = node.coverage
-        head_cov = node.daughters[0].coverage
-        head_pos = mask_min(head_cov) if head_cov else -1
-        effective = coverage & ~lb_coverage if clause_type == V2 else coverage
-        if not mask_is_contiguous(effective):
-            return False
-        if clause_type == V2 and head_cov and head_cov == lb_coverage:
-            continue  # the finite verb escaped to the left bracket
-        cluster_cov = coverage & ~head_cov
-        if cluster_cov and head_pos >= 0 and mask_max(cluster_cov) > head_pos:
-            return False  # embedded material must precede its cluster head
-    return True
+def cluster_in_order(dom: Domain, head_dom: Domain, clause_type: str) -> bool:
+    """The order of one verb cluster of domain ``dom``, whose head has ``head_dom``.
+
+    The cluster is contiguous, and its embedded material precedes its head.
+    In a verb-second clause a head that is one finite-verb element stands in
+    the left bracket, so that verb is left out of both conditions.
+    """
+    head = head_dom.elements
+    if clause_type == V2 and len(head) == 1 and _is_finite_verb(head[0]):
+        return mask_is_contiguous(dom.coverage & ~head_dom.coverage)
+    if not mask_is_contiguous(dom.coverage):
+        return False
+    embedded = dom.coverage & ~head_dom.coverage
+    return not (embedded and head) or mask_max(embedded) < mask_min(head_dom.coverage)
 
 
 def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
@@ -282,11 +273,11 @@ def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
 def lp_check(root: "Edge", clause_type: str) -> bool:
     """Topological-field validation of a complete clause candidate.
 
-    The fields are read off the root sign's domain; the verb clusters and
-    their heads' coverages come from the edge's derivation tree.
+    The fields are read off the root sign's domain.  The order of each
+    verb cluster below ``root`` was judged where the cluster was built
+    (``Edge.clusters_in_order``), under the clause type of the parse.  That
+    is the only type the parser's root filter passes here, and the only one
+    a root sign can fit: a complete v2 clause is headed by a finite verb, a
+    vfinal one by a complementizer.
     """
-    if fields(root.sign.dom, clause_type) is None:
-        return False
-    # in a verb-second clause ``fields`` has put the finite verb second
-    lb_coverage = root.sign.dom.elements[1].coverage if clause_type == V2 else 0
-    return _cluster_constraints(root, clause_type, lb_coverage)
+    return root.clusters_in_order and fields(root.sign.dom, clause_type) is not None

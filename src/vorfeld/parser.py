@@ -19,7 +19,6 @@ against the shared immutable lexicon.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -27,19 +26,20 @@ from typing import Iterator, Optional, Sequence
 from . import grammar as G
 from . import orderdomain as od
 from .avm import print_fs
-from .grammar import SCHEMA_BIT, Sign, check_comps_closed, is_complete_clause, make_vcomp_trace
-from .lexicon import Lexicon
-from .orderdomain import (
+from .grammar import (
+    SCHEMA_BIT,
     SCHEMA_FILLER_HEAD,
     SCHEMA_HEAD_ADJUNCT,
     SCHEMA_HEAD_COMPLEMENT,
     SCHEMA_SLASH_INTRO,
     SCHEMA_VERB_CLUSTER,
-    V2,
-    VFINAL,
-    mask_positions,
-    mask_span,
+    Sign,
+    check_comps_closed,
+    is_complete_clause,
+    make_vcomp_trace,
 )
+from .lexicon import Lexicon
+from .orderdomain import V2, VFINAL, mask_positions, mask_span
 
 LICENSING = "licensing"
 TRACE = "trace"
@@ -83,6 +83,9 @@ class Edge:
     :class:`vorfeld.grammar.SignFacts`), so the pairing loop rejects
     overlapping and dead pairs with one bitwise and each; ``slash1`` indexes
     the processed edges, since no two SLASH-carrying edges are ever paired.
+    ``clusters_in_order`` holds when every verb cluster of the tree is in
+    order (:func:`vorfeld.orderdomain.cluster_in_order`), each judged once,
+    under the parse's clause type, where it was built.
     """
 
     id: int
@@ -92,7 +95,7 @@ class Edge:
     daughters: tuple["Edge", ...]
     licenser_id: Optional[int] = None
     label: str = ""
-    terminal: bool = False  # filler-head output: closes the clause
+    clusters_in_order: bool = True
     heads: int = 0
     deps: int = 0
     slash1: bool = False
@@ -205,12 +208,11 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     full = mask_span(0, n)
 
     edges: list[Edge] = []
-    agenda: deque[Edge] = deque()
     state = {"limit_hit": False, "rejected": 0}
 
     def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
             licenser_id: Optional[int] = None, label: str = "",
-            terminal: bool = False) -> None:
+            in_order: bool = True) -> None:
         if state["limit_hit"]:
             return
         if options.mode == LICENSING and not check_comps_closed(sign):
@@ -223,9 +225,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             return
         f = sign.facts
         edge = Edge(len(edges), sign, sign.dom.coverage, schema, daughters, licenser_id,
-                    label, terminal, f.heads, f.deps, f.slash == 1)
+                    label, in_order, f.heads, f.deps, f.slash == 1)
         edges.append(edge)
-        agenda.append(edge)
 
     # lexical layer
     covered = 0
@@ -239,10 +240,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         raise LexicalGapError(missing)
 
     if options.mode == TRACE:
-        requirement = G.generic_verbal_synsem(lexicon.hierarchy)
         for boundary in range(n + 1):
-            trace = make_vcomp_trace(requirement, TRACE, lexicon.hierarchy)
-            add(trace, TRACE_SCHEMA, (), label=f"@{boundary}")
+            add(make_vcomp_trace(lexicon.hierarchy), TRACE_SCHEMA, (), label=f"@{boundary}")
 
     # Processed edges in id order, and the subsequence of those without a
     # SLASH element.  No schema combines two SLASH-carrying daughters
@@ -250,8 +249,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     # slash introduction needs SLASH 0 on both; filler-head a SLASH-free
     # filler and a SLASH 1 head), so a slash1 edge is paired only with
     # ``unslashed``: the pairs skipped would add nothing, and the chart is
-    # the one the full loop builds, edge ids included.  Terminal edges
-    # (filler-head mothers) feed no schema and are paired with nothing.
+    # the one the full loop builds, edge ids included.  Filler-head mothers
+    # close the clause: they feed no schema and are paired with nothing.
     processed: list[Edge] = []
     unslashed: list[Edge] = []
 
@@ -267,11 +266,14 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     # daughter structures) triple is unified once, whatever the coverages
     memo: dict = {}
 
-    def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int],
-               terminal: bool = False) -> None:
+    def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:
         mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
-        if mother is not None:
-            add(mother, schema, (a, b), licenser_id, terminal=terminal)
+        if mother is None:
+            return
+        in_order = a.clusters_in_order and b.clusters_in_order
+        if in_order and schema == SCHEMA_VERB_CLUSTER:
+            in_order = od.cluster_in_order(mother.dom, a.sign.dom, clause_type)
+        add(mother, schema, (a, b), licenser_id, in_order=in_order)
 
     def combine(a: Edge, b: Edge) -> None:
         """Try every schema with ``a`` as the head-like first argument."""
@@ -292,11 +294,14 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         # the filler is the very edge that licensed the dependency (trace
         # mode has no licensers)
         if fits & _FH and b.licenser_id == (None if trace_mode else a.id):
-            attach(SCHEMA_FILLER_HEAD, a, b, None, terminal=True)
+            attach(SCHEMA_FILLER_HEAD, a, b, None)
 
-    while agenda and not state["limit_hit"]:
-        e = agenda.popleft()
-        if e.terminal:
+    # the edge list is the agenda: edges are processed in the order they are built
+    done = 0
+    while done < len(edges) and not state["limit_hit"]:
+        e = edges[done]
+        done += 1
+        if e.schema == SCHEMA_FILLER_HEAD:
             continue
         for f in unslashed if e.slash1 else processed:
             combine(e, f)

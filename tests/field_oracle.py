@@ -3,26 +3,58 @@ stated it once: the reference for ``lp_check`` and ``fields``.
 
 :func:`lp_check` and :func:`assign_fields` each spelled out the verb-second
 and verb-final bracket rules; they are kept verbatim so that the tests can
-hold the one field model to exactly their verdicts and tags.
+hold the one field model to exactly their verdicts and tags.  So is the
+cluster order as the root filter once worked it out, by walking the root's
+derivation tree with the left bracket's coverage passed down
+(:func:`_cluster_constraints`), before each cluster was judged where it is
+built (``orderdomain.cluster_in_order``).
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from vorfeld.grammar import SCHEMA_VERB_CLUSTER
 from vorfeld.orderdomain import (
     V2,
     VFINAL,
     DomainElement,
-    _cluster_constraints,
     _head_type,
     _is_cluster_verb,
     _is_finite_verb,
     _non_interleaving,
+    mask_is_contiguous,
+    mask_max,
+    mask_min,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from vorfeld.grammar import Sign
     from vorfeld.parser import Edge
+
+
+def _cluster_nodes(root: "Edge"):
+    stack = [root]
+    while stack:
+        edge = stack.pop()
+        if edge.schema == SCHEMA_VERB_CLUSTER:
+            yield edge
+        stack.extend(edge.daughters)
+
+
+def _cluster_constraints(root: "Edge", clause_type: str, lb_coverage: int) -> bool:
+    for node in _cluster_nodes(root):
+        coverage = node.coverage
+        head_cov = node.daughters[0].coverage
+        head_pos = mask_min(head_cov) if head_cov else -1
+        effective = coverage & ~lb_coverage if clause_type == V2 else coverage
+        if not mask_is_contiguous(effective):
+            return False
+        if clause_type == V2 and head_cov and head_cov == lb_coverage:
+            continue  # the finite verb escaped to the left bracket
+        cluster_cov = coverage & ~head_cov
+        if cluster_cov and head_pos >= 0 and mask_max(cluster_cov) > head_pos:
+            return False  # embedded material must precede its cluster head
+    return True
 
 
 def lp_check(root: "Edge", clause_type: str) -> bool:

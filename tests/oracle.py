@@ -16,6 +16,9 @@ conditions that belong to the grammar:
 * trace mode has no slash introduction;
 * filler-head mothers are terminal: they feed no schema.
 
+Each edge also records whether every verb cluster of its tree is in order
+(``Edge.clusters_in_order``), which the root filter reads.
+
 The edges it returns are :class:`vorfeld.parser.Edge` objects with ids of
 their own; compare charts by ``Edge.key()``.
 """
@@ -24,15 +27,17 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from vorfeld.grammar import (
+    SCHEMA_FILLER_HEAD,
+    SCHEMA_SLASH_INTRO,
+    SCHEMA_VERB_CLUSTER,
     SCHEMATA,
     Sign,
     apply_schema,
     check_comps_closed,
-    generic_verbal_synsem,
     make_vcomp_trace,
 )
 from vorfeld.lexicon import Lexicon
-from vorfeld.orderdomain import SCHEMA_FILLER_HEAD, SCHEMA_SLASH_INTRO, V2, mask_span
+from vorfeld.orderdomain import V2, cluster_in_order, mask_span
 from vorfeld.parser import (
     LEX_SCHEMA,
     LICENSING,
@@ -59,20 +64,21 @@ def closure(tokens: Sequence[str], lexicon: Lexicon, mode: str = LICENSING,
             licenser_id: Optional[int] = None, label: str = "") -> None:
         if mode == LICENSING and not check_comps_closed(sign):
             return
+        in_order = all(d.clusters_in_order for d in daughters) and (
+            schema != SCHEMA_VERB_CLUSTER
+            or cluster_in_order(sign.dom, daughters[0].sign.dom, clause_type))
         chart.append(Edge(len(chart), sign, coverage, schema, daughters, licenser_id,
-                          label, terminal=schema == SCHEMA_FILLER_HEAD))
+                          label, in_order))
 
     for pos in range(len(tokens)):
         for k, (span, sign) in enumerate(lexicon.lookup(tokens, pos)):
             add(sign, mask_span(pos, span), LEX_SCHEMA, (), label=f"{tokens[pos]}@{pos}/{k}")
     if mode == TRACE and traces:
-        requirement = generic_verbal_synsem(lexicon.hierarchy)
         for boundary in range(len(tokens) + 1):
-            add(make_vcomp_trace(requirement, TRACE, lexicon.hierarchy), 0, TRACE_SCHEMA, (),
-                label=f"@{boundary}")
+            add(make_vcomp_trace(lexicon.hierarchy), 0, TRACE_SCHEMA, (), label=f"@{boundary}")
 
     def apply_all(a: Edge, b: Edge) -> None:
-        if a.terminal or b.terminal or a.coverage & b.coverage:
+        if SCHEMA_FILLER_HEAD in (a.schema, b.schema) or a.coverage & b.coverage:
             return
         for schema in SCHEMATA:
             if schema == SCHEMA_SLASH_INTRO and mode == TRACE:

@@ -11,13 +11,14 @@ from fsgen import structure_pairs, structure_triples
 from vorfeld.avm import print_fs, read_fs
 from vorfeld.cli import run_corpus, tokenize_sentence
 from vorfeld.grammar import (
+    SCHEMA_SLASH_INTRO,
+    SCHEMA_VERB_CLUSTER,
     apply_head_complement,
     apply_pvp_slash_introduction,
     apply_verb_cluster,
     check_comps_closed,
 )
 from vorfeld.lexicon import corpus_text
-from vorfeld.orderdomain import SCHEMA_SLASH_INTRO, SCHEMA_VERB_CLUSTER
 from vorfeld.parser import Derivation, ParseOptions, demonstrate_trace_mode, parse, replay
 from vorfeld.tfs import fs_equal, subsumes, unify
 

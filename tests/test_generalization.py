@@ -36,6 +36,9 @@ UNGRAMMATICAL = [
     "weil er ihm ein Märchen hat erzählen lassen",
     # verb-final cluster split around the finite verb
     "weil er ihr ein Märchen müssen erzählen wird",
+    # verb-final finite verb before its cluster: the finite verb escapes
+    # the cluster's order only to a verb-second left bracket
+    "weil er ihr ein Märchen wird erzählen müssen",
     # finite verb first (no Vorfeld at all)
     "wird er seiner Tochter ein Märchen erzählen müssen",
     # cluster part dropped into the Mittelfeld

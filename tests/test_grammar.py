@@ -1,15 +1,16 @@
-import pytest
-
 from conftest import sign_at
 from vorfeld import grammar
 from vorfeld.avm import read_fs
 from vorfeld.grammar import (
-    ModeError,
     P_COMPS,
     P_HEAD,
     P_LEX,
     P_SLASH,
     P_VCOMP,
+    SCHEMA_HEAD_ADJUNCT,
+    SCHEMA_HEAD_COMPLEMENT,
+    SCHEMA_SLASH_INTRO,
+    SCHEMA_VERB_CLUSTER,
     Sign,
     apply_filler_head,
     apply_head_adjunct,
@@ -18,17 +19,10 @@ from vorfeld.grammar import (
     apply_schema,
     apply_verb_cluster,
     check_comps_closed,
-    generic_verbal_synsem,
     lexical_sign,
     make_vcomp_trace,
 )
-from vorfeld.orderdomain import (
-    SCHEMA_HEAD_ADJUNCT,
-    SCHEMA_HEAD_COMPLEMENT,
-    SCHEMA_SLASH_INTRO,
-    SCHEMA_VERB_CLUSTER,
-    mask_positions,
-)
+from vorfeld.orderdomain import mask_positions
 from vorfeld.parser import Derivation, Edge, demonstrate_trace_mode, parse
 from vorfeld.tfs import fs_equal
 
@@ -323,8 +317,7 @@ class TestCompsClosed:
 
     def test_trace_combination_fails_the_check(self, fragment):
         wird = sign_at(fragment, "wird", TOKENS_1A, 1)
-        trace = make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
-                                 "trace", fragment.hierarchy)
+        trace = make_vcomp_trace(fragment.hierarchy)
         mother = apply_verb_cluster(wird, trace)
         assert mother is not None
         assert not check_comps_closed(mother)
@@ -332,16 +325,10 @@ class TestCompsClosed:
 
 class TestTrace:
     def test_slash_holds_its_own_loc(self, fragment):
-        trace = make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
-                                 "trace", fragment.hierarchy)
+        trace = make_vcomp_trace(fragment.hierarchy)
         fs = trace.fs
         slash = fs.nodes[fs.resolve(P_SLASH)]
         assert slash.elems == (fs.resolve(("SYNSEM", "LOC")),)
-
-    def test_licensing_mode_refuses_traces(self, fragment):
-        with pytest.raises(ModeError):
-            make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
-                             "licensing", fragment.hierarchy)
 
     def test_no_memo_outlives_a_parse(self, fragment, monkeypatch):
         """Each parse starts with an empty memo: a second trace-mode run over
@@ -358,7 +345,6 @@ class TestTrace:
         assert counts[0] == counts[1] > 0
 
     def test_trace_is_phonologically_empty(self, fragment):
-        trace = make_vcomp_trace(generic_verbal_synsem(fragment.hierarchy),
-                                 "trace", fragment.hierarchy)
+        trace = make_vcomp_trace(fragment.hierarchy)
         assert trace.dom.elements == ()
         assert trace.dom.coverage == 0

@@ -3,17 +3,14 @@ import pytest
 import field_oracle
 from conftest import corpus_sentences, sign_at
 from test_cli import ADJUNCT_PRINTED_DIGESTS
-from vorfeld.grammar import (
-    apply_head_adjunct,
-    apply_head_complement,
-    finite_verb_position,
-)
+from vorfeld.grammar import apply_head_adjunct, apply_head_complement
 from vorfeld.orderdomain import (
     EMPTY_DOMAIN,
     DomainElement,
     compact,
     domain_union,
     fields,
+    finite_verb_position,
     insert_filler_domain,
     lp_check,
     make_domain,
@@ -168,8 +165,8 @@ class TestLpCheck:
     def test_finite_verb_position(self, fragment):
         tokens = "Vortragen wird er es morgen".split()
         wird = sign_at(fragment, "wird", tokens, 1)
-        assert finite_verb_position(wird) == 1
-        assert finite_verb_position(sign_at(fragment, "er", tokens, 2)) is None
+        assert finite_verb_position(wird.dom) == 1
+        assert finite_verb_position(sign_at(fragment, "er", tokens, 2).dom) is None
 
 
 class TestFieldModel:

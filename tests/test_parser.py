@@ -6,9 +6,14 @@ import pytest
 from conftest import corpus_sentences
 from oracle import closure
 from vorfeld import grammar, parser
-from vorfeld.grammar import P_SYNSEM, SCHEMATA, check_comps_closed
+from vorfeld.grammar import (
+    P_SYNSEM,
+    SCHEMA_FILLER_HEAD,
+    SCHEMA_SLASH_INTRO,
+    SCHEMATA,
+    check_comps_closed,
+)
 from vorfeld.lexicon import load_lexicon
-from vorfeld.orderdomain import SCHEMA_FILLER_HEAD, SCHEMA_SLASH_INTRO
 from vorfeld.parser import (
     Derivation,
     LexicalGapError,
