@@ -23,10 +23,10 @@ cluster as a contiguous right bracket.  Verb-final clauses start with the
 complementizer and end in a contiguous verb block.
 
 ``cluster_in_order`` is the order of one verb cluster, a condition on that
-cluster's own domain: it is judged where the cluster is formed, not at the
-root.  ``lp_check``, the linearization gate applied to complete clause
-candidates, passes when every cluster below the candidate was in order and
-the field model places every element.
+cluster's own domain.  A cluster's coverage is the union of its daughters',
+so the rule is judged on the pair before the schema runs, and no
+out-of-order cluster is ever built.  ``lp_check``, the linearization gate
+applied to complete clause candidates, is then the field model alone.
 """
 from __future__ import annotations
 
@@ -78,10 +78,8 @@ def mask_max(mask: int) -> int:
 
 
 def mask_is_contiguous(mask: int) -> bool:
-    if mask == 0:
-        return True
-    lo, hi = mask_min(mask), mask_max(mask)
-    return mask == mask_span(lo, hi - lo + 1)
+    # adding the lowest set bit carries through a single run of ones
+    return (mask + (mask & -mask)) & mask == 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +141,16 @@ def make_domain(elements: Sequence[DomainElement]) -> Optional[Domain]:
 
 
 def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
-    """Merge two domains with disjoint coverages, ordered by position."""
-    return make_domain(d1.elements + d2.elements)
+    """Merge two domains with disjoint coverages, ordered by position.
+
+    A domain's elements never overlap, so one test of the two coverages
+    does what :func:`make_domain` does element by element.
+    """
+    if d1.coverage & d2.coverage:
+        return None
+    # the lowest set bit of a coverage orders as its mask_min does
+    elements = sorted(d1.elements + d2.elements, key=lambda e: e.coverage & -e.coverage)
+    return Domain(tuple(elements), d1.coverage | d2.coverage)
 
 
 def compact(elems: Sequence[DomainElement], synsem: FeatureStructure,
@@ -162,10 +168,9 @@ def compact(elems: Sequence[DomainElement], synsem: FeatureStructure,
         mask |= e.coverage
     if not mask_is_contiguous(mask):
         return None
-    pairs: list[tuple[int, str]] = []
-    for e in elems:
-        pairs.extend(zip(mask_positions(e.coverage), e.phon))
-    pairs.sort()
+    if len(elems) == 1:  # one element's tokens are in position order already
+        return DomainElement(elems[0].phon, mask, synsem, field)
+    pairs = sorted(pair for e in elems for pair in zip(mask_positions(e.coverage), e.phon))
     return DomainElement(tuple(p for _, p in pairs), mask, synsem, field)
 
 
@@ -224,20 +229,19 @@ def finite_verb_position(dom: Domain) -> Optional[int]:
     return positions[0] if len(positions) == 1 else None
 
 
-def cluster_in_order(dom: Domain, head_dom: Domain, clause_type: str) -> bool:
-    """The order of one verb cluster of domain ``dom``, whose head has ``head_dom``.
+def cluster_in_order(coverage: int, head_dom: Domain, clause_type: str) -> bool:
+    """The order of one verb cluster covering ``coverage``, whose head has ``head_dom``.
 
     The cluster is contiguous, and its embedded material precedes its head.
     In a verb-second clause a head that is one finite-verb element stands in
     the left bracket, so that verb is left out of both conditions.
     """
     head = head_dom.elements
+    embedded = coverage & ~head_dom.coverage
     if clause_type == V2 and len(head) == 1 and _is_finite_verb(head[0]):
-        return mask_is_contiguous(dom.coverage & ~head_dom.coverage)
-    if not mask_is_contiguous(dom.coverage):
-        return False
-    embedded = dom.coverage & ~head_dom.coverage
-    return not (embedded and head) or mask_max(embedded) < mask_min(head_dom.coverage)
+        return mask_is_contiguous(embedded)
+    return mask_is_contiguous(coverage) and (
+        not (embedded and head) or mask_max(embedded) < mask_min(head_dom.coverage))
 
 
 def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
@@ -273,11 +277,8 @@ def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
 def lp_check(root: "Edge", clause_type: str) -> bool:
     """Topological-field validation of a complete clause candidate.
 
-    The fields are read off the root sign's domain.  The order of each
-    verb cluster below ``root`` was judged where the cluster was built
-    (``Edge.clusters_in_order``), under the clause type of the parse.  That
-    is the only type the parser's root filter passes here, and the only one
-    a root sign can fit: a complete v2 clause is headed by a finite verb, a
-    vfinal one by a complementizer.
+    The fields are read off the root sign's domain.  Every verb cluster
+    below ``root`` was judged before it was built, so the chart holds no
+    cluster out of order.
     """
-    return root.clusters_in_order and fields(root.sign.dom, clause_type) is not None
+    return fields(root.sign.dom, clause_type) is not None

@@ -2,8 +2,10 @@
 
 Edges cover arbitrary position sets, not just spans, which is what makes
 discontinuous constituents tractable: the schemata decide which coverages
-may combine, and the linearization check validates complete clauses.  Two
-modes:
+may combine, and the linearization check validates complete clauses.  A
+verb cluster's order is judged on the pair of daughters before the schema
+runs (:func:`vorfeld.orderdomain.cluster_in_order`), so no out-of-order
+cluster, and no edge built on one, enters the chart.  Two modes:
 
 * licensing (default): the slash-introduction schema licenses fronted
   verbal material against an actually present projection; traces are off.
@@ -83,9 +85,8 @@ class Edge:
     :class:`vorfeld.grammar.SignFacts`), so the pairing loop rejects
     overlapping and dead pairs with one bitwise and each; ``slash1`` indexes
     the processed edges, since no two SLASH-carrying edges are ever paired.
-    ``clusters_in_order`` holds when every verb cluster of the tree is in
-    order (:func:`vorfeld.orderdomain.cluster_in_order`), each judged once,
-    under the parse's clause type, where it was built.
+    Every verb cluster of the tree is in order under the parse's clause
+    type: the rule is judged on each pair before a cluster is built.
     """
 
     id: int
@@ -95,7 +96,6 @@ class Edge:
     daughters: tuple["Edge", ...]
     licenser_id: Optional[int] = None
     label: str = ""
-    clusters_in_order: bool = True
     heads: int = 0
     deps: int = 0
     slash1: bool = False
@@ -211,8 +211,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     state = {"limit_hit": False, "rejected": 0}
 
     def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
-            licenser_id: Optional[int] = None, label: str = "",
-            in_order: bool = True) -> None:
+            licenser_id: Optional[int] = None, label: str = "") -> None:
         if state["limit_hit"]:
             return
         if options.mode == LICENSING and not check_comps_closed(sign):
@@ -225,7 +224,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             return
         f = sign.facts
         edge = Edge(len(edges), sign, sign.dom.coverage, schema, daughters, licenser_id,
-                    label, in_order, f.heads, f.deps, f.slash == 1)
+                    label, f.heads, f.deps, f.slash == 1)
         edges.append(edge)
 
     # lexical layer
@@ -268,12 +267,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:
         mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
-        if mother is None:
-            return
-        in_order = a.clusters_in_order and b.clusters_in_order
-        if in_order and schema == SCHEMA_VERB_CLUSTER:
-            in_order = od.cluster_in_order(mother.dom, a.sign.dom, clause_type)
-        add(mother, schema, (a, b), licenser_id, in_order=in_order)
+        if mother is not None:
+            add(mother, schema, (a, b), licenser_id)
 
     def combine(a: Edge, b: Edge) -> None:
         """Try every schema with ``a`` as the head-like first argument."""
@@ -287,7 +282,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             attach(SCHEMA_HEAD_COMPLEMENT, a, b, licenser_id)
         if fits & _HA:
             attach(SCHEMA_HEAD_ADJUNCT, a, b, licenser_id)
-        if fits & _VC:
+        # a cluster's domain is the union of its daughters' domains
+        if fits & _VC and od.cluster_in_order(a.coverage | b.coverage, a.sign.dom, clause_type):
             attach(SCHEMA_VERB_CLUSTER, a, b, licenser_id)
         if fits & _SI:
             attach(SCHEMA_SLASH_INTRO, a, b, b.id)

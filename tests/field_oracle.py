@@ -6,8 +6,8 @@ and verb-final bracket rules; they are kept verbatim so that the tests can
 hold the one field model to exactly their verdicts and tags.  So is the
 cluster order as the root filter once worked it out, by walking the root's
 derivation tree with the left bracket's coverage passed down
-(:func:`_cluster_constraints`), before each cluster was judged where it is
-built (``orderdomain.cluster_in_order``).
+(:func:`_cluster_constraints`), before each cluster was judged on its pair
+of daughters before it is built (``orderdomain.cluster_in_order``).
 """
 from __future__ import annotations
 

@@ -14,10 +14,9 @@ conditions that belong to the grammar:
   (trace mode has no licensers);
 * filler-head applies only in a verb-second clause;
 * trace mode has no slash introduction;
-* filler-head mothers are terminal: they feed no schema.
-
-Each edge also records whether every verb cluster of its tree is in order
-(``Edge.clusters_in_order``), which the root filter reads.
+* filler-head mothers are terminal: they feed no schema;
+* a verb cluster is in order (``cluster_in_order``), judged on the built
+  mother's own domain, under the sentence's clause type.
 
 The edges it returns are :class:`vorfeld.parser.Edge` objects with ids of
 their own; compare charts by ``Edge.key()``.
@@ -48,13 +47,21 @@ from vorfeld.parser import (
 )
 
 
+class _Full(Exception):
+    """The chart holds as many edges as its limit allows."""
+
+
 def closure(tokens: Sequence[str], lexicon: Lexicon, mode: str = LICENSING,
-            traces: bool = True) -> list[Edge]:
+            traces: bool = True, cluster_order: bool = True,
+            edge_limit: Optional[int] = None) -> list[Edge]:
     """Every edge the grammar derives over ``tokens``, in the order found.
 
     In trace mode, ``traces=False`` proposes no traces: with slash
     introduction off as well, that is the account without any device for
-    fronted verbal material.
+    fronted verbal material.  ``cluster_order=False`` keeps verb clusters
+    out of order, the candidates that word order alone rules out.  With
+    traces the closure is infinite; ``edge_limit`` stops it at the first
+    ``edge_limit`` edges found.
     """
     tokens = tuple(tokens)
     clause_type = detect_clause_type(tokens)
@@ -64,11 +71,12 @@ def closure(tokens: Sequence[str], lexicon: Lexicon, mode: str = LICENSING,
             licenser_id: Optional[int] = None, label: str = "") -> None:
         if mode == LICENSING and not check_comps_closed(sign):
             return
-        in_order = all(d.clusters_in_order for d in daughters) and (
-            schema != SCHEMA_VERB_CLUSTER
-            or cluster_in_order(sign.dom, daughters[0].sign.dom, clause_type))
-        chart.append(Edge(len(chart), sign, coverage, schema, daughters, licenser_id,
-                          label, in_order))
+        if cluster_order and schema == SCHEMA_VERB_CLUSTER and not cluster_in_order(
+                sign.dom.coverage, daughters[0].sign.dom, clause_type):
+            return
+        if len(chart) == edge_limit:
+            raise _Full
+        chart.append(Edge(len(chart), sign, coverage, schema, daughters, licenser_id, label))
 
     for pos in range(len(tokens)):
         for k, (span, sign) in enumerate(lexicon.lookup(tokens, pos)):
@@ -100,10 +108,13 @@ def closure(tokens: Sequence[str], lexicon: Lexicon, mode: str = LICENSING,
 
     # every edge meets each earlier one in both orders
     done = 0
-    while done < len(chart):
-        new = chart[done]
-        for old in chart[:done]:
-            apply_all(new, old)
-            apply_all(old, new)
-        done += 1
+    try:
+        while done < len(chart):
+            new = chart[done]
+            for old in chart[:done]:
+                apply_all(new, old)
+                apply_all(old, new)
+            done += 1
+    except _Full:
+        pass
     return chart

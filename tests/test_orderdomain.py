@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import field_oracle
 from conftest import corpus_sentences, sign_at
+from oracle import closure
 from test_cli import ADJUNCT_PRINTED_DIGESTS
 from vorfeld.grammar import apply_head_adjunct, apply_head_complement
 from vorfeld.orderdomain import (
@@ -38,6 +41,12 @@ class TestMasks:
         assert mask_is_contiguous(mask_span(1, 4))
         assert not mask_is_contiguous(mask_from([1, 3]))
         assert mask_is_contiguous(0)
+
+    def test_contiguity_is_one_span(self):
+        for mask in range(1, 1 << 10):
+            positions = mask_positions(mask)
+            span = mask_span(positions[0], positions[-1] - positions[0] + 1)
+            assert mask_is_contiguous(mask) == (mask == span), bin(mask)
 
 
 class TestDomainUnion:
@@ -77,6 +86,48 @@ class TestCompact:
         v = _element(fragment, "Vortragen", tokens, 0)
         m = _element(fragment, "morgen", tokens, 4)
         assert compact([v, m], synsem=v.synsem) is None
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _elements_of(owners, synsem):
+    """One element per owner, covering the positions that owner holds."""
+    positions: dict[int, list[int]] = {}
+    for p, owner in enumerate(owners):
+        if owner is not None:
+            positions.setdefault(owner, []).append(p)
+    return {owner: DomainElement(tuple(f"w{p}" for p in ps), mask_from(ps), synsem)
+            for owner, ps in positions.items()}
+
+
+class TestFastPaths:
+    """``domain_union`` and ``compact`` of one element skip the general
+    checks; on random input they agree with the general paths."""
+
+    @PROPERTY
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=14),
+           st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_union_of_disjoint_domains_is_make_domain(self, fragment, owners, sides):
+        synsem = sign_at(fragment, "er", ["er"], 0).synsem_fs
+        elements = _elements_of(owners, synsem)
+        d1 = make_domain([e for k, e in elements.items() if sides[k]])
+        d2 = make_domain([e for k, e in elements.items() if not sides[k]])
+        assert domain_union(d1, d2) == make_domain(d1.elements + d2.elements)
+        assert domain_union(d2, d1) == make_domain(d2.elements + d1.elements)
+        assert (domain_union(d1, d1) is None) == bool(d1.elements)
+
+    @PROPERTY
+    @given(st.lists(st.one_of(st.none(), st.booleans()), min_size=2, max_size=14)
+           .filter(lambda owners: {True, False} <= set(owners)),
+           st.sampled_from([None, "VF"]))
+    def test_compact_of_one_element_is_the_general_path(self, fragment, owners, field):
+        """One element compacts as the same material split in two does."""
+        synsem = sign_at(fragment, "er", ["er"], 0).synsem_fs
+        halves = list(_elements_of(owners, synsem).values())
+        (one,) = _elements_of([None if o is None else 0 for o in owners], synsem).values()
+        assert len(halves) == 2
+        assert compact([one], synsem, field) == compact(halves, synsem, field)
 
 
 def _filler_with_adjunct(fragment):
@@ -133,6 +184,16 @@ class TestInsertFillerDomain:
         assert insert_filler_domain(v.dom, v, finite_verb_pos=3) is None
 
 
+def _unordered_candidates(fragment, tokens):
+    """Full-coverage edges of the closure that keeps verb clusters out of order."""
+    full = mask_span(0, len(tokens))
+    return [e for e in closure(tokens, fragment, cluster_order=False) if e.coverage == full]
+
+
+# the starred corpus line: word order alone rules out each of its candidates
+STARRED = "Müssen wird er ihr ein Märchen erzählen"
+
+
 class TestLpCheck:
     """lp_check is exercised end to end through the parser: accepted roots
     satisfy it, and the starred example fails only because of it."""
@@ -146,13 +207,16 @@ class TestLpCheck:
 
     def test_starred_split_rejected_by_linearization_alone(self, fragment):
         """Every full-coverage candidate for the starred sentence is killed
-        by the order checks, not by unification."""
-        tokens = "Müssen wird er ihr ein Märchen erzählen".split()
+        by the order checks, not by unification: the grammar without the
+        cluster rule derives candidates, the tree walk rejects each, and
+        the parser builds none of them."""
+        tokens = STARRED.split()
         result = parse(tokens, fragment)
         assert result.readings == 0
-        full = mask_span(0, len(tokens))
-        candidates = [e for e in result.edges if e.coverage == full]
+        candidates = _unordered_candidates(fragment, tokens)
         assert candidates, "the combinatorics alone do not rule the string out"
+        assert not [e for e in candidates if field_oracle.lp_check(e, "v2")]
+        assert not {e.key() for e in candidates} & {e.key() for e in result.edges}
 
     def test_vfinal_clause_accepted(self, fragment):
         tokens = "weil er ihm ein Märchen erzählen lassen hat".split()
@@ -179,6 +243,15 @@ class TestFieldModel:
         tokens = sentence.split()
         full = mask_span(0, len(tokens))
         roots = [e for e in parse(tokens, fragment).edges if e.coverage == full]
+        if sentence == STARRED:
+            # the parser builds no candidate; the tree walk rejects every
+            # one the grammar derives without the cluster rule
+            assert not roots
+            roots = _unordered_candidates(fragment, tokens)
+            assert roots
+            for clause_type in ("v2", "vfinal"):
+                assert not [e for e in roots if field_oracle.lp_check(e, clause_type)]
+            return
         assert roots
         for clause_type in ("v2", "vfinal"):
             for root in roots:
