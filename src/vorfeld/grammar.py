@@ -221,7 +221,7 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
                  tokens: Sequence[str], start: int) -> Sign:
     """Wrap a lexical entry structure as a sign covering ``tokens`` at ``start``."""
     sign = make_sign(hierarchy, fs, EMPTY_DOMAIN)
-    element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.synsem_fs)
+    element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.facts)
     dom = Domain((element,), element.coverage)
     return Sign(hierarchy, fs, dom, sign.facts, sign.synsem_fs)
 
@@ -271,7 +271,7 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
         return od.domain_union(head.dom, comp.dom)
     if not comp.dom.elements:
         return head.dom
-    element = od.compact(comp.dom.elements, synsem=comp.synsem_fs)
+    element = od.compact(comp.dom.elements, comp.facts)
     if element is None:
         return None
     return od.domain_union(head.dom, Domain((element,), element.coverage))

@@ -30,7 +30,6 @@ from .grammar import (
     P_COMPS,
     P_HEAD,
     P_SUBJ,
-    P_VCOMP,
     P_VFORM,
     Sign,
     check_comps_closed,
@@ -275,17 +274,11 @@ def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
     if not entry.stem and not check_comps_closed(sign):
         raise LexiconError(
             f"line {entry.line}: entry {' '.join(entry.phon)!r} has an underspecified valence list")
-    if sign.facts.head == "verb" and sign.facts.vcomp == "sel":
-        try:
-            vform = entry.fs.nodes[entry.fs.resolve(P_VCOMP + ("LOC", "CAT", "HEAD", "VFORM"))]
-        except PathError:
-            raise LexiconError(
-                f"line {entry.line}: verbal complement of {' '.join(entry.phon)!r} must be "
-                f"restricted to bse form")
-        if vform.type != "bse":
-            raise LexiconError(
-                f"line {entry.line}: verbal complement of {' '.join(entry.phon)!r} must be "
-                f"bse, got {vform.type!r}")
+    vform = sign.facts.vcomp_vform
+    if sign.facts.head == "verb" and sign.facts.vcomp == "sel" and vform != "bse":
+        raise LexiconError(
+            f"line {entry.line}: verbal complement of {' '.join(entry.phon)!r} must be "
+            + ("restricted to bse form" if vform is None else f"bse, got {vform!r}"))
 
 
 def fragment_text() -> str:

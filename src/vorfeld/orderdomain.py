@@ -1,8 +1,9 @@
 """Word order domains: an ordered level of representation beside the tree.
 
 A domain is a sequence of elements, each covering a set of input positions
-(bitmask), carrying its surface tokens and the synsem of the contributing
-sign.  Constituency and linear order are decoupled: a constituent may be
+(bitmask), carrying its surface tokens and the contributing sign's
+:class:`vorfeld.grammar.SignFacts`, all that word order reads of a sign.
+Constituency and linear order are decoupled: a constituent may be
 discontinuous, i.e. its domain elements need not cover adjacent positions.
 
 In recognition mode the input string fixes the interleaving, so domain
@@ -33,10 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .tfs import FeatureStructure
-
 if TYPE_CHECKING:  # pragma: no cover
-    from .grammar import Sign
+    from .grammar import Sign, SignFacts
     from .parser import Edge
 
 V2 = "v2"
@@ -91,15 +90,15 @@ class DomainElement:
     """One entry of a word order domain.
 
     ``phon`` holds the input tokens at the covered positions in ascending
-    order; ``synsem`` is the synsem of the sign that contributed the
-    element.  ``field`` is stored only on the Vorfeld block of a bound
-    filler ("VF", set at insertion); every other element's field is
+    order; ``facts`` are those of the sign that contributed the element,
+    shared with it.  ``field`` is stored only on the Vorfeld block of a
+    bound filler ("VF", set at insertion); every other element's field is
     computed, never stored, by :func:`fields`.
     """
 
     phon: tuple[str, ...]
     coverage: int
-    synsem: FeatureStructure
+    facts: "SignFacts"
     field: Optional[str] = None
 
     def __post_init__(self):
@@ -153,9 +152,9 @@ def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
     return Domain(tuple(elements), d1.coverage | d2.coverage)
 
 
-def compact(elems: Sequence[DomainElement], synsem: FeatureStructure,
+def compact(elems: Sequence[DomainElement], facts: "SignFacts",
             field: Optional[str] = None) -> Optional[DomainElement]:
-    """Collapse elements covering a contiguous range into one element of ``synsem``.
+    """Collapse elements covering a contiguous range into one element of ``facts``.
 
     Non-contiguous coverage signals an unlicensed discontinuity and fails.
     """
@@ -169,9 +168,9 @@ def compact(elems: Sequence[DomainElement], synsem: FeatureStructure,
     if not mask_is_contiguous(mask):
         return None
     if len(elems) == 1:  # one element's tokens are in position order already
-        return DomainElement(elems[0].phon, mask, synsem, field)
+        return DomainElement(elems[0].phon, mask, facts, field)
     pairs = sorted(pair for e in elems for pair in zip(mask_positions(e.coverage), e.phon))
-    return DomainElement(tuple(p for _, p in pairs), mask, synsem, field)
+    return DomainElement(tuple(p for _, p in pairs), mask, facts, field)
 
 
 def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -> Optional[Domain]:
@@ -188,7 +187,7 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
     post = [e for e in filler.dom.elements if mask_max(e.coverage) >= finite_verb_pos]
     if not pre:
         return None
-    block = compact(pre, synsem=filler.synsem_fs, field="VF")
+    block = compact(pre, filler.facts, field="VF")
     if block is None:
         return None
     return make_domain(clause.elements + (block,) + tuple(post))
@@ -198,20 +197,12 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
 # linearization checks
 
 
-def _head_type(synsem: FeatureStructure) -> Optional[str]:
-    return synsem.type_at(("LOC", "CAT", "HEAD"))
-
-
-def _vform(synsem: FeatureStructure) -> Optional[str]:
-    return synsem.type_at(("LOC", "CAT", "HEAD", "VFORM"))
-
-
 def _is_finite_verb(e: DomainElement) -> bool:
-    return _head_type(e.synsem) == "verb" and _vform(e.synsem) == "fin"
+    return e.facts.head == "verb" and e.facts.vform == "fin"
 
 
 def _is_cluster_verb(e: DomainElement) -> bool:
-    return _head_type(e.synsem) == "verb" and _vform(e.synsem) != "fin"
+    return e.facts.head == "verb" and e.facts.vform != "fin"
 
 
 def _non_interleaving(elements: Sequence[DomainElement]) -> bool:
@@ -260,12 +251,12 @@ def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
         brackets = ("VF", "LB")
         rb = [i for i, e in enumerate(elements) if i > 1 and _is_cluster_verb(e)]
     elif clause_type == VFINAL:
-        if _head_type(elements[0].synsem) != "comp":
+        if elements[0].facts.head != "comp":
             return None
         if any(e.field == "VF" for e in elements):
             return None  # no Vorfeld in verb-final clauses
         brackets = ("LB",)
-        rb = [i for i, e in enumerate(elements) if _head_type(e.synsem) == "verb"]
+        rb = [i for i, e in enumerate(elements) if e.facts.head == "verb"]
     else:
         raise ValueError(f"unknown clause type {clause_type!r}")
     rb_start = rb[0] if rb else len(elements)

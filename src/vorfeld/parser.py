@@ -13,8 +13,8 @@ cluster, and no edge built on one, enters the chart.  Two modes:
 * trace: the slash-introduction schema is off and phonologically empty
   verbal-complement traces are proposed at every inter-token boundary.
   Underspecified valence lists then leak into the chart and edge counts
-  explode; the hard edge limit turns the resulting non-termination into a
-  reportable outcome.
+  explode.  The closure is finite, so the parse ends by itself, but it can
+  outgrow the edge limit, which is then reported as ``limit_hit``.
 
 A parse is sequential; distinct sentences may be parsed concurrently
 against the shared immutable lexicon.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import grammar as G
 from . import orderdomain as od
@@ -185,8 +185,10 @@ class TraceModeReport:
     readings: int
 
 
-def detect_clause_type(tokens: Sequence[str]) -> str:
-    return VFINAL if tokens and tokens[0] == "weil" else V2
+def detect_clause_type(first_signs: Iterable[Sign]) -> str:
+    """The ``auto`` clause type: verb-final exactly when a sign covering
+    position 0 is a complementizer."""
+    return VFINAL if any(sign.facts.head == "comp" for sign in first_signs) else V2
 
 
 def parse(tokens: Sequence[str], lexicon: Lexicon,
@@ -200,9 +202,6 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
     options = options or ParseOptions()
-    clause_type = options.clause_type
-    if clause_type == "auto":
-        clause_type = detect_clause_type(tokens)
     tokens = tuple(tokens)
     n = len(tokens)
     full = mask_span(0, n)
@@ -237,10 +236,14 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     if covered != full:
         missing = [tokens[p] for p in mask_positions(full & ~covered)]
         raise LexicalGapError(missing)
+    clause_type = options.clause_type
+    if clause_type == "auto":
+        clause_type = detect_clause_type(e.sign for e in edges if e.coverage & 1)
 
     if options.mode == TRACE:
+        trace = make_vcomp_trace(lexicon.hierarchy)
         for boundary in range(n + 1):
-            add(make_vcomp_trace(lexicon.hierarchy), TRACE_SCHEMA, (), label=f"@{boundary}")
+            add(trace, TRACE_SCHEMA, (), label=f"@{boundary}")
 
     # Processed edges in id order, and the subsequence of those without a
     # SLASH element.  No schema combines two SLASH-carrying daughters
@@ -349,8 +352,9 @@ def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
     """Run the trace account and report how it degenerates.
 
     With traces in the chart, signs whose attracted argument lists never
-    got instantiated proliferate until the edge limit cuts the parse off;
-    the report counts them and carries one offending AVM.
+    got instantiated proliferate.  The closure is finite, so the parse
+    stops by itself unless it reaches ``edge_limit`` first (``limit_hit``);
+    the report counts the offending edges and carries one offending AVM.
     """
     result = parse(tokens, lexicon,
                    ParseOptions(mode=TRACE, edge_limit=edge_limit))
@@ -373,24 +377,25 @@ def replay(derivation: Derivation) -> Optional[Sign]:
     Unlike the chart, the rebuild keeps each mother's ``DTRS``, so the
     result is the full sign: an AVM with the whole derivation inside.
     Soundness: its SYNSEM and domain equal those of the chart's root.  The
-    rebuild shares no memo with the chart: every step unifies afresh, so
-    the comparison checks the chart rather than the memo against itself.
+    rebuild shares no memo with the chart: each distinct edge unifies afresh,
+    once (a licenser that is also the filler too), so the comparison checks
+    the chart rather than the memo against itself.
     """
-    return _rebuild(derivation.root, None)
+    return _rebuild(derivation.root, {})
 
 
-def _rebuild(root: Edge, rebuilt: Optional[dict[Edge, Optional[Sign]]]) -> Optional[Sign]:
+def _rebuild(root: Edge, rebuilt: dict[Edge, Optional[Sign]]) -> Optional[Sign]:
     """The full sign of ``root``, rebuilt bottom-up without recursion.
 
-    Edges found in ``rebuilt`` are taken from it, and every edge rebuilt is
-    added to it.  Without it each step of the tree is unified, a licenser
-    that is also the filler twice.
+    Edges found in ``rebuilt`` are taken from it, and every internal edge
+    rebuilt is added to it, so each distinct edge is unified once however
+    many trees passed in with the same ``rebuilt`` share it.
     """
     done: list[Optional[Sign]] = []  # full signs of the finished subtrees
     stack = [(root, False)]
     while stack:
         edge, expanded = stack.pop()
-        if rebuilt is not None and edge in rebuilt:
+        if edge in rebuilt:
             done.append(rebuilt[edge])
         elif not edge.daughters:
             done.append(edge.sign)
@@ -402,7 +407,6 @@ def _rebuild(root: Edge, rebuilt: Optional[dict[Edge, Optional[Sign]]]) -> Optio
             a = done.pop()
             sign = None if a is None or b is None else G.apply_schema(edge.schema, a, b,
                                                                       keep_dtrs=True)
-            if rebuilt is not None:
-                rebuilt[edge] = sign
+            rebuilt[edge] = sign
             done.append(sign)
     return done[0]

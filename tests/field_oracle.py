@@ -18,7 +18,6 @@ from vorfeld.orderdomain import (
     V2,
     VFINAL,
     DomainElement,
-    _head_type,
     _is_cluster_verb,
     _is_finite_verb,
     _non_interleaving,
@@ -81,11 +80,11 @@ def lp_check(root: "Edge", clause_type: str) -> bool:
             return False  # right bracket must be a contiguous suffix
         return _cluster_constraints(root, V2, elements[lb].coverage)
     if clause_type == VFINAL:
-        if _head_type(elements[0].synsem) != "comp":
+        if elements[0].facts.head != "comp":
             return False
         if any(e.field == "VF" for e in elements):
             return False  # no Vorfeld in verb-final clauses
-        verb_idx = [i for i, e in enumerate(elements) if _head_type(e.synsem) == "verb"]
+        verb_idx = [i for i, e in enumerate(elements) if e.facts.head == "verb"]
         if verb_idx and verb_idx != list(range(min(verb_idx), len(elements))):
             return False  # verb block must be contiguous and clause-final
         return _cluster_constraints(root, VFINAL, 0)
@@ -112,7 +111,7 @@ def assign_fields(root: "Sign", clause_type: str) -> tuple[tuple[DomainElement, 
             else:
                 out.append((e, "MF"))
     else:
-        verb_idx = [i for i, e in enumerate(elements) if _head_type(e.synsem) == "verb"]
+        verb_idx = [i for i, e in enumerate(elements) if e.facts.head == "verb"]
         rb_start = min(verb_idx) if verb_idx else len(elements)
         for i, e in enumerate(elements):
             if i == 0:

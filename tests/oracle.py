@@ -59,12 +59,12 @@ def closure(tokens: Sequence[str], lexicon: Lexicon, mode: str = LICENSING,
     In trace mode, ``traces=False`` proposes no traces: with slash
     introduction off as well, that is the account without any device for
     fronted verbal material.  ``cluster_order=False`` keeps verb clusters
-    out of order, the candidates that word order alone rules out.  With
-    traces the closure is infinite; ``edge_limit`` stops it at the first
-    ``edge_limit`` edges found.
+    out of order, the candidates that word order alone rules out.
+    ``edge_limit`` stops the closure at the first ``edge_limit`` edges
+    found; with traces it is finite, but large.
     """
     tokens = tuple(tokens)
-    clause_type = detect_clause_type(tokens)
+    clause_type = detect_clause_type(sign for _, sign in lexicon.lookup(tokens, 0))
     chart: list[Edge] = []
 
     def add(sign: Sign, coverage: int, schema: str, daughters: tuple[Edge, ...],

@@ -75,7 +75,7 @@ class TestCompact:
         st = _element(fragment, "Seiner Tochter", tokens, 0)
         em = _element(fragment, "ein Märchen", tokens, 2)
         erz = _element(fragment, "erzählen", tokens, 4, arity=2)
-        block = compact([erz, st, em], synsem=erz.synsem, field="VF")
+        block = compact([erz, st, em], erz.facts, field="VF")
         assert block is not None
         assert block.phon == ("Seiner", "Tochter", "ein", "Märchen", "erzählen")
         assert mask_positions(block.coverage) == (0, 1, 2, 3, 4)
@@ -85,19 +85,19 @@ class TestCompact:
         tokens = "Vortragen wird er es morgen".split()
         v = _element(fragment, "Vortragen", tokens, 0)
         m = _element(fragment, "morgen", tokens, 4)
-        assert compact([v, m], synsem=v.synsem) is None
+        assert compact([v, m], v.facts) is None
 
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def _elements_of(owners, synsem):
+def _elements_of(owners, facts):
     """One element per owner, covering the positions that owner holds."""
     positions: dict[int, list[int]] = {}
     for p, owner in enumerate(owners):
         if owner is not None:
             positions.setdefault(owner, []).append(p)
-    return {owner: DomainElement(tuple(f"w{p}" for p in ps), mask_from(ps), synsem)
+    return {owner: DomainElement(tuple(f"w{p}" for p in ps), mask_from(ps), facts)
             for owner, ps in positions.items()}
 
 
@@ -109,8 +109,7 @@ class TestFastPaths:
     @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=14),
            st.lists(st.booleans(), min_size=6, max_size=6))
     def test_union_of_disjoint_domains_is_make_domain(self, fragment, owners, sides):
-        synsem = sign_at(fragment, "er", ["er"], 0).synsem_fs
-        elements = _elements_of(owners, synsem)
+        elements = _elements_of(owners, sign_at(fragment, "er", ["er"], 0).facts)
         d1 = make_domain([e for k, e in elements.items() if sides[k]])
         d2 = make_domain([e for k, e in elements.items() if not sides[k]])
         assert domain_union(d1, d2) == make_domain(d1.elements + d2.elements)
@@ -123,11 +122,11 @@ class TestFastPaths:
            st.sampled_from([None, "VF"]))
     def test_compact_of_one_element_is_the_general_path(self, fragment, owners, field):
         """One element compacts as the same material split in two does."""
-        synsem = sign_at(fragment, "er", ["er"], 0).synsem_fs
-        halves = list(_elements_of(owners, synsem).values())
-        (one,) = _elements_of([None if o is None else 0 for o in owners], synsem).values()
+        facts = sign_at(fragment, "er", ["er"], 0).facts
+        halves = list(_elements_of(owners, facts).values())
+        (one,) = _elements_of([None if o is None else 0 for o in owners], facts).values()
         assert len(halves) == 2
-        assert compact([one], synsem, field) == compact(halves, synsem, field)
+        assert compact([one], facts, field) == compact(halves, facts, field)
 
 
 def _filler_with_adjunct(fragment):
@@ -276,7 +275,7 @@ class TestElementInvariants:
     def test_empty_coverage_rejected(self, fragment):
         e = _element(fragment, "er", ["er"], 0)
         with pytest.raises(ValueError):
-            DomainElement((), 0, e.synsem)
+            DomainElement((), 0, e.facts)
 
     def test_make_domain_rejects_overlap(self, fragment):
         e = _element(fragment, "er", ["er"], 0)

@@ -99,6 +99,16 @@ class TestParse:
         weil = "weil er ihr ein Märchen erzählen müssen wird"
         assert parse(weil.split(), fragment).clause_type == "vfinal"
 
+    def test_auto_reads_the_clause_type_off_the_first_signs(self):
+        """Any complementizer, not one word, starts a verb-final clause: a
+        copy of *weil*'s entry as *dass* parses under ``auto`` as under
+        ``vfinal``."""
+        text = _fragment_source()
+        weil = text[text.index('(word "weil"'):].split("\n\n")[0]
+        lexicon = load_lexicon(text + "\n" + weil.replace('"weil"', '"dass"') + "\n")
+        result = parse("dass er ihr ein Märchen erzählen müssen wird".split(), lexicon)
+        assert (result.clause_type, result.readings) == ("vfinal", 1)
+
     def test_forcing_the_wrong_clause_type_kills_the_parse(self, fragment):
         result = parse(S_2.split(), fragment, ParseOptions(clause_type="vfinal"))
         assert result.readings == 0
@@ -194,6 +204,14 @@ class TestSoundness:
                 # Chart signs carry no DTRS, so the licensing-mode check
                 # covers the daughters only on the rebuilt sign.
                 assert check_comps_closed(again)
+                # Domains compare categories, not synsems: each internal
+                # edge's synsem is held to its rebuild directly.
+                rebuilt = {}
+                parser._rebuild(derivation.root, rebuilt)
+                for edge in derivation.edges():
+                    if edge.daughters:
+                        assert fs_equal(rebuilt[edge].synsem_fs, edge.sign.synsem_fs)
+                        assert rebuilt[edge].dom == edge.sign.dom
 
     def test_linearization_reproduces_the_input(self, fragment):
         for sentence in PINNED_READINGS:
@@ -255,18 +273,27 @@ class TestTraceMode:
     def test_memo_hits_build_no_sign(self, monkeypatch, fragment):
         """Work count: a mother taken from the parse's memo reuses the
         memo's structure, facts and synsem, so ``make_sign`` runs only for
-        lexical signs, traces and mother structures not seen before in the
-        parse (38 calls while verb clusters out of order were built, 290
-        with the earlier trace-only memo, which built the unified mothers of
-        every pair afresh); sending every hit through ``make_sign`` would
-        count one call per edge."""
+        lexical signs, the one trace sign and mother structures not seen
+        before in the parse (36 calls while each boundary built its own
+        trace, 38 while verb clusters out of order were built, 290 with the
+        earlier trace-only memo, which built the unified mothers of every
+        pair afresh); sending every hit through ``make_sign`` would count one
+        call per edge."""
         calls = []
         make_sign = grammar.make_sign
         monkeypatch.setattr(grammar, "make_sign",
                             lambda *args: calls.append(args) or make_sign(*args))
         report = demonstrate_trace_mode(S_1A.split(), fragment)
         assert report.edges_built == 10000
-        assert len(calls) == 36
+        assert len(calls) == 29
+
+    def test_the_closure_is_finite(self, fragment):
+        """Criterion 2's sentence: without a binding edge limit the trace
+        account stops by itself, with no reading and about half its edges
+        carrying an underspecified valence list."""
+        report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=400000)
+        assert not report.limit_hit
+        assert (report.edges_built, report.readings, report.open_comps_edges) == (10608, 0, 5104)
 
     def test_licensing_mode_contrast(self, fragment):
         result = parse(S_1A.split(), fragment, ParseOptions(edge_limit=10000))
@@ -379,17 +406,23 @@ class TestSchemaMemo:
 
     def test_replay_unifies_every_step_again(self, monkeypatch, fragment):
         """After the chart has filled its memo, rebuilding each reading still
-        extracts once per internal edge of its derivation."""
+        extracts once per distinct internal edge of its derivation: 5 for
+        every reading of this sentence, where its trees hold 5 to 7 internal
+        nodes (a licenser that is also the filler is rebuilt once)."""
         result = parse(S_7B.split(), fragment)
         assert result.readings == PINNED_READINGS[S_7B]
         extracts = []
         extract = Workspace.extract
         monkeypatch.setattr(Workspace, "extract",
                             lambda ws, root: extracts.append(root) or extract(ws, root))
+        nodes = []
         for derivation in result.derivations:
             extracts.clear()
             assert replay(derivation) is not None
-            assert len(extracts) == sum(1 for e in derivation.edges() if e.daughters)
+            internal = [e for e in derivation.edges() if e.daughters]
+            assert len(extracts) == len(set(internal)) == 5
+            nodes.append(len(internal))
+        assert max(nodes) == 7
 
     def test_readings_rebuild_each_distinct_edge_once(self, monkeypatch, fragment):
         """Rendered together, the readings extract once per distinct internal
