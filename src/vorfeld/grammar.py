@@ -1,9 +1,10 @@
 """Sign geometry and the combination schemata.
 
-A chart sign couples a feature structure holding only SYNSEM with a word
-order domain; it records no daughters.  The derivation tree lives once, on
-the parser's edges, and the full AVM with its typed daughter structure
-(``DTRS``) exists only on derivations rebuilt from their lexical leaves
+A chart sign is a synsem plus a word order domain: its feature structure
+is the SYNSEM value itself, and it records no daughters.  The derivation
+tree lives once, on the parser's edges, and the whole sign, a
+``phrasal-sign`` with its typed daughter structure (``DTRS``), exists only
+on derivations rebuilt from their lexical leaves
 (:func:`vorfeld.parser.replay`).  Both the chart and the rebuild apply the
 schemata through :func:`apply_schema`; only the rebuild keeps ``DTRS``.
 Five schemata combine signs:
@@ -42,9 +43,9 @@ masks, then its conditions on the pair; the parser pairs on the same masks.
 A mother's structure depends only on the schema and its daughters'
 structures, never on their coverage or domain.  So a schema takes an
 optional memo: after its prechecks (which may read the domains) it looks up
-``(schema, first structure, second structure)``, unifies on a miss, and
-stores the mother's structure, facts and synsem (a sign with an empty
-domain), or None; the domain is always built from the daughters at hand.
+``(schema, first synsem, second synsem)``, unifies on a miss, and
+stores the mother's synsem and facts (a sign with an empty domain), or
+None; the domain is always built from the daughters at hand.
 The parser passes one memo per parse, which also holds the trace-mode
 mothers; the rebuild of a derivation passes none, so it unifies every
 step afresh.
@@ -72,19 +73,20 @@ from .tfs import (
     path_get,
 )
 
-# feature geometry of the fragment
+# feature geometry of the fragment: a whole sign's SYNSEM, and every other
+# path from a synsem
 P_SYNSEM = ("SYNSEM",)
-P_LOC = ("SYNSEM", "LOC")
-P_CAT = ("SYNSEM", "LOC", "CAT")
-P_HEAD = ("SYNSEM", "LOC", "CAT", "HEAD")
-P_VFORM = ("SYNSEM", "LOC", "CAT", "HEAD", "VFORM")
-P_CASE = ("SYNSEM", "LOC", "CAT", "HEAD", "CASE")
-P_SUBJ = ("SYNSEM", "LOC", "CAT", "HEAD", "SUBJ")
-P_MOD = ("SYNSEM", "LOC", "CAT", "HEAD", "MOD")
-P_COMPS = ("SYNSEM", "LOC", "CAT", "COMPS")
-P_VCOMP = ("SYNSEM", "LOC", "CAT", "VCOMP")
-P_LEX = ("SYNSEM", "LEX")
-P_SLASH = ("SYNSEM", "NONLOC", "INHER", "SLASH")
+P_LOC = ("LOC",)
+P_CAT = ("LOC", "CAT")
+P_HEAD = ("LOC", "CAT", "HEAD")
+P_VFORM = ("LOC", "CAT", "HEAD", "VFORM")
+P_CASE = ("LOC", "CAT", "HEAD", "CASE")
+P_SUBJ = ("LOC", "CAT", "HEAD", "SUBJ")
+P_MOD = ("LOC", "CAT", "HEAD", "MOD")
+P_COMPS = ("LOC", "CAT", "COMPS")
+P_VCOMP = ("LOC", "CAT", "VCOMP")
+P_LEX = ("LEX",)
+P_SLASH = ("NONLOC", "INHER", "SLASH")
 
 TYPE_LEXICAL = "lexical-sign"
 TYPE_PHRASAL = "phrasal-sign"
@@ -133,28 +135,32 @@ class SignFacts:
 
 @dataclass(frozen=True, eq=False)
 class Sign:
-    """A word or phrase: feature structure and order domain."""
+    """A word or phrase: feature structure and order domain.
+
+    In the chart ``fs`` is the sign's synsem; a sign rebuilt with
+    ``keep_dtrs`` holds the whole sign, ``DTRS`` included.
+    """
 
     hierarchy: TypeHierarchy
     fs: FeatureStructure
     dom: Domain
     facts: SignFacts
-    synsem_fs: FeatureStructure
 
 
-def _facts(fs: FeatureStructure) -> SignFacts:
+def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
+    """The facts of the synsem at node ``synsem`` of ``fs``."""
     comps_kind = comps_last_head = comps_last_case = None
     comps_len = 0
     try:
-        comps = fs.nodes[fs.resolve(P_COMPS)]
+        comps = fs.nodes[fs.resolve(P_COMPS, synsem)]
         comps_kind = comps.kind
         comps_len = len(comps.elems)
         if comps.kind == CLOSED and comps.elems:
-            comps_last_head = fs.type_at(("LOC", "CAT", "HEAD"), comps.elems[-1])
-            comps_last_case = fs.type_at(("LOC", "CAT", "HEAD", "CASE"), comps.elems[-1])
+            comps_last_head = fs.type_at(P_HEAD, comps.elems[-1])
+            comps_last_case = fs.type_at(P_CASE, comps.elems[-1])
     except PathError:
         pass
-    vcomp_type = fs.type_at(P_VCOMP)
+    vcomp_type = fs.type_at(P_VCOMP, synsem)
     vcomp_vform = None
     if vcomp_type is None:
         vcomp = "missing"
@@ -162,15 +168,16 @@ def _facts(fs: FeatureStructure) -> SignFacts:
         vcomp = "none"
     elif vcomp_type == "synsem":
         vcomp = "sel"
-        vcomp_vform = fs.type_at(P_VCOMP + ("LOC", "CAT", "HEAD", "VFORM"))
+        vcomp_vform = fs.type_at(P_VCOMP + P_VFORM, synsem)
     else:
         vcomp = "open"
     slash: Optional[int] = None
     try:
-        slash = len(fs.nodes[fs.resolve(P_SLASH)].elems)
+        slash = len(fs.nodes[fs.resolve(P_SLASH, synsem)].elems)
     except PathError:
         pass
-    head, vform, has_mod = fs.type_at(P_HEAD), fs.type_at(P_VFORM), fs.has_path(P_MOD)
+    head, vform = fs.type_at(P_HEAD, synsem), fs.type_at(P_VFORM, synsem)
+    has_mod = fs.type_at(P_MOD, synsem) is not None
     # the schemata's daughter-local preconditions, stated here only
     heads = _roles(
         # head-complement: a closed COMPS list once the cluster is formed, or
@@ -192,8 +199,8 @@ def _facts(fs: FeatureStructure) -> SignFacts:
     return SignFacts(
         head=head,
         vform=vform,
-        case=fs.type_at(P_CASE),
-        lex=fs.type_at(P_LEX),
+        case=fs.type_at(P_CASE, synsem),
+        lex=fs.type_at(P_LEX, synsem),
         comps_kind=comps_kind,
         comps_len=comps_len,
         vcomp=vcomp,
@@ -202,7 +209,7 @@ def _facts(fs: FeatureStructure) -> SignFacts:
         comps_last_head=comps_last_head,
         comps_last_case=comps_last_case,
         vcomp_vform=vcomp_vform,
-        mod_head=fs.type_at(P_MOD + ("LOC", "CAT", "HEAD")),
+        mod_head=fs.type_at(P_MOD + P_HEAD, synsem),
         heads=heads,
         deps=deps,
     )
@@ -213,17 +220,17 @@ def _roles(*admitted: bool) -> int:
     return sum(1 << i for i, holds in enumerate(admitted) if holds)
 
 
-def make_sign(hierarchy: TypeHierarchy, fs: FeatureStructure, dom: Domain) -> Sign:
-    return Sign(hierarchy, fs, dom, _facts(fs), path_get(fs, P_SYNSEM))
+def make_sign(hierarchy: TypeHierarchy, synsem: FeatureStructure, dom: Domain) -> Sign:
+    """The chart sign of ``synsem`` with domain ``dom``."""
+    return Sign(hierarchy, synsem, dom, _facts(synsem))
 
 
 def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
                  tokens: Sequence[str], start: int) -> Sign:
-    """Wrap a lexical entry structure as a sign covering ``tokens`` at ``start``."""
-    sign = make_sign(hierarchy, fs, EMPTY_DOMAIN)
+    """The chart sign of lexical entry ``fs``, covering ``tokens`` at ``start``."""
+    sign = make_sign(hierarchy, path_get(fs, P_SYNSEM), EMPTY_DOMAIN)
     element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.facts)
-    dom = Domain((element,), element.coverage)
-    return Sign(hierarchy, fs, dom, sign.facts, sign.synsem_fs)
+    return Sign(hierarchy, sign.fs, Domain((element,), element.coverage), sign.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +304,7 @@ def _placed(mother: Sign, dom: Optional[Domain]) -> Optional[Sign]:
     """
     if dom is None:
         return None
-    return Sign(mother.hierarchy, mother.fs, dom, mother.facts, mother.synsem_fs)
+    return Sign(mother.hierarchy, mother.fs, dom, mother.facts)
 
 
 def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool,
@@ -309,60 +316,67 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool,
     built from the daughters' synsems alone.  The other daughter
     contributes nothing beyond a possible SLASH element, so the memo key is
     the head's synsem, the SLASH donor and the kind of combination, which
-    keeps the exploding chart affordable.  The mother records no daughters,
-    not even when a derivation is rebuilt.
+    keeps the exploding chart affordable.  The mother is a synsem that
+    records no daughters, not even when a derivation is rebuilt: only the
+    daughters' synsem nodes are read, and a rebuild takes the mother as it
+    takes a chart leaf.
     """
-    donor = other.synsem_fs if (head.facts.slash != 1 and other.facts.slash == 1) else None
+    donor = other if (head.facts.slash != 1 and other.facts.slash == 1) else head
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = ws.graft(head.synsem_fs)
-        if donor is not None:
-            d = ws.graft(donor)
-            slash = _try_resolve(ws, d, ("NONLOC", "INHER", "SLASH"))
-        else:
-            slash = _try_resolve(ws, h, ("NONLOC", "INHER", "SLASH"))
+        h = _graft(ws, head, False)[1]
+        slash = _try_resolve(ws, h if donor is head else _graft(ws, donor, False)[1], P_SLASH)
         if slash is None:
             slash = ws.set_value([])
         if as_cluster:
-            comps = ws.resolve(h, ("LOC", "CAT", "COMPS"))
+            comps = ws.resolve(h, P_COMPS)
             vcomp = ws.atom("none")
             lex = ws.atom("+")
         else:
             comps = ws.open_list([])
-            vcomp = ws.resolve(h, ("LOC", "CAT", "VCOMP"))
+            vcomp = ws.resolve(h, P_VCOMP)
             lex = ws.atom("-")
-        cat = ws.avm("cat", HEAD=ws.resolve(h, ("LOC", "CAT", "HEAD")),
-                     COMPS=comps, VCOMP=vcomp)
+        cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
         nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
-        synsem = ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex)
-        fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem))
-        if fs is None:
-            return None
-        return make_sign(head.hierarchy, fs, EMPTY_DOMAIN)
+        fs = ws.extract(ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex))
+        return fs and make_sign(head.hierarchy, fs, EMPTY_DOMAIN)
 
-    key = (head.synsem_fs.nodes, donor.nodes if donor is not None else None, as_cluster)
+    key = (head.fs.nodes, None if donor is head else donor.fs.nodes, as_cluster)
     return _memoized(memo, key, build)
+
+
+def _graft(ws: Workspace, sign: Sign, keep_dtrs: bool) -> tuple[int, int]:
+    """Copy a daughter into ``ws``: the node a mother records, and its synsem node.
+
+    In the chart both are the grafted synsem.  A rebuilt sign, a
+    ``phrasal-sign``, is whole already, and a rebuild (``keep_dtrs``) wraps
+    a chart leaf's synsem as ``lexical-sign[SYNSEM]``.
+    """
+    node = ws.graft(sign.fs)
+    if sign.fs.nodes[0].type == TYPE_PHRASAL:
+        return node, ws.resolve(node, P_SYNSEM)
+    return (ws.avm(TYPE_LEXICAL, SYNSEM=node) if keep_dtrs else node), node
 
 
 def _mother(ws: Workspace, struct_type: str, struct_feats: dict[str, int], loc: int,
             lex: Optional[int], slash: int, keep_dtrs: bool) -> Optional[Sign]:
     """The mother structure, with an empty domain; None when extraction fails.
 
-    A chart mother is ``phrasal-sign[SYNSEM]``; only the rebuild of a
-    derivation (``keep_dtrs``) records the daughters under ``DTRS``.
+    A chart mother is a synsem; only the rebuild of a derivation
+    (``keep_dtrs``) builds the whole ``phrasal-sign``, with the daughters
+    under ``DTRS``.
     """
     nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
     feats = {"LOC": loc, "NONLOC": nonloc}
     if lex is not None:
         feats["LEX"] = lex
-    mother = {"SYNSEM": ws.avm("synsem", **feats)}
-    if keep_dtrs:
-        mother["DTRS"] = ws.avm(struct_type, **struct_feats)
-    fs = ws.extract(ws.avm(TYPE_PHRASAL, **mother))
-    if fs is None:
-        return None
-    return make_sign(ws.hierarchy, fs, EMPTY_DOMAIN)
+    synsem = ws.avm("synsem", **feats)
+    if not keep_dtrs:
+        fs = ws.extract(synsem)
+        return fs and make_sign(ws.hierarchy, fs, EMPTY_DOMAIN)
+    fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem, DTRS=ws.avm(struct_type, **struct_feats)))
+    return fs and Sign(ws.hierarchy, fs, EMPTY_DOMAIN, _facts(fs, fs.resolve(P_SYNSEM)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +412,20 @@ def apply_head_complement(head: Sign, comp: Sign, keep_dtrs: bool = False,
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = ws.graft(head.fs)
-        c = ws.graft(comp.fs)
-        elems = ws.elems_of(ws.resolve(h, P_COMPS))
-        if not ws.unify_nodes(elems[-1], ws.resolve(c, P_SYNSEM)):
+        h, h_synsem = _graft(ws, head, keep_dtrs)
+        c, c_synsem = _graft(ws, comp, keep_dtrs)
+        elems = ws.elems_of(ws.resolve(h_synsem, P_COMPS))
+        if not ws.unify_nodes(elems[-1], c_synsem):
             return None
         new_comps = ws.closed_list(elems[:-1])
-        slash = _union_slash(ws, (h, c))
+        slash = _union_slash(ws, (h_synsem, c_synsem))
         if slash is None:
             return None
         cat = ws.avm(
             "cat",
-            HEAD=ws.resolve(h, P_HEAD),
+            HEAD=ws.resolve(h_synsem, P_HEAD),
             COMPS=new_comps,
-            VCOMP=ws.resolve(h, P_VCOMP),
+            VCOMP=ws.resolve(h_synsem, P_VCOMP),
         )
         return _mother(
             ws, "head-complement-structure",
@@ -438,16 +452,16 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False,
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = ws.graft(head.fs)
-        a = ws.graft(adjunct.fs)
-        if not ws.unify_nodes(ws.resolve(a, P_MOD), ws.resolve(h, P_SYNSEM)):
+        h, h_synsem = _graft(ws, head, keep_dtrs)
+        a, a_synsem = _graft(ws, adjunct, keep_dtrs)
+        if not ws.unify_nodes(ws.resolve(a_synsem, P_MOD), h_synsem):
             return None
-        slash = _union_slash(ws, (h, a))
+        slash = _union_slash(ws, (h_synsem, a_synsem))
         if slash is None:
             return None
         return _mother(
             ws, "head-adjunct-structure", {"HEAD-DTR": h, "ADJUNCT-DTR": a},
-            ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), slash, keep_dtrs,
+            ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), slash, keep_dtrs,
         )
 
     mother = _memoized(memo, (SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), build)
@@ -481,17 +495,17 @@ def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = ws.graft(head.fs)
-        c = ws.graft(cluster.fs)
-        if not ws.unify_nodes(ws.resolve(h, P_VCOMP), ws.resolve(c, P_SYNSEM)):
+        h, h_synsem = _graft(ws, head, keep_dtrs)
+        c, c_synsem = _graft(ws, cluster, keep_dtrs)
+        if not ws.unify_nodes(ws.resolve(h_synsem, P_VCOMP), c_synsem):
             return None
-        slash = _union_slash(ws, (h, c))
+        slash = _union_slash(ws, (h_synsem, c_synsem))
         if slash is None:
             return None
         cat = ws.avm(
             "cat",
-            HEAD=ws.resolve(h, P_HEAD),
-            COMPS=ws.resolve(h, P_COMPS),
+            HEAD=ws.resolve(h_synsem, P_HEAD),
+            COMPS=ws.resolve(h_synsem, P_COMPS),
             VCOMP=ws.atom("none"),
         )
         return _mother(
@@ -525,17 +539,17 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign, keep_dtrs: bool = F
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = ws.graft(head.fs)
-        li = ws.graft(licenser.fs)
-        vcomp_loc = _try_resolve(ws, h, P_VCOMP + ("LOC",))
+        h, h_synsem = _graft(ws, head, keep_dtrs)
+        li, li_synsem = _graft(ws, licenser, keep_dtrs)
+        vcomp_loc = _try_resolve(ws, h_synsem, P_VCOMP + P_LOC)
         if vcomp_loc is None:
             return None
-        if not ws.unify_nodes(vcomp_loc, ws.resolve(li, P_SYNSEM + ("LOC",))):
+        if not ws.unify_nodes(vcomp_loc, ws.resolve(li_synsem, P_LOC)):
             return None
         cat = ws.avm(
             "cat",
-            HEAD=ws.resolve(h, P_HEAD),
-            COMPS=ws.resolve(h, P_COMPS),
+            HEAD=ws.resolve(h_synsem, P_HEAD),
+            COMPS=ws.resolve(h_synsem, P_COMPS),
             VCOMP=ws.atom("none"),
         )
         mother = _mother(
@@ -569,14 +583,15 @@ def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False,
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = ws.graft(head.fs)
-        f = ws.graft(filler.fs)
-        slash_elems = ws.elems_of(ws.resolve(h, P_SLASH))
-        if not ws.unify_nodes(slash_elems[0], ws.resolve(f, P_SYNSEM + ("LOC",))):
+        h, h_synsem = _graft(ws, head, keep_dtrs)
+        f, f_synsem = _graft(ws, filler, keep_dtrs)
+        slash_elems = ws.elems_of(ws.resolve(h_synsem, P_SLASH))
+        if not ws.unify_nodes(slash_elems[0], ws.resolve(f_synsem, P_LOC)):
             return None
         return _mother(
             ws, "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f},
-            ws.resolve(h, P_LOC), _try_resolve(ws, h, P_LEX), ws.set_value([]), keep_dtrs,
+            ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
+            keep_dtrs,
         )
 
     mother = _memoized(memo, (SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), build)
@@ -623,8 +638,8 @@ def check_comps_closed(sign: Sign) -> bool:
     discharged, every list in the sign's structure must have determinate
     length; a trace in the verbal-complement slot leaves the attracted
     COMPS list open, which is precisely the defect this predicate detects.
-    A chart sign carries only SYNSEM, so only SYNSEM is checked there; on
-    a rebuilt sign the ``DTRS`` are checked too.
+    A chart sign is its synsem, so only the synsem is checked there; on a
+    rebuilt sign the ``DTRS`` are checked too.
     """
     if sign.facts.vcomp in ("sel", "open", "missing"):
         return True
@@ -662,11 +677,10 @@ def make_vcomp_trace(hierarchy: TypeHierarchy) -> Sign:
             VCOMP=ws.avm("vcomp-val"),
         ),
     )
-    synsem = ws.avm(
+    fs = ws.extract(ws.avm(
         "synsem",
         LOC=loc,
         NONLOC=ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=ws.set_value([loc]))),
-    )
-    fs = ws.extract(ws.avm(TYPE_LEXICAL, SYNSEM=synsem))
+    ))
     assert fs is not None
     return make_sign(hierarchy, fs, EMPTY_DOMAIN)

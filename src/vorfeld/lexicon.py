@@ -30,13 +30,13 @@ from .grammar import (
     P_COMPS,
     P_HEAD,
     P_SUBJ,
+    P_SYNSEM,
     P_VFORM,
+    TYPE_LEXICAL,
     Sign,
     check_comps_closed,
     lexical_sign,
-    make_sign,
 )
-from .orderdomain import EMPTY_DOMAIN
 from .tfs import (
     ConfigurationError,
     FeatureStructure,
@@ -128,10 +128,11 @@ def finitivize(stem: LexEntry, hierarchy: TypeHierarchy) -> LexEntry:
     ws = Workspace(hierarchy)
     root = ws.graft(stem.fs)
     try:
-        head = ws.resolve(root, P_HEAD)
-        cat = ws.resolve(root, P_CAT)
-        subj = ws.resolve(root, P_SUBJ)
-        comps = ws.resolve(root, P_COMPS)
+        synsem = ws.resolve(root, P_SYNSEM)
+        head = ws.resolve(synsem, P_HEAD)
+        cat = ws.resolve(synsem, P_CAT)
+        subj = ws.resolve(synsem, P_SUBJ)
+        comps = ws.resolve(synsem, P_COMPS)
     except PathError as exc:
         raise InapplicableError(f"{' '.join(stem.phon)!r} is not a verb stem: {exc}") from exc
     if ws.type_of(head) != "verb":
@@ -139,7 +140,7 @@ def finitivize(stem: LexEntry, hierarchy: TypeHierarchy) -> LexEntry:
     ws.set_feat(cat, "COMPS", ws.append_list([subj, comps]))
     ws.set_feat(head, "SUBJ", ws.closed_list([]))
     try:
-        vform = ws.resolve(root, P_VFORM)
+        vform = ws.resolve(synsem, P_VFORM)
     except PathError:
         ws.set_feat(head, "VFORM", ws.atom("fin"))
     else:
@@ -267,10 +268,14 @@ def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
         validate(entry.fs, hierarchy)
     except ConfigurationError as exc:
         raise LexiconError(f"line {entry.line}: {exc}") from exc
+    # the chart keeps only an entry's SYNSEM, and a rebuild wraps it back as
+    # lexical-sign[SYNSEM]: anything else would vanish from the printed AVMs
     root = entry.fs.nodes[entry.fs.root]
-    if not hierarchy.subsumes_type("sign", root.type):
-        raise LexiconError(f"line {entry.line}: entry must be a sign, got {root.type!r}")
-    sign = make_sign(hierarchy, entry.fs, EMPTY_DOMAIN)
+    feats = tuple(f for f, _ in root.feats)
+    if root.type != TYPE_LEXICAL or feats != P_SYNSEM:
+        raise LexiconError(f"line {entry.line}: entry must be {TYPE_LEXICAL}[SYNSEM], "
+                           f"got {root.type or root.kind}[{', '.join(feats)}]")
+    sign = lexical_sign(hierarchy, entry.fs, entry.phon, 0)
     if not entry.stem and not check_comps_closed(sign):
         raise LexiconError(
             f"line {entry.line}: entry {' '.join(entry.phon)!r} has an underspecified valence list")

@@ -112,8 +112,8 @@ class DomainElement:
 class Domain:
     """Elements in position order, and ``coverage``, the union of theirs.
 
-    The coverage is given where the domain is made: :func:`make_domain`
-    passes the mask it builds to rule out overlaps.
+    The coverage is given where the domain is made; :func:`domain_union`
+    tests it to rule out overlaps.
     """
 
     elements: tuple[DomainElement, ...]
@@ -129,21 +129,11 @@ class Domain:
 EMPTY_DOMAIN = Domain((), 0)
 
 
-def make_domain(elements: Sequence[DomainElement]) -> Optional[Domain]:
-    """Sort by leftmost position; None when coverages overlap."""
-    mask = 0
-    for e in elements:
-        if mask & e.coverage:
-            return None
-        mask |= e.coverage
-    return Domain(tuple(sorted(elements, key=lambda e: mask_min(e.coverage))), mask)
-
-
 def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
-    """Merge two domains with disjoint coverages, ordered by position.
+    """Merge two domains, ordered by position; None when their coverages overlap.
 
     A domain's elements never overlap, so one test of the two coverages
-    does what :func:`make_domain` does element by element.
+    rules out every overlap between elements.
     """
     if d1.coverage & d2.coverage:
         return None
@@ -179,18 +169,15 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
     Elements entirely before the finite verb compact into one Vorfeld
     block; the rest (e.g. a discontinuous adjunct or an argument realized
     in the Mittelfeld) join as separate elements.  Fails when the filler
-    has no pre-verbal material or the pre-verbal block is non-contiguous.
+    has no pre-verbal material, the pre-verbal block is non-contiguous or
+    the filler overlaps the clause.
     """
-    if clause.coverage & filler.dom.coverage:
-        return None
     pre = [e for e in filler.dom.elements if mask_max(e.coverage) < finite_verb_pos]
     post = [e for e in filler.dom.elements if mask_max(e.coverage) >= finite_verb_pos]
-    if not pre:
-        return None
     block = compact(pre, filler.facts, field="VF")
     if block is None:
         return None
-    return make_domain(clause.elements + (block,) + tuple(post))
+    return domain_union(clause, Domain((block, *post), filler.dom.coverage))
 
 
 # ---------------------------------------------------------------------------

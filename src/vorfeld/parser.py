@@ -174,7 +174,11 @@ class ParseResult:
 
 @dataclass
 class TraceModeReport:
-    """Outcome of the trace-mode demonstration on one sentence."""
+    """Outcome of the trace-mode demonstration on one sentence.
+
+    ``sample_open_comps_avm`` prints the first offending chart sign, which
+    is a synsem.
+    """
 
     tokens: tuple[str, ...]
     edge_limit: int
@@ -354,7 +358,8 @@ def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
     With traces in the chart, signs whose attracted argument lists never
     got instantiated proliferate.  The closure is finite, so the parse
     stops by itself unless it reaches ``edge_limit`` first (``limit_hit``);
-    the report counts the offending edges and carries one offending AVM.
+    the report counts the offending edges and carries one offending AVM,
+    the synsem of the first of them (chart signs carry no sign root).
     """
     result = parse(tokens, lexicon,
                    ParseOptions(mode=TRACE, edge_limit=edge_limit))

@@ -252,23 +252,7 @@ def path_get(fs: FeatureStructure, path: Sequence[str]) -> FeatureStructure:
     The result is a standalone structure in canonical form; raises
     PathError on an undefined feature.
     """
-    target = fs.resolve(path)
-    if target == 0:
-        return fs
-    if target == 1 and len(fs.nodes[0].feats) == 1:
-        # node 1 is the root's only child, so every other node lies under it
-        # and keeps its depth-first order: drop the root, renumber by one
-        # (a node without children has nothing to renumber and is reused)
-        nodes = []
-        for n in fs.nodes[1:]:
-            if n.feats:
-                nodes.append(Node(AVM, n.type, tuple([(f, c - 1) for f, c in n.feats])))
-            elif n.elems:
-                nodes.append(Node(n.kind, "", (), tuple([c - 1 for c in n.elems])))
-            else:
-                nodes.append(n)
-        return FeatureStructure(tuple(nodes))
-    return _canonicalize(target, *zip(*fs.nodes))
+    return _canonicalize(fs.resolve(path), *zip(*fs.nodes))
 
 
 def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:

@@ -11,6 +11,7 @@ from fsgen import structure_pairs, structure_triples
 from vorfeld.avm import print_fs, read_fs
 from vorfeld.cli import run_corpus, tokenize_sentence
 from vorfeld.grammar import (
+    P_SYNSEM,
     SCHEMA_SLASH_INTRO,
     SCHEMA_VERB_CLUSTER,
     apply_head_complement,
@@ -20,7 +21,7 @@ from vorfeld.grammar import (
 )
 from vorfeld.lexicon import corpus_text
 from vorfeld.parser import Derivation, ParseOptions, demonstrate_trace_mode, parse, replay
-from vorfeld.tfs import fs_equal, subsumes, unify
+from vorfeld.tfs import fs_equal, path_get, subsumes, unify
 
 SENTENCES = [line.split("\t", 1)[1] for line in corpus_text().splitlines()
              if line and not line.startswith("#")]
@@ -187,7 +188,7 @@ def test_criterion_6_derivation_replay(fragment):
             derivations += 1
             again, chart = replay(d), d.root.sign
             if (again is None or not again.fs.has_path(("DTRS",))
-                    or not fs_equal(again.synsem_fs, chart.synsem_fs)
+                    or not fs_equal(path_get(again.fs, P_SYNSEM), chart.fs)
                     or again.dom != chart.dom or not check_comps_closed(again)):
                 divergences += 1
     ok = divergences == 0 and derivations > 0

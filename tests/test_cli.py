@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from test_lexicon import UNREPRESENTABLE_ENTRIES
 from vorfeld.avm import read_fs
 from vorfeld.cli import (
     format_report,
@@ -206,6 +207,14 @@ class TestCmdParse:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "does not declare" in err
         assert missing in err.strip().split("declare: ")[1].split(", ")
+
+    @pytest.mark.parametrize("name", sorted(UNREPRESENTABLE_ENTRIES))
+    def test_unrepresentable_entry_exits_two(self, capsys, tmp_path, name):
+        path = tmp_path / "entry.lex"
+        path.write_text(UNREPRESENTABLE_ENTRIES[name][0], encoding="utf-8")
+        assert main(["parse", "--sentence", "er", "--lexicon", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "entry must be lexical-sign[SYNSEM]" in err
 
 class TestCmdCorpus:
     def test_bundled_corpus_passes(self, capsys):

@@ -5,7 +5,9 @@ from vorfeld.grammar import (
     P_COMPS,
     P_HEAD,
     P_LEX,
+    P_LOC,
     P_SLASH,
+    P_SYNSEM,
     P_VCOMP,
     SCHEMA_HEAD_ADJUNCT,
     SCHEMA_HEAD_COMPLEMENT,
@@ -24,7 +26,7 @@ from vorfeld.grammar import (
 )
 from vorfeld.orderdomain import mask_positions
 from vorfeld.parser import Derivation, Edge, demonstrate_trace_mode, parse
-from vorfeld.tfs import fs_equal
+from vorfeld.tfs import fs_equal, path_get
 
 
 def _comps_cases(sign):
@@ -40,8 +42,8 @@ def _comps_cases(sign):
 
 
 def _hfp_holds(mother):
-    return (mother.fs.resolve(P_HEAD)
-            == mother.fs.resolve(("DTRS", "HEAD-DTR") + P_HEAD))
+    return (mother.fs.resolve(P_SYNSEM + P_HEAD)
+            == mother.fs.resolve(("DTRS", "HEAD-DTR") + P_SYNSEM + P_HEAD))
 
 
 def _rebuilt(tree):
@@ -62,7 +64,7 @@ def _rebuilt(tree):
 
     root = edge(tree)
     full = Derivation(root).sign
-    assert fs_equal(full.synsem_fs, root.sign.synsem_fs) and full.dom == root.sign.dom
+    assert fs_equal(path_get(full.fs, P_SYNSEM), root.sign.fs) and full.dom == root.sign.dom
     return full
 
 
@@ -129,7 +131,8 @@ class TestHeadAdjunct:
         assert mother.fs.nodes[mother.fs.resolve(P_LEX)].type == "+"
         # the LEX value is the head's own node, not a copy
         full = _rebuilt((SCHEMA_HEAD_ADJUNCT, vortragen, morgen))
-        assert full.fs.resolve(P_LEX) == full.fs.resolve(("DTRS", "HEAD-DTR") + P_LEX)
+        assert (full.fs.resolve(P_SYNSEM + P_LEX)
+                == full.fs.resolve(("DTRS", "HEAD-DTR") + P_SYNSEM + P_LEX))
 
     def test_mod_clash_fails(self, fragment):
         pp = sign_at(fragment, "mit diesem Messer", TOKENS_4, 6)
@@ -227,7 +230,8 @@ class TestSlashIntroduction:
         wird = sign_at(fragment, "wird", TOKENS_1A, 1)
         overlapping = lexical_sign(
             fragment.hierarchy,
-            [e for e in fragment.find("erzählen") if e.fs.nodes[e.fs.resolve(P_COMPS)].elems][0].fs,
+            [e for e in fragment.find("erzählen")
+             if e.fs.nodes[e.fs.resolve(P_SYNSEM + P_COMPS)].elems][0].fs,
             ("erzählen",), 1)
         assert apply_pvp_slash_introduction(wird, overlapping) is None
 
@@ -328,7 +332,7 @@ class TestTrace:
         trace = make_vcomp_trace(fragment.hierarchy)
         fs = trace.fs
         slash = fs.nodes[fs.resolve(P_SLASH)]
-        assert slash.elems == (fs.resolve(("SYNSEM", "LOC")),)
+        assert slash.elems == (fs.resolve(P_LOC),)
 
     def test_no_memo_outlives_a_parse(self, fragment, monkeypatch):
         """Each parse starts with an empty memo: a second trace-mode run over

@@ -1,6 +1,6 @@
 import pytest
 
-from vorfeld.grammar import check_comps_closed, make_sign
+from vorfeld.grammar import P_SYNSEM, check_comps_closed, make_sign
 from vorfeld.lexicon import (
     InapplicableError,
     LexiconError,
@@ -9,7 +9,7 @@ from vorfeld.lexicon import (
     load_lexicon,
 )
 from vorfeld.orderdomain import EMPTY_DOMAIN
-from vorfeld.tfs import Workspace
+from vorfeld.tfs import Workspace, path_get
 
 P_COMPS = ("SYNSEM", "LOC", "CAT", "COMPS")
 P_SUBJ = ("SYNSEM", "LOC", "CAT", "HEAD", "SUBJ")
@@ -42,6 +42,24 @@ MINI_TYPES = """
 (type complement-slash-licencing-structure (con-struc) (VCOMP-DTR sign))
 (type filler-head-structure (con-struc) (FILLER-DTR sign))
 """
+
+_NOUN_SYNSEM = """(SYNSEM (synsem
+  (LOC (local (CAT (cat (HEAD (noun (CASE nom))) (COMPS (list)) (VCOMP none)))))))"""
+
+# entries the chart cannot represent: it keeps only an entry's SYNSEM, and a
+# rebuild wraps that back as lexical-sign[SYNSEM]
+ENTRY_OF_A_SUBTYPE = MINI_TYPES + f"""
+(type word (lexical-sign))
+(word "er" (word {_NOUN_SYNSEM}))
+"""
+ENTRY_WITH_ANOTHER_FEATURE = MINI_TYPES.replace(
+    "(type lexical-sign (sign))", "(type lexical-sign (sign) (ARG-ST *list*))") + f"""
+(word "er" (lexical-sign (ARG-ST (list)) {_NOUN_SYNSEM}))
+"""
+UNREPRESENTABLE_ENTRIES = {
+    "subtype-root": (ENTRY_OF_A_SUBTYPE, "got word[SYNSEM]"),
+    "extra-feature": (ENTRY_WITH_ANOTHER_FEATURE, "got lexical-sign[ARG-ST, SYNSEM]"),
+}
 
 
 class TestLoad:
@@ -88,13 +106,21 @@ class TestLoad:
         with pytest.raises(LexiconError, match="underspecified"):
             load_lexicon(bad)
 
+    @pytest.mark.parametrize("name", sorted(UNREPRESENTABLE_ENTRIES))
+    def test_entry_must_be_a_lexical_sign_with_only_synsem(self, name):
+        text, got = UNREPRESENTABLE_ENTRIES[name]
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text)
+        assert "entry must be lexical-sign[SYNSEM]" in str(exc.value)
+        assert got in str(exc.value)
+
     def test_error_reports_line_number(self):
         with pytest.raises(LexiconError, match="line 2"):
             load_lexicon("(type top ())\n(word)")
 
     def test_all_words_pass_the_valence_check(self, fragment):
         for entry in fragment.words():
-            sign = make_sign(fragment.hierarchy, entry.fs, EMPTY_DOMAIN)
+            sign = make_sign(fragment.hierarchy, path_get(entry.fs, P_SYNSEM), EMPTY_DOMAIN)
             assert check_comps_closed(sign), entry.phon
 
 

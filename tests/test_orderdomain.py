@@ -1,3 +1,5 @@
+from typing import Optional, Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from test_cli import ADJUNCT_PRINTED_DIGESTS
 from vorfeld.grammar import apply_head_adjunct, apply_head_complement
 from vorfeld.orderdomain import (
     EMPTY_DOMAIN,
+    Domain,
     DomainElement,
     compact,
     domain_union,
@@ -16,13 +19,23 @@ from vorfeld.orderdomain import (
     finite_verb_position,
     insert_filler_domain,
     lp_check,
-    make_domain,
     mask_from,
     mask_is_contiguous,
+    mask_min,
     mask_positions,
     mask_span,
 )
 from vorfeld.parser import parse
+
+
+def make_domain(elements: Sequence[DomainElement]) -> Optional[Domain]:
+    """Sort by leftmost position; None when coverages overlap."""
+    mask = 0
+    for e in elements:
+        if mask & e.coverage:
+            return None
+        mask |= e.coverage
+    return Domain(tuple(sorted(elements, key=lambda e: mask_min(e.coverage))), mask)
 
 
 def _element(fragment, word, tokens, pos, arity=None):

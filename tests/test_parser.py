@@ -6,6 +6,7 @@ import pytest
 from conftest import corpus_sentences
 from oracle import closure
 from vorfeld import grammar, parser
+from vorfeld.avm import print_fs
 from vorfeld.grammar import (
     P_SYNSEM,
     SCHEMA_FILLER_HEAD,
@@ -24,7 +25,7 @@ from vorfeld.parser import (
     parse,
     replay,
 )
-from vorfeld.tfs import Workspace, _canonicalize, fs_equal
+from vorfeld.tfs import Workspace, fs_equal, path_get
 
 S_1A = "Erzählen wird er seiner Tochter ein Märchen"
 S_2 = "Er wird seiner Tochter ein Märchen erzählen müssen"
@@ -199,7 +200,7 @@ class TestSoundness:
                 again, chart = replay(derivation), derivation.root.sign
                 assert again is not None
                 assert again.fs.has_path(("DTRS",))
-                assert fs_equal(again.synsem_fs, chart.synsem_fs)
+                assert fs_equal(path_get(again.fs, P_SYNSEM), chart.fs)
                 assert again.dom == chart.dom
                 # Chart signs carry no DTRS, so the licensing-mode check
                 # covers the daughters only on the rebuilt sign.
@@ -210,7 +211,7 @@ class TestSoundness:
                 parser._rebuild(derivation.root, rebuilt)
                 for edge in derivation.edges():
                     if edge.daughters:
-                        assert fs_equal(rebuilt[edge].synsem_fs, edge.sign.synsem_fs)
+                        assert fs_equal(path_get(rebuilt[edge].fs, P_SYNSEM), edge.sign.fs)
                         assert rebuilt[edge].dom == edge.sign.dom
 
     def test_linearization_reproduces_the_input(self, fragment):
@@ -231,17 +232,17 @@ class TestDerivationRecord:
         trace = parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800))
         assert not [e for e in trace.edges if e.sign.fs.has_path(("DTRS",))]
 
-    def test_chart_synsem_is_the_synsem_node_canonicalised(self, fragment):
-        """Ties the synsem of every chart sign, built without a walk from a
-        one-feature root or taken from the trace-mode memo, to the general
-        canonicalisation of its SYNSEM node."""
+    def test_every_chart_sign_is_a_synsem(self, fragment):
+        """A chart sign's structure is its synsem, lexical, built by a schema
+        or taken from the trace-mode memo; the sign roots exist only in
+        rebuilt derivations."""
         results = [parse(sentence, fragment) for sentence in corpus_sentences()]
         results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800)))
         for result in results:
             for edge in result.edges:
                 fs = edge.sign.fs
-                general = _canonicalize(fs.resolve(P_SYNSEM), *zip(*fs.nodes))
-                assert fs_equal(edge.sign.synsem_fs, general)
+                assert fs.nodes[fs.root].type == "synsem"
+                assert not fs.has_path(P_SYNSEM)
 
 
 class TestReadings:
@@ -269,6 +270,9 @@ class TestTraceMode:
         assert report.open_comps_edges >= 1
         assert report.sample_open_comps_avm is not None
         assert "append" in report.sample_open_comps_avm or "openlist" in report.sample_open_comps_avm
+        chart = parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=800))
+        first = next(e for e in chart.edges if not check_comps_closed(e.sign))
+        assert report.sample_open_comps_avm == print_fs(first.sign.fs)
 
     def test_memo_hits_build_no_sign(self, monkeypatch, fragment):
         """Work count: a mother taken from the parse's memo reuses the
@@ -321,10 +325,12 @@ class TestTraceMode:
 # SHA-256 over every edge of the criterion-2 trace chart (10,000 edges),
 # first recorded before the processed edges were indexed by SLASH (the index
 # left the chart as the full pairing loop builds it, edge ids included), and
-# recorded again when verb clusters out of order stopped being built.  That
-# the chart is the full loop's is checked against the oracle in
-# test_oracle.py, up to an edge limit.
-TRACE_CHART_DIGEST = "d6bf16cf58b7c6e3573e6f40caa816e78b45aba3cbecd3ba11fe29f4e32824df"
+# recorded again when verb clusters out of order stopped being built.  When
+# chart signs became their synsems, it took the value the chart already had
+# when hashed over each sign's SYNSEM: no synsem changed.  That the chart is
+# the full loop's is checked against the oracle in test_oracle.py, up to an
+# edge limit.
+TRACE_CHART_DIGEST = "3b3e8ae3836d9f2545169b065175cab54089e7fe02d41418d5448f95057af61f"
 
 
 @pytest.fixture(scope="module")
@@ -387,10 +393,11 @@ class TestSchemaMemo:
 
     def test_one_build_per_memo_key(self, monkeypatch, fragment):
         """Work count: each sentence builds one mother structure per distinct
-        memo key, and over the bundled corpus ``Workspace.extract`` runs 418
-        times (447 while verb clusters out of order were built, 744 when
-        every pair of edges was unified afresh); a build whose unification
-        fails extracts nothing."""
+        memo key, and over the bundled corpus ``Workspace.extract`` runs 386
+        times (418 while memo keys held whole signs, so that a lexical and a
+        phrasal sign with equal SYNSEM had two, 447 while verb clusters out
+        of order were built, 744 when every pair of edges was unified
+        afresh); a build whose unification fails extracts nothing."""
         extracts, keys, builds = [], set(), []
         extract, memoized = Workspace.extract, grammar._memoized
         monkeypatch.setattr(Workspace, "extract",
@@ -402,7 +409,7 @@ class TestSchemaMemo:
             builds.clear()
             parse(sentence, fragment)
             assert len(builds) == len(keys) > 0
-        assert len(extracts) == 418
+        assert len(extracts) == 386
 
     def test_replay_unifies_every_step_again(self, monkeypatch, fragment):
         """After the chart has filled its memo, rebuilding each reading still
