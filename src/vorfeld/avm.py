@@ -13,10 +13,13 @@ Syntax (documented in the README):
 
 Printing produces canonical text: features sorted by name, tags numbered
 in depth-first discovery order, so ``read(print(x))`` is structure-equal to
-``x`` (the round-trip invariant tested in the suite).
+``x`` (the round-trip invariant tested in the suite).  Reading goes through
+the s-expression reader (:mod:`vorfeld.sexpr`); printing writes the text
+straight from the structure's nodes.
 """
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional
 
@@ -42,6 +45,9 @@ _TAG_REF = re.compile(r"^#(\d+)#$")
 _LIST_HEADS = {"list": CLOSED, "openlist": OPEN, "append": APPEND, "set": SET}
 _LIST_NAMES = {kind: name for name, kind in _LIST_HEADS.items()}
 
+#: the columns an indented AVM may fill; :func:`print_fs` reads it at every call
+WIDTH = 78
+
 #: deepest nesting of parentheses an AVM value may have; the reader recurses
 #: once per level, and the bundled fragment nests at most 17 deep
 MAX_DEPTH = 100
@@ -54,66 +60,105 @@ class AvmSyntaxError(Exception):
 def print_fs(fs: FeatureStructure, indent: bool = True) -> str:
     """Render a structure in the canonical textual syntax.
 
-    Nodes are rendered depth-first with an explicit stack, so the depth of
-    a structure is bounded by memory, not by the interpreter's recursion
-    limit.
+    With ``indent``, a list that fits in ``WIDTH`` columns at its
+    indentation is written on one line; otherwise its head stays on the
+    opening line and every further item goes on a line of its own, two
+    columns deeper.  Without ``indent`` everything is on one line.
+
+    A structure numbers its nodes in the order the depth-first walk first
+    reaches them, so no walk is needed to place the tags: a shared node is
+    written whole, tagged ``#k=``, under the last parent numbered before
+    it, at that parent's first slot that holds it, and everywhere else as
+    ``#k#``; ``k`` counts the shared nodes in node order.
+
+    Two passes, neither recursive: bottom-up (in reverse node order) the
+    length of each node's text on one line, then top-down with an explicit
+    stack the text itself.  So the work is linear in the output, and no
+    depth of structure reaches the recursion limit.
     """
-    shared = _shared_nodes(fs)
-    tags: dict[int, int] = {}
-    done: list = []  # the root's form, once rendered
-    # open nodes, innermost last: (items so far, tag prefix, (feature, child)
-    # pairs still to render, feature under which the node sits in its parent)
-    stack: list = []
+    nodes = fs.nodes
+    # every node's (feature or None, child) slots
+    slots = [node.feats if node.kind == AVM else tuple((None, c) for c in node.elems)
+             for node in nodes]
+    indegree = [0] * len(nodes)
+    for pairs in slots:
+        for _, c in pairs:
+            indegree[c] += 1
+    tags: dict[int, str] = {}
+    for i, d in enumerate(indegree):
+        if d > 1:
+            tags[i] = str(len(tags) + 1)
 
-    def attach(feat: Optional[str], form) -> None:
-        if feat is not None:
-            form = sexpr.SList((sexpr.Symbol(feat), form))
-        (stack[-1][0] if stack else done).append(form)
-
-    def start(i: int, feat: Optional[str]) -> None:
-        if i in tags:
-            attach(feat, sexpr.Symbol(f"#{tags[i]}#"))
-            return
-        prefix = ""
-        if i in shared:
-            tags[i] = len(tags) + 1
-            prefix = f"#{tags[i]}="
-        node = fs.nodes[i]
+    # the length of node i's text where it is written whole, its tag included
+    flat = [0] * len(nodes)
+    placed = bytearray(len(nodes))  # a slot that writes the node whole was met
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
         if node.kind == AVM and not node.feats:
-            attach(feat, _tagged(prefix, sexpr.Symbol(node.type)))
-        elif node.kind == AVM:
-            stack.append(([sexpr.Symbol(node.type)], prefix, iter(node.feats), feat))
+            length = len(node.type)
         else:
-            stack.append(([sexpr.Symbol(_LIST_NAMES[node.kind])], prefix,
-                          ((None, c) for c in node.elems), feat))
+            length = len(node.type if node.kind == AVM else _LIST_NAMES[node.kind]) + 2
+            for feat, c in slots[i]:
+                if c > i and not placed[c]:
+                    placed[c] = 1
+                    length += flat[c] + 1
+                else:
+                    length += len(tags[c]) + 3
+                if feat is not None:
+                    length += len(feat) + 3
+            if i in tags:
+                length += 3  # the parentheses and space around a tagged list
+        flat[i] = length + (len(tags[i]) + 2 if i in tags else 0)
 
-    start(fs.root, None)
+    width = WIDTH if indent else math.inf
+
+    def sep(length: int, at: int) -> str:
+        """What goes before each item of a list at ``at`` whose text is ``length`` long."""
+        return " " if length + at <= width else "\n" + " " * (at + 2)
+
+    out: list[str] = []
+    # shared nodes already written whole; the walk reaches each first at the
+    # slot where the first pass placed it
+    written = bytearray(len(nodes))
+    stack: list = [(0, 0, None)]  # text to emit, or (node, indentation, feature)
     while stack:
-        items, prefix, pending, feat = stack[-1]
-        child = next(pending, None)
-        if child is not None:
-            start(child[1], child[0])
-        else:
-            stack.pop()
-            attach(feat, _tagged(prefix, sexpr.SList(tuple(items))))
-    return sexpr.write(done[0]) if indent else sexpr.write_flat(done[0])
-
-
-def _tagged(prefix: str, body):
-    if not prefix:
-        return body
-    if isinstance(body, sexpr.Symbol):
-        return sexpr.Symbol(prefix + body.name)
-    return sexpr.SList((sexpr.Symbol(prefix), body))
-
-
-def _shared_nodes(fs: FeatureStructure) -> set[int]:
-    indeg: dict[int, int] = {}
-    for node in fs.nodes:
-        children = [c for _, c in node.feats] if node.kind == AVM else node.elems
-        for c in children:
-            indeg[c] = indeg.get(c, 0) + 1
-    return {i for i, d in indeg.items() if d > 1}
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        i, at, feat = item
+        tag = tags.get(i)
+        ref = tag is not None and written[i]
+        if feat is not None:  # (FEAT value)
+            length = len(feat) + 3 + (len(tag) + 2 if ref else flat[i])
+            out.append("(" + feat + sep(length, at))
+            stack.append(")")
+            at += 2
+        if ref:
+            out.append("#" + tag + "#")
+            continue
+        node = nodes[i]
+        atom = node.kind == AVM and not node.feats
+        length = flat[i]
+        if tag is not None:
+            written[i] = 1
+            if atom:
+                out.append("#" + tag + "=" + node.type)
+                continue
+            out.append("(#" + tag + "=" + sep(length, at))
+            stack.append(")")
+            at += 2
+            length -= len(tag) + 5
+        if atom:
+            out.append(node.type)
+            continue
+        out.append("(" + (node.type if node.kind == AVM else _LIST_NAMES[node.kind]))
+        stack.append(")")
+        before = sep(length, at)
+        for feat, c in reversed(slots[i]):
+            stack.append((c, at + 2, feat))
+            stack.append(before)
+    return "".join(out)
 
 
 def read_fs(text: str, hierarchy: TypeHierarchy,

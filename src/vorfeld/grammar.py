@@ -220,15 +220,15 @@ def _roles(*admitted: bool) -> int:
     return sum(1 << i for i, holds in enumerate(admitted) if holds)
 
 
-def make_sign(hierarchy: TypeHierarchy, synsem: FeatureStructure, dom: Domain) -> Sign:
-    """The chart sign of ``synsem`` with domain ``dom``."""
-    return Sign(hierarchy, synsem, dom, _facts(synsem))
+def make_sign(hierarchy: TypeHierarchy, synsem: FeatureStructure) -> Sign:
+    """The chart sign of ``synsem``, with an empty domain."""
+    return Sign(hierarchy, synsem, EMPTY_DOMAIN, _facts(synsem))
 
 
 def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
                  tokens: Sequence[str], start: int) -> Sign:
     """The chart sign of lexical entry ``fs``, covering ``tokens`` at ``start``."""
-    sign = make_sign(hierarchy, path_get(fs, P_SYNSEM), EMPTY_DOMAIN)
+    sign = make_sign(hierarchy, path_get(fs, P_SYNSEM))
     element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.facts)
     return Sign(hierarchy, sign.fs, Domain((element,), element.coverage), sign.facts)
 
@@ -237,17 +237,16 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
 # schema plumbing
 
 
-def _union_slash(ws: Workspace, roots: Sequence[int]) -> Optional[int]:
-    """SLASH set of the mother: union of the daughters', capped at one element."""
-    nonempty = []
+def _union_slash(ws: Workspace, roots: Sequence[int]) -> int:
+    """SLASH set of the mother: union of the daughters'.
+
+    Callers rule out two nonempty sets first (:func:`_slash_overflow`), so
+    the union is the one nonempty set, or a new empty one.
+    """
     for r in roots:
         node = _try_resolve(ws, r, P_SLASH)
         if node is not None and ws.elems_of(node):
-            nonempty.append(node)
-    if len(nonempty) > 1:
-        return None
-    if nonempty:
-        return nonempty[0]
+            return node
     return ws.set_value([])
 
 
@@ -307,7 +306,7 @@ def _placed(mother: Sign, dom: Optional[Domain]) -> Optional[Sign]:
     return Sign(mother.hierarchy, mother.fs, dom, mother.facts)
 
 
-def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool,
+def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, keep_dtrs: bool,
                            memo: Optional[dict]) -> Optional[Sign]:
     """Mother structure for trace-mode combinations on underspecified heads.
 
@@ -316,17 +315,17 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool,
     built from the daughters' synsems alone.  The other daughter
     contributes nothing beyond a possible SLASH element, so the memo key is
     the head's synsem, the SLASH donor and the kind of combination, which
-    keeps the exploding chart affordable.  The mother is a synsem that
-    records no daughters, not even when a derivation is rebuilt: only the
-    daughters' synsem nodes are read, and a rebuild takes the mother as it
-    takes a chart leaf.
+    keeps the exploding chart affordable.  The mother records no
+    daughters: in a rebuild (``keep_dtrs``) it is ``phrasal-sign[SYNSEM]``,
+    without ``DTRS``.
     """
     donor = other if (head.facts.slash != 1 and other.facts.slash == 1) else head
 
     def build() -> Optional[Sign]:
         ws = Workspace(head.hierarchy)
-        h = _graft(ws, head, False)[1]
-        slash = _try_resolve(ws, h if donor is head else _graft(ws, donor, False)[1], P_SLASH)
+        h = _graft(ws, head, keep_dtrs)[1]
+        slash = _try_resolve(ws, h if donor is head else _graft(ws, donor, keep_dtrs)[1],
+                             P_SLASH)
         if slash is None:
             slash = ws.set_value([])
         if as_cluster:
@@ -338,9 +337,7 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool,
             vcomp = ws.resolve(h, P_VCOMP)
             lex = ws.atom("-")
         cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
-        nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
-        fs = ws.extract(ws.avm("synsem", LOC=ws.avm("local", CAT=cat), NONLOC=nonloc, LEX=lex))
-        return fs and make_sign(head.hierarchy, fs, EMPTY_DOMAIN)
+        return _mother(ws, None, {}, ws.avm("local", CAT=cat), lex, slash, keep_dtrs)
 
     key = (head.fs.nodes, None if donor is head else donor.fs.nodes, as_cluster)
     return _memoized(memo, key, build)
@@ -359,13 +356,19 @@ def _graft(ws: Workspace, sign: Sign, keep_dtrs: bool) -> tuple[int, int]:
     return (ws.avm(TYPE_LEXICAL, SYNSEM=node) if keep_dtrs else node), node
 
 
-def _mother(ws: Workspace, struct_type: str, struct_feats: dict[str, int], loc: int,
-            lex: Optional[int], slash: int, keep_dtrs: bool) -> Optional[Sign]:
+def whole_leaf(leaf: Sign) -> Sign:
+    """A chart leaf as a rebuild holds it: ``lexical-sign[SYNSEM]``."""
+    ws = Workspace(leaf.hierarchy)
+    return Sign(leaf.hierarchy, ws.extract(_graft(ws, leaf, True)[0]), leaf.dom, leaf.facts)
+
+
+def _mother(ws: Workspace, struct_type: Optional[str], struct_feats: dict[str, int],
+            loc: int, lex: Optional[int], slash: int, keep_dtrs: bool) -> Optional[Sign]:
     """The mother structure, with an empty domain; None when extraction fails.
 
     A chart mother is a synsem; only the rebuild of a derivation
     (``keep_dtrs``) builds the whole ``phrasal-sign``, with the daughters
-    under ``DTRS``.
+    under ``DTRS`` unless ``struct_type`` is None.
     """
     nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
     feats = {"LOC": loc, "NONLOC": nonloc}
@@ -374,8 +377,11 @@ def _mother(ws: Workspace, struct_type: str, struct_feats: dict[str, int], loc: 
     synsem = ws.avm("synsem", **feats)
     if not keep_dtrs:
         fs = ws.extract(synsem)
-        return fs and make_sign(ws.hierarchy, fs, EMPTY_DOMAIN)
-    fs = ws.extract(ws.avm(TYPE_PHRASAL, SYNSEM=synsem, DTRS=ws.avm(struct_type, **struct_feats)))
+        return fs and make_sign(ws.hierarchy, fs)
+    feats = {"SYNSEM": synsem}
+    if struct_type is not None:
+        feats["DTRS"] = ws.avm(struct_type, **struct_feats)
+    fs = ws.extract(ws.avm(TYPE_PHRASAL, **feats))
     return fs and Sign(ws.hierarchy, fs, EMPTY_DOMAIN, _facts(fs, fs.resolve(P_SYNSEM)))
 
 
@@ -403,7 +409,8 @@ def apply_head_complement(head: Sign, comp: Sign, keep_dtrs: bool = False,
     if not _admits(SCHEMA_HEAD_COMPLEMENT, head, comp) or _slash_overflow(head, comp):
         return None
     if head.facts.comps_kind != CLOSED:
-        mother = _underspecified_mother(head, comp, as_cluster=False, memo=memo)
+        mother = _underspecified_mother(head, comp, as_cluster=False,
+                                        keep_dtrs=keep_dtrs, memo=memo)
         return mother and _placed(mother, _insert_comp_dom(head, comp))
     if not _compatible(head.hierarchy, head.facts.comps_last_head, comp.facts.head):
         return None
@@ -419,8 +426,6 @@ def apply_head_complement(head: Sign, comp: Sign, keep_dtrs: bool = False,
             return None
         new_comps = ws.closed_list(elems[:-1])
         slash = _union_slash(ws, (h_synsem, c_synsem))
-        if slash is None:
-            return None
         cat = ws.avm(
             "cat",
             HEAD=ws.resolve(h_synsem, P_HEAD),
@@ -457,8 +462,6 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False,
         if not ws.unify_nodes(ws.resolve(a_synsem, P_MOD), h_synsem):
             return None
         slash = _union_slash(ws, (h_synsem, a_synsem))
-        if slash is None:
-            return None
         return _mother(
             ws, "head-adjunct-structure", {"HEAD-DTR": h, "ADJUNCT-DTR": a},
             ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), slash, keep_dtrs,
@@ -488,7 +491,8 @@ def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
-        mother = _underspecified_mother(head, cluster, as_cluster=True, memo=memo)
+        mother = _underspecified_mother(head, cluster, as_cluster=True,
+                                        keep_dtrs=keep_dtrs, memo=memo)
         return mother and _placed(mother, od.domain_union(head.dom, cluster.dom))
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, cluster.facts.vform):
         return None
@@ -500,8 +504,6 @@ def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
         if not ws.unify_nodes(ws.resolve(h_synsem, P_VCOMP), c_synsem):
             return None
         slash = _union_slash(ws, (h_synsem, c_synsem))
-        if slash is None:
-            return None
         cat = ws.avm(
             "cat",
             HEAD=ws.resolve(h_synsem, P_HEAD),
@@ -683,4 +685,4 @@ def make_vcomp_trace(hierarchy: TypeHierarchy) -> Sign:
         NONLOC=ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=ws.set_value([loc]))),
     ))
     assert fs is not None
-    return make_sign(hierarchy, fs, EMPTY_DOMAIN)
+    return make_sign(hierarchy, fs)

@@ -394,8 +394,12 @@ def _rebuild(root: Edge, rebuilt: dict[Edge, Optional[Sign]]) -> Optional[Sign]:
 
     Edges found in ``rebuilt`` are taken from it, and every internal edge
     rebuilt is added to it, so each distinct edge is unified once however
-    many trees passed in with the same ``rebuilt`` share it.
+    many trees passed in with the same ``rebuilt`` share it.  A leaf
+    rebuilds to ``lexical-sign[SYNSEM]``, every other edge to a
+    ``phrasal-sign``.
     """
+    if not root.daughters:
+        return G.whole_leaf(root.sign)
     done: list[Optional[Sign]] = []  # full signs of the finished subtrees
     stack = [(root, False)]
     while stack:

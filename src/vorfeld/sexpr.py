@@ -3,7 +3,8 @@
 The grammar files, lexicon entries and the textual AVM syntax are all
 s-expressions.  Atoms are either bare symbols (anything up to whitespace,
 parentheses or a quote) or double-quoted strings; ``;`` starts a comment
-running to end of line.
+running to end of line.  There is no writer: AVMs are printed straight
+from their nodes (:func:`vorfeld.avm.print_fs`).
 """
 from __future__ import annotations
 
@@ -117,90 +118,3 @@ def parse_all(text: str) -> list:
         raise SexprError("unclosed '('", line, col)
     return top
 
-
-def write(form, indent: int = 0, width: int = 78) -> str:
-    """Render a form (Symbol / str / SList) back to text, breaking long lists.
-
-    A list whose flat text fits in ``width`` columns after ``indent`` is
-    written on one line.  Otherwise its head symbol stays on the opening
-    line and every further item goes on a line of its own, indented two
-    more columns.  Two passes, neither recursive: the flat length of every
-    list bottom-up, then the text top-down, writing each flat subform once
-    at the level where it fits; so the work is linear in the output.
-    """
-    if not isinstance(form, SList):
-        return _atom(form)
-    lengths = _flat_lengths(form)
-    out: list[str] = []
-    stack: list = [(form, indent)]  # text to emit, or a list and its indent
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        lst, at = item
-        if lengths[id(lst)] + at <= width:
-            _write_flat_into(lst, out)
-            continue
-        items = lst.items
-        head = ""
-        if items and isinstance(items[0], Symbol):
-            head = items[0].name.rstrip()
-            items = items[1:]
-        out.append("(" + head)
-        stack.append(")")
-        pad = "\n" + " " * (at + 2)
-        for x in reversed(items):
-            stack.append((x, at + 2) if isinstance(x, SList) else _atom(x))
-            stack.append(pad)
-    return "".join(out)
-
-
-def write_flat(form) -> str:
-    """Render a form (Symbol / str / SList) on one line."""
-    if not isinstance(form, SList):
-        return _atom(form)
-    out: list[str] = []
-    _write_flat_into(form, out)
-    return "".join(out)
-
-
-def _atom(form) -> str:
-    return form.name if isinstance(form, Symbol) else '"' + form + '"'
-
-
-def _flat_lengths(form: SList) -> dict[int, int]:
-    """The length of the flat text of every list in ``form``, keyed by ``id``."""
-    lengths: dict[int, int] = {}
-    stack = [form]
-    while stack:
-        top = stack[-1]
-        if id(top) in lengths:
-            stack.pop()
-            continue
-        pending = [x for x in top.items if isinstance(x, SList) and id(x) not in lengths]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        # parentheses, one space between items, the items
-        lengths[id(top)] = 1 + max(len(top.items), 1) + sum(
-            lengths[id(x)] if isinstance(x, SList) else len(_atom(x)) for x in top.items)
-    return lengths
-
-
-def _write_flat_into(form: SList, out: list[str]) -> None:
-    stack: list = [form]  # text to emit, or a list
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        out.append("(")
-        stack.append(")")
-        items = item.items
-        for k in range(len(items) - 1, -1, -1):
-            x = items[k]
-            stack.append(x if isinstance(x, SList) else _atom(x))
-            if k:
-                stack.append(" ")

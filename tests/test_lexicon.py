@@ -8,7 +8,6 @@ from vorfeld.lexicon import (
     load_fragment,
     load_lexicon,
 )
-from vorfeld.orderdomain import EMPTY_DOMAIN
 from vorfeld.tfs import Workspace, path_get
 
 P_COMPS = ("SYNSEM", "LOC", "CAT", "COMPS")
@@ -120,7 +119,7 @@ class TestLoad:
 
     def test_all_words_pass_the_valence_check(self, fragment):
         for entry in fragment.words():
-            sign = make_sign(fragment.hierarchy, path_get(entry.fs, P_SYNSEM), EMPTY_DOMAIN)
+            sign = make_sign(fragment.hierarchy, path_get(entry.fs, P_SYNSEM))
             assert check_comps_closed(sign), entry.phon
 
 

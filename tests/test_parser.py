@@ -12,6 +12,8 @@ from vorfeld.grammar import (
     SCHEMA_FILLER_HEAD,
     SCHEMA_SLASH_INTRO,
     SCHEMATA,
+    TYPE_LEXICAL,
+    TYPE_PHRASAL,
     check_comps_closed,
 )
 from vorfeld.lexicon import load_lexicon
@@ -243,6 +245,33 @@ class TestDerivationRecord:
                 fs = edge.sign.fs
                 assert fs.nodes[fs.root].type == "synsem"
                 assert not fs.has_path(P_SYNSEM)
+
+
+    def test_every_edge_rebuilds_to_a_whole_sign(self, fragment):
+        """Every edge of the corpus charts and of a trace-mode chart rebuilds
+        to a whole sign with the chart's synsem: a leaf to
+        ``lexical-sign[SYNSEM]``, any other edge to a ``phrasal-sign`` (an
+        underspecified trace-mode mother too, which records no ``DTRS``).
+        Under ``DTRS`` only the derivation's leaves are lexical signs."""
+        results = [parse(sentence, fragment) for sentence in corpus_sentences()]
+        results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=3000)))
+        for result in results:
+            rebuilt = {}
+            for edge in result.edges:
+                fs = parser._rebuild(edge, rebuilt).fs
+                types = [node.type for node in fs.nodes]
+                assert types[0] == (TYPE_PHRASAL if edge.daughters else TYPE_LEXICAL)
+                assert fs_equal(path_get(fs, P_SYNSEM), edge.sign.fs)
+                # the derivation down to the mothers that record no daughters
+                shown, stack = [], [edge]
+                while stack:
+                    e = stack.pop()
+                    shown.append(e)
+                    if e.daughters and rebuilt[e].fs.has_path(("DTRS",)):
+                        stack.extend(e.daughters)
+                leaves = sum(1 for e in shown if not e.daughters)
+                assert types.count(TYPE_LEXICAL) == leaves
+                assert types.count(TYPE_PHRASAL) == len(shown) - leaves
 
 
 class TestReadings:

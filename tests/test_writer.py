@@ -1,39 +1,65 @@
-"""``sexpr.write`` and ``sexpr.write_flat`` give exactly the reference
-writer's text (``writer_oracle.py``) on random forms, widths and indents."""
+"""``avm.print_fs`` gives exactly the reference printer's text
+(``writer_oracle.py``: an s-expression tree, then the recursive writer) on
+random structures and their unifications at random widths, and on every
+entry, template and corpus reading of the bundled fragment."""
 from __future__ import annotations
 
+import pytest
+from conftest import corpus_sentences
+from fsgen import StructureGen
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import writer_oracle
-from vorfeld.sexpr import SList, Symbol, write, write_flat
+from vorfeld import avm
+from vorfeld.parser import enumerate_readings, parse
+from vorfeld.tfs import unify
 
-SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
-# short names, some with the whitespace a broken line's head symbol drops
-TEXT = st.text(alphabet="ab#=( \t", max_size=6)
-ATOMS = st.one_of(st.builds(Symbol, TEXT), TEXT)
-
-
-def _extend(children):
-    lists = st.lists(children, max_size=6).map(lambda items: SList(tuple(items)))
-    headed = st.tuples(st.builds(Symbol, TEXT), st.lists(children, max_size=5)).map(
-        lambda pair: SList((pair[0], *pair[1])))
-    # one subform object reached twice, as printed AVMs never have but forms may
-    shared = children.map(lambda form: SList((Symbol("pair"), form, form)))
-    return st.one_of(lists, headed, shared)
+SEEDS = st.integers(0, 2**32 - 1)
+WIDTHS = st.integers(1, 120)
 
 
-FORMS = st.recursive(ATOMS, _extend, max_leaves=80)
+def _structures(hierarchy, seed):
+    """Two random reentrant structures on ``hierarchy`` and, if any, their unification."""
+    gen = StructureGen(hierarchy, seed)
+    a, b = gen.structure(), gen.structure()
+    ab = unify(a, b, hierarchy)
+    return (a, b) if ab is None else (a, b, ab)
 
 
-@SETTINGS
-@given(FORMS, st.integers(0, 10), st.integers(1, 120))
-def test_write_equals_the_reference(form, indent, width):
-    assert write(form, indent, width) == writer_oracle.write(form, indent, width)
+def _holds_to_the_reference(structures, width, indent):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(avm, "WIDTH", width)
+        for fs in structures:
+            assert avm.print_fs(fs, indent) == writer_oracle.print_fs(fs, indent, width)
 
 
 @SETTINGS
-@given(FORMS)
-def test_write_flat_equals_the_reference(form):
-    assert write_flat(form) == writer_oracle._write_flat(form)
+@given(SEEDS, WIDTHS)
+def test_print_fs_equals_the_reference(diamond, seed, width):
+    _holds_to_the_reference(_structures(diamond, seed), width, indent=True)
+
+
+@SETTINGS
+@given(SEEDS, WIDTHS)
+def test_flat_print_fs_equals_the_reference(diamond, seed, width):
+    _holds_to_the_reference(_structures(diamond, seed), width, indent=False)
+
+
+def test_every_entry_and_template_prints_as_the_reference(fragment):
+    structures = [entry.fs for entry in fragment.entries] + list(fragment.templates.values())
+    for indent in (True, False):
+        _holds_to_the_reference(structures, avm.WIDTH, indent)
+
+
+def test_every_corpus_reading_prints_as_the_reference(fragment):
+    readings = 0
+    for tokens in corpus_sentences():
+        for derivation, text in enumerate_readings(parse(tokens, fragment).derivations):
+            fs = derivation.sign.fs
+            assert text == writer_oracle.print_fs(fs)
+            assert avm.print_fs(fs, indent=False) == writer_oracle.print_fs(fs, indent=False)
+            readings += 1
+    assert readings > 0
