@@ -6,7 +6,9 @@ tree lives once, on the parser's edges, and the whole sign, a
 ``phrasal-sign`` with its typed daughter structure (``DTRS``), exists only
 on derivations rebuilt from their lexical leaves
 (:func:`vorfeld.parser.replay`).  Both the chart and the rebuild apply the
-schemata through :func:`apply_schema`; only the rebuild keeps ``DTRS``.
+schemata through :func:`apply_schema`, and nothing tells a schema which of
+them calls: a mother is whole, ``DTRS`` included, exactly when a daughter
+is, and the rebuild starts from whole leaves (:func:`whole_leaf`).
 Five schemata combine signs:
 
 * head-complement: binary; saturates the last (most oblique) element of a
@@ -40,12 +42,15 @@ of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
 sign may be the first daughter of, ``deps`` the second.  A schema tests the
 masks, then its conditions on the pair; the parser pairs on the same masks.
 
-A mother's structure depends only on the schema and its daughters'
-structures, never on their coverage or domain.  So a schema takes an
-optional memo: after its prechecks (which may read the domains) it looks up
-``(schema, first synsem, second synsem)``, unifies on a miss, and
+Past its prechecks every schema runs one skeleton: a schema states only its
+unification, the mother's LOC, LEX, SLASH and ``DTRS``, its domain and its
+memo key.  A mother's structure depends only on the schema and its
+daughters' structures, never on their coverage or domain.  So a schema
+takes an optional memo: after its prechecks (which may read the domains) it
+looks up ``(schema, first synsem, second synsem)``, unifies on a miss, and
 stores the mother's synsem and facts (a sign with an empty domain), or
-None; the domain is always built from the daughters at hand.
+None; the domain is always built from the daughters at hand, and only for
+a mother that exists.
 The parser passes one memo per parse, which also holds the trace-mode
 mothers; the rebuild of a derivation passes none, so it unifies every
 step afresh.
@@ -64,9 +69,11 @@ from .orderdomain import (
 )
 from .tfs import (
     APPEND,
+    AVM,
     CLOSED,
     OPEN,
     FeatureStructure,
+    Node,
     PathError,
     TypeHierarchy,
     Workspace,
@@ -137,8 +144,10 @@ class SignFacts:
 class Sign:
     """A word or phrase: feature structure and order domain.
 
-    In the chart ``fs`` is the sign's synsem; a sign rebuilt with
-    ``keep_dtrs`` holds the whole sign, ``DTRS`` included.
+    In the chart ``fs`` is the sign's synsem; a sign rebuilt from its
+    derivation holds the whole sign, ``lexical-sign`` or ``phrasal-sign``
+    with its ``DTRS``.  A schema's mother is whole exactly when a daughter
+    is.
     """
 
     hierarchy: TypeHierarchy
@@ -295,20 +304,62 @@ def _memoized(memo: Optional[dict], key: tuple,
         return mother
 
 
-def _placed(mother: Sign, dom: Optional[Domain]) -> Optional[Sign]:
-    """A mother structure from the memo, given the domain of its own daughters.
+def _is_whole(sign: Sign) -> bool:
+    """``sign`` is a whole sign (rebuilt), not a chart sign (a synsem)."""
+    return sign.fs.nodes[0].type != "synsem"
 
-    Callers test the structure first, so a failed combination builds no
-    domain.
+
+def _combine(key: tuple, first: Sign, second: Sign, memo: Optional[dict],
+             body: Callable[..., Optional[tuple]],
+             place: Callable[[], Optional[Domain]]) -> Optional[Sign]:
+    """The one skeleton of every schema, past its prechecks.
+
+    On a miss of ``key`` in ``memo`` it grafts both daughters into a new
+    workspace and calls ``body(ws, a, a_synsem, b, b_synsem)``, each
+    daughter given as the node the mother's ``DTRS`` records and its synsem
+    node.  The body unifies and returns the mother's LOC, LEX (None for
+    none) and SLASH nodes, its ``DTRS`` type (None for none) and features;
+    or None.  The mother is whole exactly when a daughter is whole: a
+    ``phrasal-sign`` with its ``DTRS``, a chart daughter wrapped as
+    ``lexical-sign[SYNSEM]``; otherwise it is the bare synsem of a chart
+    sign.  Only a mother that exists gets a domain, ``place()``, built from
+    the daughters at hand.
     """
-    if dom is None:
-        return None
-    return Sign(mother.hierarchy, mother.fs, dom, mother.facts)
+    def build() -> Optional[Sign]:
+        whole = _is_whole(first) or _is_whole(second)
+        ws = Workspace(first.hierarchy)
+        dtrs = []
+        for sign in (first, second):
+            node = ws.graft(sign.fs)
+            if _is_whole(sign):
+                dtrs.append((node, ws.resolve(node, P_SYNSEM)))
+            else:
+                dtrs.append((ws.avm(TYPE_LEXICAL, SYNSEM=node) if whole else node, node))
+        parts = body(ws, *dtrs[0], *dtrs[1])
+        if parts is None:
+            return None
+        loc, lex, slash, struct_type, struct_feats = parts
+        feats = {"LOC": loc, "NONLOC": ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))}
+        if lex is not None:
+            feats["LEX"] = lex
+        synsem = ws.avm("synsem", **feats)
+        if whole:
+            feats = {"SYNSEM": synsem}
+            if struct_type is not None:
+                feats["DTRS"] = ws.avm(struct_type, **struct_feats)
+            fs = ws.extract(ws.avm(TYPE_PHRASAL, **feats))
+            return fs and Sign(ws.hierarchy, fs, EMPTY_DOMAIN, _facts(fs, fs.resolve(P_SYNSEM)))
+        fs = ws.extract(synsem)
+        return fs and make_sign(ws.hierarchy, fs)
+
+    mother = _memoized(memo, key, build)
+    dom = None if mother is None else place()
+    return None if dom is None else Sign(mother.hierarchy, mother.fs, dom, mother.facts)
 
 
-def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, keep_dtrs: bool,
-                           memo: Optional[dict]) -> Optional[Sign]:
-    """Mother structure for trace-mode combinations on underspecified heads.
+def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, memo: Optional[dict],
+                           place: Callable[[], Optional[Domain]]) -> Optional[Sign]:
+    """Trace-mode combinations on underspecified heads.
 
     The head imposes no constraint on the other daughter (that is the
     defect being demonstrated), so no unification is needed; the mother is
@@ -316,16 +367,12 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, keep_dtrs:
     contributes nothing beyond a possible SLASH element, so the memo key is
     the head's synsem, the SLASH donor and the kind of combination, which
     keeps the exploding chart affordable.  The mother records no
-    daughters: in a rebuild (``keep_dtrs``) it is ``phrasal-sign[SYNSEM]``,
-    without ``DTRS``.
+    daughters: a whole one is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
     """
-    donor = other if (head.facts.slash != 1 and other.facts.slash == 1) else head
+    from_other = head.facts.slash != 1 and other.facts.slash == 1
 
-    def build() -> Optional[Sign]:
-        ws = Workspace(head.hierarchy)
-        h = _graft(ws, head, keep_dtrs)[1]
-        slash = _try_resolve(ws, h if donor is head else _graft(ws, donor, keep_dtrs)[1],
-                             P_SLASH)
+    def body(ws: Workspace, _head: int, h: int, _other: int, other_synsem: int):
+        slash = _try_resolve(ws, other_synsem if from_other else h, P_SLASH)
         if slash is None:
             slash = ws.set_value([])
         if as_cluster:
@@ -337,60 +384,29 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, keep_dtrs:
             vcomp = ws.resolve(h, P_VCOMP)
             lex = ws.atom("-")
         cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
-        return _mother(ws, None, {}, ws.avm("local", CAT=cat), lex, slash, keep_dtrs)
+        return ws.avm("local", CAT=cat), lex, slash, None, {}
 
-    key = (head.fs.nodes, None if donor is head else donor.fs.nodes, as_cluster)
-    return _memoized(memo, key, build)
-
-
-def _graft(ws: Workspace, sign: Sign, keep_dtrs: bool) -> tuple[int, int]:
-    """Copy a daughter into ``ws``: the node a mother records, and its synsem node.
-
-    In the chart both are the grafted synsem.  A rebuilt sign, a
-    ``phrasal-sign``, is whole already, and a rebuild (``keep_dtrs``) wraps
-    a chart leaf's synsem as ``lexical-sign[SYNSEM]``.
-    """
-    node = ws.graft(sign.fs)
-    if sign.fs.nodes[0].type == TYPE_PHRASAL:
-        return node, ws.resolve(node, P_SYNSEM)
-    return (ws.avm(TYPE_LEXICAL, SYNSEM=node) if keep_dtrs else node), node
+    key = (head.fs.nodes, other.fs.nodes if from_other else None, as_cluster)
+    return _combine(key, head, other, memo, body, place)
 
 
 def whole_leaf(leaf: Sign) -> Sign:
-    """A chart leaf as a rebuild holds it: ``lexical-sign[SYNSEM]``."""
-    ws = Workspace(leaf.hierarchy)
-    return Sign(leaf.hierarchy, ws.extract(_graft(ws, leaf, True)[0]), leaf.dom, leaf.facts)
+    """A chart leaf as a rebuild holds it: ``lexical-sign[SYNSEM]``.
 
-
-def _mother(ws: Workspace, struct_type: Optional[str], struct_feats: dict[str, int],
-            loc: int, lex: Optional[int], slash: int, keep_dtrs: bool) -> Optional[Sign]:
-    """The mother structure, with an empty domain; None when extraction fails.
-
-    A chart mother is a synsem; only the rebuild of a derivation
-    (``keep_dtrs``) builds the whole ``phrasal-sign``, with the daughters
-    under ``DTRS`` unless ``struct_type`` is None.
+    Under a new root 0 a canonical structure stays canonical with every
+    node one further on, so the leaf's synsem is taken over shifted.
     """
-    nonloc = ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))
-    feats = {"LOC": loc, "NONLOC": nonloc}
-    if lex is not None:
-        feats["LEX"] = lex
-    synsem = ws.avm("synsem", **feats)
-    if not keep_dtrs:
-        fs = ws.extract(synsem)
-        return fs and make_sign(ws.hierarchy, fs)
-    feats = {"SYNSEM": synsem}
-    if struct_type is not None:
-        feats["DTRS"] = ws.avm(struct_type, **struct_feats)
-    fs = ws.extract(ws.avm(TYPE_PHRASAL, **feats))
-    return fs and Sign(ws.hierarchy, fs, EMPTY_DOMAIN, _facts(fs, fs.resolve(P_SYNSEM)))
+    nodes = [Node(AVM, TYPE_LEXICAL, (("SYNSEM", 1),))]
+    nodes += [Node(kind, type_, tuple([(f, c + 1) for f, c in feats]),
+                   tuple([c + 1 for c in elems])) for kind, type_, feats, elems in leaf.fs.nodes]
+    return Sign(leaf.hierarchy, FeatureStructure(tuple(nodes)), leaf.dom, leaf.facts)
 
 
 # ---------------------------------------------------------------------------
 # the schemata
 
 
-def apply_head_complement(head: Sign, comp: Sign, keep_dtrs: bool = False,
-                          memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_head_complement(head: Sign, comp: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
     """Saturate the last element of the head's COMPS list with ``comp``.
 
     The head's verbal complement must already be discharged (VCOMP none):
@@ -408,42 +424,29 @@ def apply_head_complement(head: Sign, comp: Sign, keep_dtrs: bool = False,
     """
     if not _admits(SCHEMA_HEAD_COMPLEMENT, head, comp) or _slash_overflow(head, comp):
         return None
+    place = lambda: _insert_comp_dom(head, comp)
     if head.facts.comps_kind != CLOSED:
-        mother = _underspecified_mother(head, comp, as_cluster=False,
-                                        keep_dtrs=keep_dtrs, memo=memo)
-        return mother and _placed(mother, _insert_comp_dom(head, comp))
+        return _underspecified_mother(head, comp, False, memo, place)
     if not _compatible(head.hierarchy, head.facts.comps_last_head, comp.facts.head):
         return None
     if not _compatible(head.hierarchy, head.facts.comps_last_case, comp.facts.case):
         return None
 
-    def build() -> Optional[Sign]:
-        ws = Workspace(head.hierarchy)
-        h, h_synsem = _graft(ws, head, keep_dtrs)
-        c, c_synsem = _graft(ws, comp, keep_dtrs)
+    def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
         elems = ws.elems_of(ws.resolve(h_synsem, P_COMPS))
         if not ws.unify_nodes(elems[-1], c_synsem):
             return None
-        new_comps = ws.closed_list(elems[:-1])
         slash = _union_slash(ws, (h_synsem, c_synsem))
-        cat = ws.avm(
-            "cat",
-            HEAD=ws.resolve(h_synsem, P_HEAD),
-            COMPS=new_comps,
-            VCOMP=ws.resolve(h_synsem, P_VCOMP),
-        )
-        return _mother(
-            ws, "head-complement-structure",
-            {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])},
-            ws.avm("local", CAT=cat), ws.atom("-"), slash, keep_dtrs,
-        )
+        cat = ws.avm("cat", HEAD=ws.resolve(h_synsem, P_HEAD), COMPS=ws.closed_list(elems[:-1]),
+                     VCOMP=ws.resolve(h_synsem, P_VCOMP))
+        return (ws.avm("local", CAT=cat), ws.atom("-"), slash, "head-complement-structure",
+                {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])})
 
-    mother = _memoized(memo, (SCHEMA_HEAD_COMPLEMENT, head.fs.nodes, comp.fs.nodes), build)
-    return mother and _placed(mother, _insert_comp_dom(head, comp))
+    return _combine((SCHEMA_HEAD_COMPLEMENT, head.fs.nodes, comp.fs.nodes), head, comp, memo,
+                    body, place)
 
 
-def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False,
-                       memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
     """Attach a modifier; its MOD value unifies with the head's synsem.
 
     The mother shares the head's whole CAT (category, valence) and LEX
@@ -455,24 +458,18 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, keep_dtrs: bool = False,
     if not _compatible(head.hierarchy, adjunct.facts.mod_head, head.facts.head):
         return None
 
-    def build() -> Optional[Sign]:
-        ws = Workspace(head.hierarchy)
-        h, h_synsem = _graft(ws, head, keep_dtrs)
-        a, a_synsem = _graft(ws, adjunct, keep_dtrs)
+    def body(ws: Workspace, h: int, h_synsem: int, a: int, a_synsem: int):
         if not ws.unify_nodes(ws.resolve(a_synsem, P_MOD), h_synsem):
             return None
-        slash = _union_slash(ws, (h_synsem, a_synsem))
-        return _mother(
-            ws, "head-adjunct-structure", {"HEAD-DTR": h, "ADJUNCT-DTR": a},
-            ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), slash, keep_dtrs,
-        )
+        return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX),
+                _union_slash(ws, (h_synsem, a_synsem)), "head-adjunct-structure",
+                {"HEAD-DTR": h, "ADJUNCT-DTR": a})
 
-    mother = _memoized(memo, (SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), build)
-    return mother and _placed(mother, od.domain_union(head.dom, adjunct.dom))
+    return _combine((SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), head, adjunct, memo,
+                    body, lambda: od.domain_union(head.dom, adjunct.dom))
 
 
-def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
-                       memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
     """Combine a verb with its verbal complement into a (partial) cluster.
 
     The embedded sign's full synsem unifies with the head's VCOMP value,
@@ -488,39 +485,28 @@ def apply_verb_cluster(head: Sign, cluster: Sign, keep_dtrs: bool = False,
     """
     if not _admits(SCHEMA_VERB_CLUSTER, head, cluster) or _slash_overflow(head, cluster):
         return None
+    place = lambda: od.domain_union(head.dom, cluster.dom)
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
-        mother = _underspecified_mother(head, cluster, as_cluster=True,
-                                        keep_dtrs=keep_dtrs, memo=memo)
-        return mother and _placed(mother, od.domain_union(head.dom, cluster.dom))
+        return _underspecified_mother(head, cluster, True, memo, place)
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, cluster.facts.vform):
         return None
 
-    def build() -> Optional[Sign]:
-        ws = Workspace(head.hierarchy)
-        h, h_synsem = _graft(ws, head, keep_dtrs)
-        c, c_synsem = _graft(ws, cluster, keep_dtrs)
+    def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
         if not ws.unify_nodes(ws.resolve(h_synsem, P_VCOMP), c_synsem):
             return None
         slash = _union_slash(ws, (h_synsem, c_synsem))
-        cat = ws.avm(
-            "cat",
-            HEAD=ws.resolve(h_synsem, P_HEAD),
-            COMPS=ws.resolve(h_synsem, P_COMPS),
-            VCOMP=ws.atom("none"),
-        )
-        return _mother(
-            ws, "head-cluster-structure",
-            {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])},
-            ws.avm("local", CAT=cat), ws.atom("+"), slash, keep_dtrs,
-        )
+        cat = ws.avm("cat", HEAD=ws.resolve(h_synsem, P_HEAD),
+                     COMPS=ws.resolve(h_synsem, P_COMPS), VCOMP=ws.atom("none"))
+        return (ws.avm("local", CAT=cat), ws.atom("+"), slash, "head-cluster-structure",
+                {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])})
 
-    mother = _memoized(memo, (SCHEMA_VERB_CLUSTER, head.fs.nodes, cluster.fs.nodes), build)
-    return mother and _placed(mother, od.domain_union(head.dom, cluster.dom))
+    return _combine((SCHEMA_VERB_CLUSTER, head.fs.nodes, cluster.fs.nodes), head, cluster, memo,
+                    body, place)
 
 
-def apply_pvp_slash_introduction(head: Sign, licenser: Sign, keep_dtrs: bool = False,
+def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
                                  memo: Optional[dict] = None) -> Optional[Sign]:
     """Discharge the head's VCOMP into SLASH, licensed by a real projection.
 
@@ -539,36 +525,21 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign, keep_dtrs: bool = F
     if head.dom.coverage & licenser.dom.coverage:
         return None
 
-    def build() -> Optional[Sign]:
-        ws = Workspace(head.hierarchy)
-        h, h_synsem = _graft(ws, head, keep_dtrs)
-        li, li_synsem = _graft(ws, licenser, keep_dtrs)
+    def body(ws: Workspace, h: int, h_synsem: int, li: int, li_synsem: int):
         vcomp_loc = _try_resolve(ws, h_synsem, P_VCOMP + P_LOC)
-        if vcomp_loc is None:
+        if vcomp_loc is None or not ws.unify_nodes(vcomp_loc, ws.resolve(li_synsem, P_LOC)):
             return None
-        if not ws.unify_nodes(vcomp_loc, ws.resolve(li_synsem, P_LOC)):
-            return None
-        cat = ws.avm(
-            "cat",
-            HEAD=ws.resolve(h_synsem, P_HEAD),
-            COMPS=ws.resolve(h_synsem, P_COMPS),
-            VCOMP=ws.atom("none"),
-        )
-        mother = _mother(
-            ws, "complement-slash-licencing-structure", {"HEAD-DTR": h, "VCOMP-DTR": li},
-            ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]),
-            keep_dtrs,
-        )
-        if mother is None or not check_comps_closed(mother):
-            return None
-        return mother
+        cat = ws.avm("cat", HEAD=ws.resolve(h_synsem, P_HEAD),
+                     COMPS=ws.resolve(h_synsem, P_COMPS), VCOMP=ws.atom("none"))
+        return (ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]),
+                "complement-slash-licencing-structure", {"HEAD-DTR": h, "VCOMP-DTR": li})
 
-    mother = _memoized(memo, (SCHEMA_SLASH_INTRO, head.fs.nodes, licenser.fs.nodes), build)
-    return mother and _placed(mother, head.dom)
+    mother = _combine((SCHEMA_SLASH_INTRO, head.fs.nodes, licenser.fs.nodes), head, licenser,
+                      memo, body, lambda: head.dom)
+    return mother if mother is None or check_comps_closed(mother) else None
 
 
-def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False,
-                      memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_filler_head(filler: Sign, head: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
     """Bind the clause's SLASH element against the fronted filler.
 
     The head must be a saturated finite clause carrying exactly one SLASH
@@ -583,21 +554,15 @@ def apply_filler_head(filler: Sign, head: Sign, keep_dtrs: bool = False,
     if verb_pos is None:
         return None
 
-    def build() -> Optional[Sign]:
-        ws = Workspace(head.hierarchy)
-        h, h_synsem = _graft(ws, head, keep_dtrs)
-        f, f_synsem = _graft(ws, filler, keep_dtrs)
+    def body(ws: Workspace, f: int, f_synsem: int, h: int, h_synsem: int):
         slash_elems = ws.elems_of(ws.resolve(h_synsem, P_SLASH))
         if not ws.unify_nodes(slash_elems[0], ws.resolve(f_synsem, P_LOC)):
             return None
-        return _mother(
-            ws, "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f},
-            ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
-            keep_dtrs,
-        )
+        return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
+                "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f})
 
-    mother = _memoized(memo, (SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), build)
-    return mother and _placed(mother, od.insert_filler_domain(head.dom, filler, verb_pos))
+    return _combine((SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), filler, head, memo,
+                    body, lambda: od.insert_filler_domain(head.dom, filler, verb_pos))
 
 
 # schema label -> name of the function applying it, looked up in this
@@ -612,19 +577,18 @@ _APPLY = {
 }
 
 
-def apply_schema(schema: str, first: Sign, second: Sign, keep_dtrs: bool = False,
+def apply_schema(schema: str, first: Sign, second: Sign,
                  memo: Optional[dict] = None) -> Optional[Sign]:
     """Apply the schema labelled ``schema`` to its daughters in derivation order.
 
-    The one dispatch for both callers: the chart builds mothers of SYNSEM
-    and domain only, sharing one ``memo`` over a parse; the rebuild of a
-    derivation passes ``keep_dtrs`` and gets the full structure, built
-    afresh.  Every schema first tests the daughters' role masks
-    (``SignFacts.heads`` and ``deps``), then its conditions on the pair.
+    The one dispatch for both callers.  The chart passes chart signs
+    (synsems) and one ``memo`` over a parse, and gets mothers of SYNSEM and
+    domain only; the rebuild of a derivation passes whole signs and no memo,
+    and gets whole mothers with their ``DTRS``, built afresh.  Every schema
+    first tests the daughters' role masks (``SignFacts.heads`` and
+    ``deps``), then its conditions on the pair.
     """
-    if keep_dtrs and memo is not None:
-        raise ValueError("a memo holds chart mothers only; a rebuild takes none")
-    return globals()[_APPLY[schema]](first, second, keep_dtrs=keep_dtrs, memo=memo)
+    return globals()[_APPLY[schema]](first, second, memo=memo)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .grammar import Sign, SignFacts
-    from .parser import Edge
 
 V2 = "v2"
 VFINAL = "vfinal"
@@ -252,11 +251,11 @@ def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
     return brackets + ("MF",) * (rb_start - len(brackets)) + ("RB",) * len(rb)
 
 
-def lp_check(root: "Edge", clause_type: str) -> bool:
+def lp_check(dom: Domain, clause_type: str) -> bool:
     """Topological-field validation of a complete clause candidate.
 
-    The fields are read off the root sign's domain.  Every verb cluster
-    below ``root`` was judged before it was built, so the chart holds no
-    cluster out of order.
+    The fields are read off ``dom``, the domain of the candidate's root
+    sign.  Every verb cluster below the root was judged before it was
+    built, so the chart holds no cluster out of order.
     """
-    return fields(root.sign.dom, clause_type) is not None
+    return fields(dom, clause_type) is not None

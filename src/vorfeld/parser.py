@@ -328,7 +328,7 @@ def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
     """Root filter: ``edge`` analyses the whole of ``tokens`` as a complete clause."""
     return (edge.coverage == mask_span(0, len(tokens))
             and is_complete_clause(edge.sign, clause_type)
-            and od.lp_check(edge, clause_type)
+            and od.lp_check(edge.sign.dom, clause_type)
             and edge.sign.dom.phon() == tokens)
 
 
@@ -379,8 +379,9 @@ def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
 def replay(derivation: Derivation) -> Optional[Sign]:
     """Re-apply every schema from the lexical leaves up; None on divergence.
 
-    Unlike the chart, the rebuild keeps each mother's ``DTRS``, so the
-    result is the full sign: an AVM with the whole derivation inside.
+    The rebuild starts from whole leaves, so each mother is whole and keeps
+    its ``DTRS``, unlike the chart's: the result is the full sign, an AVM
+    with the whole derivation inside.
     Soundness: its SYNSEM and domain equal those of the chart's root.  The
     rebuild shares no memo with the chart: each distinct edge unifies afresh,
     once (a licenser that is also the filler too), so the comparison checks
@@ -392,14 +393,13 @@ def replay(derivation: Derivation) -> Optional[Sign]:
 def _rebuild(root: Edge, rebuilt: dict[Edge, Optional[Sign]]) -> Optional[Sign]:
     """The full sign of ``root``, rebuilt bottom-up without recursion.
 
-    Edges found in ``rebuilt`` are taken from it, and every internal edge
-    rebuilt is added to it, so each distinct edge is unified once however
-    many trees passed in with the same ``rebuilt`` share it.  A leaf
-    rebuilds to ``lexical-sign[SYNSEM]``, every other edge to a
-    ``phrasal-sign``.
+    Edges found in ``rebuilt`` are taken from it, and every edge rebuilt is
+    added to it, so each distinct edge is rebuilt once however many trees
+    passed in with the same ``rebuilt`` share it.  A leaf rebuilds to
+    ``lexical-sign[SYNSEM]`` (:func:`vorfeld.grammar.whole_leaf`), and since
+    a schema's mother is whole when its daughters are, every other edge to
+    a ``phrasal-sign``.
     """
-    if not root.daughters:
-        return G.whole_leaf(root.sign)
     done: list[Optional[Sign]] = []  # full signs of the finished subtrees
     stack = [(root, False)]
     while stack:
@@ -407,15 +407,15 @@ def _rebuild(root: Edge, rebuilt: dict[Edge, Optional[Sign]]) -> Optional[Sign]:
         if edge in rebuilt:
             done.append(rebuilt[edge])
         elif not edge.daughters:
-            done.append(edge.sign)
+            rebuilt[edge] = G.whole_leaf(edge.sign)
+            done.append(rebuilt[edge])
         elif not expanded:
             stack.append((edge, True))
             stack.extend((d, False) for d in reversed(edge.daughters))
         else:
             b = done.pop()
             a = done.pop()
-            sign = None if a is None or b is None else G.apply_schema(edge.schema, a, b,
-                                                                      keep_dtrs=True)
+            sign = None if a is None or b is None else G.apply_schema(edge.schema, a, b)
             rebuilt[edge] = sign
             done.append(sign)
     return done[0]

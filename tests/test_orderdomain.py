@@ -268,7 +268,7 @@ class TestFieldModel:
         for clause_type in ("v2", "vfinal"):
             for root in roots:
                 verdict = field_oracle.lp_check(root, clause_type)
-                assert lp_check(root, clause_type) == verdict, root.key()
+                assert lp_check(root.sign.dom, clause_type) == verdict, root.key()
                 if verdict:
                     expected = field_oracle.assign_fields(root.sign, clause_type)
                     assert fields(root.sign.dom, clause_type) == tuple(

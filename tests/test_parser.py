@@ -10,11 +10,15 @@ from vorfeld.avm import print_fs
 from vorfeld.grammar import (
     P_SYNSEM,
     SCHEMA_FILLER_HEAD,
+    SCHEMA_HEAD_ADJUNCT,
+    SCHEMA_HEAD_COMPLEMENT,
     SCHEMA_SLASH_INTRO,
+    SCHEMA_VERB_CLUSTER,
     SCHEMATA,
     TYPE_LEXICAL,
     TYPE_PHRASAL,
     check_comps_closed,
+    whole_leaf,
 )
 from vorfeld.lexicon import load_lexicon
 from vorfeld.parser import (
@@ -27,12 +31,20 @@ from vorfeld.parser import (
     parse,
     replay,
 )
-from vorfeld.tfs import Workspace, fs_equal, path_get
+from vorfeld.tfs import CLOSED, Workspace, fs_equal, path_get
 
 S_1A = "Erzählen wird er seiner Tochter ein Märchen"
 S_2 = "Er wird seiner Tochter ein Märchen erzählen müssen"
 S_5A = "Müssen wird er ihr ein Märchen erzählen"
 S_7B = "Vortragen wird er es morgen"
+
+STRUCTURE_TYPES = {
+    SCHEMA_HEAD_COMPLEMENT: "head-complement-structure",
+    SCHEMA_HEAD_ADJUNCT: "head-adjunct-structure",
+    SCHEMA_VERB_CLUSTER: "head-cluster-structure",
+    SCHEMA_SLASH_INTRO: "complement-slash-licencing-structure",
+    SCHEMA_FILLER_HEAD: "filler-head-structure",
+}
 
 # Reading counts are implementation-measured regression values: the corpus
 # only fixes >=1 / =1 / =0, but the exact derivation counts (licenser
@@ -418,7 +430,7 @@ class TestSlashIndex:
 
 class TestSchemaMemo:
     """A parse unifies each (schema, daughter structures) key once; a
-    rebuild shares nothing with the chart."""
+    rebuild shares nothing with the chart, and its mothers are whole."""
 
     def test_one_build_per_memo_key(self, monkeypatch, fragment):
         """Work count: each sentence builds one mother structure per distinct
@@ -480,12 +492,46 @@ class TestSchemaMemo:
             shared, alone = rebuilt[derivation.root], replay(derivation)
             assert fs_equal(shared.fs, alone.fs) and shared.dom == alone.dom
 
-    def test_a_rebuild_takes_no_memo(self, fragment):
-        result = parse(S_2.split(), fragment)
-        root = result.derivations[0].root
-        a, b = root.daughters
-        with pytest.raises(ValueError, match="memo"):
-            grammar.apply_schema(root.schema, a.sign, b.sign, keep_dtrs=True, memo={})
+    def test_a_mother_is_whole_exactly_when_a_daughter_is(self, fragment, trace_chart):
+        """Every schema, on sampled edges of the corpus charts and of the
+        trace chart: two chart daughters give the chart's synsem; the same
+        pair rebuilt whole gives a ``phrasal-sign`` with that SYNSEM and the
+        schema's ``DTRS`` type (none for a trace-mode mother on an
+        underspecified head); a mixed pair gives that whole mother with the
+        chart daughter wrapped as ``lexical-sign[SYNSEM]``."""
+        charts = [parse(sentence, fragment).edges for sentence in corpus_sentences()]
+        charts.append(trace_chart.edges)
+        rng = random.Random(14)
+        tried = dict.fromkeys(SCHEMATA, 0)
+        for edges in charts:
+            rebuilt = {}
+            for schema in SCHEMATA:
+                built = [e for e in edges if e.schema == schema]
+                for edge in rng.sample(built, min(len(built), 25)):
+                    a, b = edge.daughters
+                    chart = grammar.apply_schema(schema, a.sign, b.sign)
+                    assert chart.fs.nodes[0].type == "synsem"
+                    assert fs_equal(chart.fs, edge.sign.fs) and chart.dom == edge.sign.dom
+                    whole_a, whole_b = parser._rebuild(a, rebuilt), parser._rebuild(b, rebuilt)
+                    whole = grammar.apply_schema(schema, whole_a, whole_b)
+                    assert whole.fs.nodes[0].type == TYPE_PHRASAL
+                    assert fs_equal(path_get(whole.fs, P_SYNSEM), chart.fs)
+                    assert whole.dom == chart.dom
+                    underspecified = (
+                        a.sign.facts.comps_kind != CLOSED if schema == SCHEMA_HEAD_COMPLEMENT
+                        else schema == SCHEMA_VERB_CLUSTER and a.sign.facts.vcomp == "open")
+                    if underspecified:
+                        assert not whole.fs.has_path(("DTRS",))
+                    else:
+                        assert whole.fs.type_at(("DTRS",)) == STRUCTURE_TYPES[schema]
+                    for mixed, wrapped in (((whole_a, b.sign), (whole_a, whole_leaf(b.sign))),
+                                           ((a.sign, whole_b), (whole_leaf(a.sign), whole_b))):
+                        mother = grammar.apply_schema(schema, *mixed)
+                        assert fs_equal(mother.fs, grammar.apply_schema(schema, *wrapped).fs)
+                        assert fs_equal(path_get(mother.fs, P_SYNSEM), chart.fs)
+                        assert mother.dom == chart.dom
+                    tried[schema] += 1
+        assert min(tried.values()) >= 25, tried
 
 
 class TestAmbiguousLexiconStillDeterministic:
