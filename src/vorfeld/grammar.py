@@ -69,14 +69,13 @@ from .orderdomain import (
 )
 from .tfs import (
     APPEND,
-    AVM,
     CLOSED,
     OPEN,
     FeatureStructure,
-    Node,
     PathError,
     TypeHierarchy,
     Workspace,
+    embed,
     path_get,
 )
 
@@ -294,7 +293,11 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
 
 def _memoized(memo: Optional[dict], key: tuple,
               build: Callable[[], Optional[Sign]]) -> Optional[Sign]:
-    """``build()``, run once per ``key`` of ``memo`` (every time without one)."""
+    """``build()``, run once per ``key`` of ``memo`` (every time without one).
+
+    A key holds the daughters' structures, or as much of them as the mother
+    depends on, so a whole daughter never hits a chart mother.
+    """
     if memo is None:
         return build()
     try:
@@ -305,8 +308,12 @@ def _memoized(memo: Optional[dict], key: tuple,
 
 
 def _is_whole(sign: Sign) -> bool:
-    """``sign`` is a whole sign (rebuilt), not a chart sign (a synsem)."""
-    return sign.fs.nodes[0].type != "synsem"
+    """``sign`` is a whole sign (rebuilt), not a chart sign (a synsem).
+
+    Whole signs are only ever built as these two types, while a chart
+    sign's root may be any subtype of ``synsem`` that a lexicon declares.
+    """
+    return sign.fs.nodes[0].type in (TYPE_LEXICAL, TYPE_PHRASAL)
 
 
 def _combine(key: tuple, first: Sign, second: Sign, memo: Optional[dict],
@@ -366,8 +373,9 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, memo: Opti
     built from the daughters' synsems alone.  The other daughter
     contributes nothing beyond a possible SLASH element, so the memo key is
     the head's synsem, the SLASH donor and the kind of combination, which
-    keeps the exploding chart affordable.  The mother records no
-    daughters: a whole one is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
+    keeps the exploding chart affordable.  A whole other daughter is keyed
+    too, as it makes the mother whole.  The mother records no daughters: a
+    whole one is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
     """
     from_other = head.facts.slash != 1 and other.facts.slash == 1
 
@@ -386,20 +394,14 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, memo: Opti
         cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
         return ws.avm("local", CAT=cat), lex, slash, None, {}
 
-    key = (head.fs.nodes, other.fs.nodes if from_other else None, as_cluster)
+    key = (head.fs.nodes, other.fs.nodes if from_other or _is_whole(other) else None,
+           as_cluster)
     return _combine(key, head, other, memo, body, place)
 
 
 def whole_leaf(leaf: Sign) -> Sign:
-    """A chart leaf as a rebuild holds it: ``lexical-sign[SYNSEM]``.
-
-    Under a new root 0 a canonical structure stays canonical with every
-    node one further on, so the leaf's synsem is taken over shifted.
-    """
-    nodes = [Node(AVM, TYPE_LEXICAL, (("SYNSEM", 1),))]
-    nodes += [Node(kind, type_, tuple([(f, c + 1) for f, c in feats]),
-                   tuple([c + 1 for c in elems])) for kind, type_, feats, elems in leaf.fs.nodes]
-    return Sign(leaf.hierarchy, FeatureStructure(tuple(nodes)), leaf.dom, leaf.facts)
+    """A chart leaf as a rebuild holds it: ``lexical-sign[SYNSEM]``."""
+    return Sign(leaf.hierarchy, embed(leaf.fs, TYPE_LEXICAL, "SYNSEM"), leaf.dom, leaf.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +586,9 @@ def apply_schema(schema: str, first: Sign, second: Sign,
     The one dispatch for both callers.  The chart passes chart signs
     (synsems) and one ``memo`` over a parse, and gets mothers of SYNSEM and
     domain only; the rebuild of a derivation passes whole signs and no memo,
-    and gets whole mothers with their ``DTRS``, built afresh.  Every schema
+    and gets whole mothers with their ``DTRS``, built afresh.  A memo keys a
+    whole daughter apart from every chart sign, so mixed calls may share one
+    with the chart and still get whole mothers.  Every schema
     first tests the daughters' role masks (``SignFacts.heads`` and
     ``deps``), then its conditions on the pair.
     """

@@ -255,6 +255,24 @@ def path_get(fs: FeatureStructure, path: Sequence[str]) -> FeatureStructure:
     return _canonicalize(fs.resolve(path), *zip(*fs.nodes))
 
 
+def embed(fs: FeatureStructure, type_: str, feat: str) -> FeatureStructure:
+    """``type_[feat fs]``: ``fs`` as the one feature of a new root.
+
+    Under a new root 0 a canonical structure stays canonical with every
+    node one further on, so no workspace is needed; a node without
+    children is taken over as it is.
+    """
+    nodes = [Node(AVM, type_, ((feat, 1),))]
+    for node in fs.nodes:
+        kind, name, feats, elems = node
+        if feats:
+            node = Node(AVM, name, tuple([(f, c + 1) for f, c in feats]))
+        elif elems:
+            node = Node(kind, "", (), tuple([c + 1 for c in elems]))
+        nodes.append(node)
+    return FeatureStructure(tuple(nodes))
+
+
 def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
     """Graph isomorphism respecting types, features and reentrancy."""
     return a.nodes == b.nodes

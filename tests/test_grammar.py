@@ -358,7 +358,8 @@ class TestTrace:
 
 def _whole_leaf_reference(leaf):
     """``whole_leaf`` by graft and extract, as it was written before it
-    shifted the leaf's nodes itself (the graft of a chart leaf inlined)."""
+    embedded the leaf's nodes without a workspace (the graft of a chart leaf
+    inlined)."""
     ws = Workspace(leaf.hierarchy)
     node = ws.graft(leaf.fs)
     return Sign(leaf.hierarchy, ws.extract(ws.avm(TYPE_LEXICAL, SYNSEM=node)), leaf.dom,

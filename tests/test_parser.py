@@ -498,22 +498,24 @@ class TestSchemaMemo:
         pair rebuilt whole gives a ``phrasal-sign`` with that SYNSEM and the
         schema's ``DTRS`` type (none for a trace-mode mother on an
         underspecified head); a mixed pair gives that whole mother with the
-        chart daughter wrapped as ``lexical-sign[SYNSEM]``."""
+        chart daughter wrapped as ``lexical-sign[SYNSEM]``.  One memo per
+        chart serves every call, so a whole daughter must not hit the
+        chart's mothers."""
         charts = [parse(sentence, fragment).edges for sentence in corpus_sentences()]
         charts.append(trace_chart.edges)
         rng = random.Random(14)
         tried = dict.fromkeys(SCHEMATA, 0)
         for edges in charts:
-            rebuilt = {}
+            rebuilt, memo = {}, {}
             for schema in SCHEMATA:
                 built = [e for e in edges if e.schema == schema]
                 for edge in rng.sample(built, min(len(built), 25)):
                     a, b = edge.daughters
-                    chart = grammar.apply_schema(schema, a.sign, b.sign)
+                    chart = grammar.apply_schema(schema, a.sign, b.sign, memo)
                     assert chart.fs.nodes[0].type == "synsem"
                     assert fs_equal(chart.fs, edge.sign.fs) and chart.dom == edge.sign.dom
                     whole_a, whole_b = parser._rebuild(a, rebuilt), parser._rebuild(b, rebuilt)
-                    whole = grammar.apply_schema(schema, whole_a, whole_b)
+                    whole = grammar.apply_schema(schema, whole_a, whole_b, memo)
                     assert whole.fs.nodes[0].type == TYPE_PHRASAL
                     assert fs_equal(path_get(whole.fs, P_SYNSEM), chart.fs)
                     assert whole.dom == chart.dom
@@ -526,12 +528,34 @@ class TestSchemaMemo:
                         assert whole.fs.type_at(("DTRS",)) == STRUCTURE_TYPES[schema]
                     for mixed, wrapped in (((whole_a, b.sign), (whole_a, whole_leaf(b.sign))),
                                            ((a.sign, whole_b), (whole_leaf(a.sign), whole_b))):
-                        mother = grammar.apply_schema(schema, *mixed)
-                        assert fs_equal(mother.fs, grammar.apply_schema(schema, *wrapped).fs)
+                        mother = grammar.apply_schema(schema, *mixed, memo)
+                        assert fs_equal(mother.fs, grammar.apply_schema(schema, *wrapped, memo).fs)
                         assert fs_equal(path_get(mother.fs, P_SYNSEM), chart.fs)
                         assert mother.dom == chart.dom
                     tried[schema] += 1
         assert min(tried.values()) >= 25, tried
+
+
+class TestLexiconVariants:
+    def test_an_entry_synsem_subtype_is_a_chart_sign(self, fragment):
+        """Entries whose SYNSEM has a declared subtype of ``synsem`` give
+        chart signs, not whole ones: every corpus line parses to the bundled
+        fragment's readings, and each reading replays and prints with the
+        subtype on its leaves."""
+        text = _fragment_source()
+        declaration = "(type synsem (vcomp-val) (LOC local) (NONLOC nonlocal) (LEX bool))"
+        text = text.replace(declaration, declaration + "\n(type word-synsem (synsem))")
+        assert text.count("(lexical-sign (SYNSEM (synsem") == 9
+        lexicon = load_lexicon(text.replace("(lexical-sign (SYNSEM (synsem",
+                                            "(lexical-sign (SYNSEM (word-synsem"))
+        for sentence in corpus_sentences():
+            result = parse(sentence, lexicon)
+            assert result.readings == parse(sentence, fragment).readings
+            for derivation in result.derivations:
+                assert replay(derivation).fs.nodes[0].type == TYPE_PHRASAL
+            rendered = enumerate_readings(result.derivations)
+            assert len(rendered) == result.readings
+            assert all("word-synsem" in avm for _derivation, avm in rendered)
 
 
 class TestAmbiguousLexiconStillDeterministic:
