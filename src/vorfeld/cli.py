@@ -157,9 +157,14 @@ def run_corpus(lexicon: Lexicon, text: str,
     """Parse every corpus line and judge it against its verdict.
 
     Lines are processed in order (outcomes keep corpus order); a lexical
-    gap counts as a failing line, not a crash.
+    gap counts as a failing line, not a crash.  The lines share one schema
+    memo, which lives for this call: a line unifies only the (schema,
+    daughter synsems) triples no earlier line did, so its ``millis`` leave
+    out the unifications an earlier line already did, while its chart and
+    readings are those of a parse on its own.
     """
     options = ParseOptions(edge_limit=edge_limit)
+    memo: dict = {}
     outcomes: list[LineOutcome] = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = parse_corpus_line(number, raw)
@@ -170,7 +175,7 @@ def run_corpus(lexicon: Lexicon, text: str,
         error = None
         readings = 0
         try:
-            result = parse(tokens, lexicon, options)
+            result = parse(tokens, lexicon, options, memo=memo)
             readings = result.readings
         except LexicalGapError as exc:
             error = str(exc)
@@ -214,7 +219,8 @@ def format_report(report: Report) -> str:
 def machine_report(report: Report) -> str:
     """Line-oriented key=value records (tab-separated; sentence last).
 
-    All fields except time_ms are deterministic for identical inputs.
+    All fields except time_ms are deterministic for identical inputs;
+    time_ms leaves out the unifications an earlier line of the run did.
     """
     rows = []
     for o in report.outcomes:

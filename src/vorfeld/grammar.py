@@ -51,9 +51,11 @@ looks up ``(schema, first synsem, second synsem)``, unifies on a miss, and
 stores the mother's synsem and facts (a sign with an empty domain), or
 None; the domain is always built from the daughters at hand, and only for
 a mother that exists.
-The parser passes one memo per parse, which also holds the trace-mode
-mothers; the rebuild of a derivation passes none, so it unifies every
-step afresh.
+A memo key needs nothing of the sentence, so a memo may outlive a parse:
+the parser takes one memo per parse, fresh unless its caller passes one
+(``run_corpus`` shares one between the lines of a corpus), and it also
+holds the trace-mode mothers; the rebuild of a derivation passes none, so
+it unifies every step afresh.
 """
 from __future__ import annotations
 
@@ -131,6 +133,7 @@ class SignFacts:
     vcomp: str  # 'none' | 'sel' | 'open' | 'missing'
     slash: Optional[int]
     has_mod: bool
+    open_lists: bool  # some list of the whole structure, DTRS included, is open
     comps_last_head: Optional[str] = None
     comps_last_case: Optional[str] = None
     vcomp_vform: Optional[str] = None
@@ -156,7 +159,8 @@ class Sign:
 
 
 def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
-    """The facts of the synsem at node ``synsem`` of ``fs``."""
+    """The facts of the synsem at node ``synsem`` of ``fs``; ``open_lists``
+    is read off the whole of ``fs``."""
     comps_kind = comps_last_head = comps_last_case = None
     comps_len = 0
     try:
@@ -214,6 +218,7 @@ def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
         vcomp=vcomp,
         slash=slash,
         has_mod=has_mod,
+        open_lists=any(node.kind in (OPEN, APPEND) for node in fs.nodes),
         comps_last_head=comps_last_head,
         comps_last_case=comps_last_case,
         vcomp_vform=vcomp_vform,
@@ -609,11 +614,10 @@ def check_comps_closed(sign: Sign) -> bool:
     length; a trace in the verbal-complement slot leaves the attracted
     COMPS list open, which is precisely the defect this predicate detects.
     A chart sign is its synsem, so only the synsem is checked there; on a
-    rebuilt sign the ``DTRS`` are checked too.
+    rebuilt sign the ``DTRS`` are checked too.  The lists were read once,
+    when the sign's facts were (``SignFacts.open_lists``).
     """
-    if sign.facts.vcomp in ("sel", "open", "missing"):
-        return True
-    return not any(node.kind in (OPEN, APPEND) for node in sign.fs.nodes)
+    return sign.facts.vcomp in ("sel", "open", "missing") or not sign.facts.open_lists
 
 
 def is_complete_clause(sign: Sign, clause_type: str) -> bool:

@@ -17,7 +17,7 @@ cluster, and no edge built on one, enters the chart.  Two modes:
   outgrow the edge limit, which is then reported as ``limit_hit``.
 
 A parse is sequential; distinct sentences may be parsed concurrently
-against the shared immutable lexicon.
+against the shared immutable lexicon, each with its own schema memo.
 """
 from __future__ import annotations
 
@@ -196,12 +196,21 @@ def detect_clause_type(first_signs: Iterable[Sign]) -> str:
 
 
 def parse(tokens: Sequence[str], lexicon: Lexicon,
-          options: Optional[ParseOptions] = None) -> ParseResult:
+          options: Optional[ParseOptions] = None, *,
+          memo: Optional[dict] = None) -> ParseResult:
     """All complete analyses of ``tokens``, bottom-up.
 
     Raises LexicalGapError for tokens outside the lexicon.  When the edge
     limit is exceeded the result carries ``limit_hit`` and whatever
     derivations were found before the cutoff.
+
+    ``memo`` is the schema memo (see :mod:`vorfeld.grammar`); None gives
+    this parse a fresh one.  A mother's synsem depends only on the schema
+    and its daughters' synsems, never on the sentence, so parses may share
+    a memo and each unifies only what none before it did; the chart, its
+    readings and its edge ids are the same either way.  Share a memo only
+    between sequential parses over one lexicon: its mothers carry that
+    lexicon's hierarchy.
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
@@ -268,9 +277,10 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         active &= ~_SI
     if clause_type != V2:
         active &= ~_FH
-    # one schema memo per parse (see vorfeld.grammar): each (schema,
-    # daughter structures) triple is unified once, whatever the coverages
-    memo: dict = {}
+    # each (schema, daughter structures) triple is unified once per memo,
+    # whatever the coverages
+    if memo is None:
+        memo = {}
 
     def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:
         mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)

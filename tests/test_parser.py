@@ -20,7 +20,8 @@ from vorfeld.grammar import (
     check_comps_closed,
     whole_leaf,
 )
-from vorfeld.lexicon import load_lexicon
+from vorfeld.cli import run_corpus
+from vorfeld.lexicon import corpus_text, load_lexicon
 from vorfeld.parser import (
     Derivation,
     LexicalGapError,
@@ -451,6 +452,49 @@ class TestSchemaMemo:
             parse(sentence, fragment)
             assert len(builds) == len(keys) > 0
         assert len(extracts) == 386
+
+    @staticmethod
+    def count_extracts(monkeypatch) -> list:
+        extracts = []
+        extract = Workspace.extract
+        monkeypatch.setattr(Workspace, "extract",
+                            lambda ws, root: extracts.append(root) or extract(ws, root))
+        return extracts
+
+    def test_a_corpus_run_shares_one_memo(self, monkeypatch, fragment):
+        """Work count: ``run_corpus`` passes one memo to every line, so over
+        the bundled corpus ``Workspace.extract`` runs 96 times, not the 386
+        of one memo per line.  Twice the corpus in one run still extracts 96
+        times, and every line of it passes: the memo grows with the distinct
+        structures, not with the lines."""
+        extracts = self.count_extracts(monkeypatch)
+        report = run_corpus(fragment, corpus_text())
+        assert report.passed and len(extracts) == 96
+        extracts.clear()
+        twice = run_corpus(fragment, corpus_text() + corpus_text())
+        assert twice.totals == (24, 24) and len(extracts) == 96
+
+    def test_a_shared_memo_leaves_every_chart_as_it_was(self, monkeypatch, fragment):
+        """The corpus lines parsed in reverse order through one memo extract
+        96 times too, and each line's readings and chart (edge keys,
+        structures and coverages) equal those of its standalone parse."""
+        extracts = self.count_extracts(monkeypatch)
+        reverse = "\n".join(reversed(corpus_text().splitlines()))
+        assert run_corpus(fragment, reverse).passed and len(extracts) == 96
+        memo, shared_extracts = {}, 0
+        for sentence in reversed(corpus_sentences()):
+            before = len(extracts)
+            shared = parse(sentence, fragment, memo=memo)
+            shared_extracts += len(extracts) - before
+            alone = parse(sentence, fragment)
+            assert ([d.canonical_key() for d in shared.derivations]
+                    == [d.canonical_key() for d in alone.derivations])
+            assert len(shared.edges) == len(alone.edges)
+            for a, b in zip(shared.edges, alone.edges):
+                assert a.key() == b.key() and a.coverage == b.coverage
+                assert a.sign.fs.nodes == b.sign.fs.nodes and a.sign.facts == b.sign.facts
+                assert a.sign.dom == b.sign.dom
+        assert shared_extracts == 96
 
     def test_replay_unifies_every_step_again(self, monkeypatch, fragment):
         """After the chart has filled its memo, rebuilding each reading still
