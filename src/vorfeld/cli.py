@@ -161,7 +161,9 @@ def run_corpus(lexicon: Lexicon, text: str,
     memo, which lives for this call: a line unifies only the (schema,
     daughter synsems) triples no earlier line did, so its ``millis`` leave
     out the unifications an earlier line already did, while its chart and
-    readings are those of a parse on its own.
+    readings are those of a parse on its own.  Each line's parse keeps its
+    own pair table (see :func:`vorfeld.parser.parse`): its mothers carry the
+    line's domains, so it is never shared.
     """
     options = ParseOptions(edge_limit=edge_limit)
     memo: dict = {}

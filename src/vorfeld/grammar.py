@@ -55,7 +55,11 @@ A memo key needs nothing of the sentence, so a memo may outlive a parse:
 the parser takes one memo per parse, fresh unless its caller passes one
 (``run_corpus`` shares one between the lines of a corpus), and it also
 holds the trace-mode mothers; the rebuild of a derivation passes none, so
-it unifies every step afresh.
+it unifies every step afresh.  Above the memo the parser keeps a pair table
+for one parse, keyed by the daughter signs themselves, which stores whole
+chart mothers, domain included, so a pair of signs met again does not reach
+a schema at all; it never enters the memo, since domains belong to one
+sentence.
 """
 from __future__ import annotations
 

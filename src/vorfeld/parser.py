@@ -69,6 +69,8 @@ class ParseOptions:
     def __post_init__(self):
         if self.mode not in (LICENSING, TRACE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if isinstance(self.edge_limit, bool) or not isinstance(self.edge_limit, int):
+            raise ValueError(f"edge_limit must be an int, not {self.edge_limit!r}")
         if self.edge_limit <= 0:
             raise ValueError("edge_limit must be positive")
         if self.clause_type not in ("auto", V2, VFINAL):
@@ -211,6 +213,16 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     readings and its edge ids are the same either way.  Share a memo only
     between sequential parses over one lexicon: its mothers carry that
     lexicon's hierarchy.
+
+    Above the memo, each parse keeps a pair table of its own, which maps
+    (schema, first sign, second sign) to the mother sign, domain included:
+    a mother depends on nothing else, so a pair of signs goes through
+    ``apply_schema`` once however many pairs of edges hold it.  Edges built
+    from one pair share its mother's sign, so pairs on that sign hit in turn
+    (trace mode's n+1 trace edges share one sign).  Domains belong to the
+    sentence, so the table never outlives the parse.  Filler identity and
+    verb-cluster order are facts of the edges: they are judged on every
+    pair and never stored.
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
@@ -281,19 +293,23 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     # whatever the coverages
     if memo is None:
         memo = {}
+    # the pair table: signs key by identity, and only mothers that exist are
+    # stored, since failed pairs would grow licensing mode's table, where no
+    # pair of signs recurs
+    pairs: dict[tuple[str, Sign, Sign], Sign] = {}
 
     def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:
-        mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
-        if mother is not None:
-            add(mother, schema, (a, b), licenser_id)
+        key = (schema, a.sign, b.sign)
+        mother = pairs.get(key)
+        if mother is None:
+            mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
+            if mother is None:
+                return
+            pairs[key] = mother
+        add(mother, schema, (a, b), licenser_id)
 
-    def combine(a: Edge, b: Edge) -> None:
-        """Try every schema with ``a`` as the head-like first argument."""
-        if a.coverage & b.coverage:
-            return
-        fits = a.heads & b.deps & active
-        if not fits:
-            return
+    def combine(a: Edge, b: Edge, fits: int) -> None:
+        """Try the schemata in ``fits`` with ``a`` as the head-like first argument."""
         licenser_id = a.licenser_id if a.licenser_id is not None else b.licenser_id
         if fits & _HC:
             attach(SCHEMA_HEAD_COMPLEMENT, a, b, licenser_id)
@@ -316,13 +332,20 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         done += 1
         if e.schema == SCHEMA_FILLER_HEAD:
             continue
+        # a pair reaches combine only when its coverages are disjoint and the
+        # role masks admit some active schema, in the direction tried
+        heads, deps = e.heads & active, e.deps & active
         for f in unslashed if e.slash1 else processed:
-            combine(e, f)
-            if state["limit_hit"]:
-                break
-            combine(f, e)
-            if state["limit_hit"]:
-                break
+            if e.coverage & f.coverage:
+                continue
+            if fits := heads & f.deps:
+                combine(e, f, fits)
+                if state["limit_hit"]:
+                    break
+            if fits := f.heads & deps:
+                combine(f, e, fits)
+                if state["limit_hit"]:
+                    break
         processed.append(e)
         if not e.slash1:
             unslashed.append(e)

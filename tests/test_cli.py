@@ -175,6 +175,15 @@ class TestCmdParse:
         assert "replay" not in calls
         capsys.readouterr()
 
+    def test_trace_mode_reports_the_edge_limit(self, capsys):
+        """The transcript of README.md's "Trace mode" section."""
+        argv = ["parse", "--sentence", "Erzählen wird er seiner Tochter ein Märchen",
+                "--mode", "trace", "--edge-limit", "10000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "readings: 0\n"
+            "edge limit 10000 exceeded in trace mode (10000 edges built)\n")
+
     def test_bad_flag_exits_two(self, capsys):
         assert main(["parse", "--sentence", "Er wird", "--mode", "psychic"]) == 2
 

@@ -363,6 +363,11 @@ class TestTraceMode:
         with pytest.raises(ValueError):
             ParseOptions(clause_type="v1")
 
+    @pytest.mark.parametrize("limit", [True, False, 2.5, 10000.0, "10", None])
+    def test_a_non_int_edge_limit_is_rejected(self, limit):
+        with pytest.raises(ValueError, match="edge_limit must be an int"):
+            ParseOptions(edge_limit=limit)
+
 
 # SHA-256 over every edge of the criterion-2 trace chart (10,000 edges),
 # first recorded before the processed edges were indexed by SLASH (the index
@@ -397,16 +402,49 @@ class TestSlashIndex:
         assert len(trace_chart.edges) == 10000
         assert _chart_digest(trace_chart.edges) == TRACE_CHART_DIGEST
 
-    def test_schema_applications_pinned(self, monkeypatch, fragment):
-        """Work count: the schema applications of the criterion-2 demo, the
-        same with and without the index (no skipped pair reached a schema)."""
+    @staticmethod
+    def count_applications(monkeypatch) -> list:
+        """Every schema application from now on, as (schema, first, second)."""
         calls = []
         apply_schema = grammar.apply_schema
-        monkeypatch.setattr(grammar, "apply_schema",
-                            lambda *args, **kw: calls.append(args[0]) or apply_schema(*args, **kw))
+        monkeypatch.setattr(grammar, "apply_schema", lambda *args, **kw:
+                            calls.append(args[:3]) or apply_schema(*args, **kw))
+        return calls
+
+    def test_schema_applications_pinned(self, monkeypatch, fragment):
+        """Work count: the schema applications of the criterion-2 demo, the
+        same with and without the index (no skipped pair reached a schema).
+        The parse's pair table applies each (schema, first sign, second
+        sign) that has a mother once: 4,401 applications, where applying
+        every pair of edges afresh made 13,055."""
+        calls = self.count_applications(monkeypatch)
         report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000)
         assert report.edges_built == 10000
-        assert len(calls) == 13055
+        assert len(calls) == 4401
+
+    def test_trace_edges_share_their_mothers(self, trace_chart):
+        """Edges built from one pair of signs share the pair's mother, so
+        the 10,000 edges of the criterion-2 chart hold 1,340 distinct signs
+        (9,993 while each edge got a sign of its own)."""
+        assert len({id(e.sign) for e in trace_chart.edges}) == 1340
+
+    def test_licensing_mode_never_repeats_a_sign_pair(self, monkeypatch, fragment):
+        """Work count: ``run_corpus`` makes 4,566 schema applications, as
+        it did before the pair table: each is on a pair of signs no other
+        one had, so the table saves licensing mode nothing."""
+        calls = self.count_applications(monkeypatch)
+        assert run_corpus(fragment, corpus_text()).passed
+        assert len(set(calls)) == len(calls) == 4566
+
+    def test_the_pair_table_lives_for_one_parse(self, fragment):
+        """Two trace-mode parses through one schema memo build the pinned
+        chart twice, and share no sign: the pair table, whose mothers carry
+        one sentence's domains, starts empty in each parse."""
+        memo = {}
+        options = ParseOptions(mode="trace", edge_limit=10000)
+        first, second = (parse(S_1A.split(), fragment, options, memo=memo) for _ in range(2))
+        assert _chart_digest(first.edges) == _chart_digest(second.edges) == TRACE_CHART_DIGEST
+        assert not {id(e.sign) for e in first.edges} & {id(e.sign) for e in second.edges}
 
     def test_no_schema_combines_two_slashed_edges(self, fragment, trace_chart):
         """The invariant the index rests on, checked on the schemata
