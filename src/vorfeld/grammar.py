@@ -5,10 +5,10 @@ is the SYNSEM value itself, and it records no daughters.  The derivation
 tree lives once, on the parser's edges, and the whole sign, a
 ``phrasal-sign`` with its typed daughter structure (``DTRS``), exists only
 on derivations rebuilt from their lexical leaves
-(:func:`vorfeld.parser.replay`).  Both the chart and the rebuild apply the
-schemata through :func:`apply_schema`, and nothing tells a schema which of
-them calls: a mother is whole, ``DTRS`` included, exactly when a daughter
-is, and the rebuild starts from whole leaves (:func:`whole_leaf`).
+(:func:`vorfeld.parser.replay`).  The schemata build chart signs only.  A
+rebuild grafts each leaf once into one workspace and runs each schema's
+step there (:func:`rebuild`): the same prechecks, unification and
+domain as in the chart, with ``DTRS`` built from node ids.
 Five schemata combine signs:
 
 * head-complement: binary; saturates the last (most oblique) element of a
@@ -42,19 +42,19 @@ of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
 sign may be the first daughter of, ``deps`` the second.  A schema tests the
 masks, then its conditions on the pair; the parser pairs on the same masks.
 
-Past its prechecks every schema runs one skeleton: a schema states only its
-unification, the mother's LOC, LEX, SLASH and ``DTRS``, its domain and its
-memo key.  A mother's structure depends only on the schema and its
-daughters' structures, never on their coverage or domain.  So a schema
-takes an optional memo: after its prechecks (which may read the domains) it
-looks up ``(schema, first synsem, second synsem)``, unifies on a miss, and
-stores the mother's synsem and facts (a sign with an empty domain), or
-None; the domain is always built from the daughters at hand, and only for
-a mother that exists.
+A schema's step runs its prechecks and gives the mother's memo key, the
+body that unifies and the domain; its ``apply_*`` function runs the step
+in the chart's one skeleton.  A mother's structure depends only on the
+schema and its daughters' structures, never on their coverage or domain.
+So the skeleton takes an optional memo: after the prechecks (which may
+read the domains) it looks up ``(schema, first synsem, second synsem)``,
+unifies on a miss, and stores the mother's synsem and facts (a sign with
+an empty domain), or None; the domain is always built from the daughters
+at hand, and only for a mother that exists.
 A memo key needs nothing of the sentence, so a memo may outlive a parse:
 the parser takes one memo per parse, fresh unless its caller passes one
 (``run_corpus`` shares one between the lines of a corpus), and it also
-holds the trace-mode mothers; the rebuild of a derivation passes none, so
+holds the trace-mode mothers; the rebuild of a derivation uses none, so
 it unifies every step afresh.  Above the memo the parser keeps a pair table
 for one parse, keyed by the daughter signs themselves, which stores whole
 chart mothers, domain included, so a pair of signs met again does not reach
@@ -81,7 +81,6 @@ from .tfs import (
     PathError,
     TypeHierarchy,
     Workspace,
-    embed,
     path_get,
 )
 
@@ -150,10 +149,9 @@ class SignFacts:
 class Sign:
     """A word or phrase: feature structure and order domain.
 
-    In the chart ``fs`` is the sign's synsem; a sign rebuilt from its
-    derivation holds the whole sign, ``lexical-sign`` or ``phrasal-sign``
-    with its ``DTRS``.  A schema's mother is whole exactly when a daughter
-    is.
+    In the chart, and at each step of a rebuild, ``fs`` is the sign's
+    synsem; only the root of a rebuilt derivation holds the whole sign,
+    ``lexical-sign`` or ``phrasal-sign`` with its ``DTRS``.
     """
 
     hierarchy: TypeHierarchy
@@ -304,8 +302,8 @@ def _memoized(memo: Optional[dict], key: tuple,
               build: Callable[[], Optional[Sign]]) -> Optional[Sign]:
     """``build()``, run once per ``key`` of ``memo`` (every time without one).
 
-    A key holds the daughters' structures, or as much of them as the mother
-    depends on, so a whole daughter never hits a chart mother.
+    A key holds the daughters' synsems, or as much of them as the mother
+    depends on.
     """
     if memo is None:
         return build()
@@ -316,75 +314,62 @@ def _memoized(memo: Optional[dict], key: tuple,
         return mother
 
 
-def _is_whole(sign: Sign) -> bool:
-    """``sign`` is a whole sign (rebuilt), not a chart sign (a synsem).
-
-    Whole signs are only ever built as these two types, while a chart
-    sign's root may be any subtype of ``synsem`` that a lexicon declares.
-    """
-    return sign.fs.nodes[0].type in (TYPE_LEXICAL, TYPE_PHRASAL)
+# A schema past its prechecks: its memo key; its body, which unifies and
+# returns the mother's LOC, LEX (None for none) and SLASH nodes and its DTRS
+# type (None for none) and features, or None; and ``place(mother)``, the
+# mother's domain built from the daughters at hand, or None.
+Step = tuple[tuple, Callable[..., Optional[tuple]], Callable[[Sign], Optional[Domain]]]
 
 
-def _combine(key: tuple, first: Sign, second: Sign, memo: Optional[dict],
-             body: Callable[..., Optional[tuple]],
-             place: Callable[[], Optional[Domain]]) -> Optional[Sign]:
-    """The one skeleton of every schema, past its prechecks.
+def _synsem(ws: Workspace, parts: tuple) -> int:
+    """The mother's synsem node, from the LOC, LEX and SLASH a body returns."""
+    loc, lex, slash = parts[:3]
+    feats = {"LOC": loc, "NONLOC": ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))}
+    if lex is not None:
+        feats["LEX"] = lex
+    return ws.avm("synsem", **feats)
 
-    On a miss of ``key`` in ``memo`` it grafts both daughters into a new
-    workspace and calls ``body(ws, a, a_synsem, b, b_synsem)``, each
-    daughter given as the node the mother's ``DTRS`` records and its synsem
-    node.  The body unifies and returns the mother's LOC, LEX (None for
-    none) and SLASH nodes, its ``DTRS`` type (None for none) and features;
-    or None.  The mother is whole exactly when a daughter is whole: a
-    ``phrasal-sign`` with its ``DTRS``, a chart daughter wrapped as
-    ``lexical-sign[SYNSEM]``; otherwise it is the bare synsem of a chart
-    sign.  Only a mother that exists gets a domain, ``place()``, built from
-    the daughters at hand.
-    """
-    def build() -> Optional[Sign]:
-        whole = _is_whole(first) or _is_whole(second)
-        ws = Workspace(first.hierarchy)
-        dtrs = []
-        for sign in (first, second):
-            node = ws.graft(sign.fs)
-            if _is_whole(sign):
-                dtrs.append((node, ws.resolve(node, P_SYNSEM)))
-            else:
-                dtrs.append((ws.avm(TYPE_LEXICAL, SYNSEM=node) if whole else node, node))
-        parts = body(ws, *dtrs[0], *dtrs[1])
-        if parts is None:
-            return None
-        loc, lex, slash, struct_type, struct_feats = parts
-        feats = {"LOC": loc, "NONLOC": ws.avm("nonlocal", INHER=ws.avm("inherited", SLASH=slash))}
-        if lex is not None:
-            feats["LEX"] = lex
-        synsem = ws.avm("synsem", **feats)
-        if whole:
-            feats = {"SYNSEM": synsem}
-            if struct_type is not None:
-                feats["DTRS"] = ws.avm(struct_type, **struct_feats)
-            fs = ws.extract(ws.avm(TYPE_PHRASAL, **feats))
-            return fs and Sign(ws.hierarchy, fs, EMPTY_DOMAIN, _facts(fs, fs.resolve(P_SYNSEM)))
-        fs = ws.extract(synsem)
-        return fs and make_sign(ws.hierarchy, fs)
 
-    mother = _memoized(memo, key, build)
-    dom = None if mother is None else place()
+def _placed(mother: Optional[Sign], place: Callable[[Sign], Optional[Domain]]) -> Optional[Sign]:
+    """``mother`` in the domain ``place`` gives it; None without either."""
+    dom = None if mother is None else place(mother)
     return None if dom is None else Sign(mother.hierarchy, mother.fs, dom, mother.facts)
 
 
-def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, memo: Optional[dict],
-                           place: Callable[[], Optional[Domain]]) -> Optional[Sign]:
-    """Trace-mode combinations on underspecified heads.
+def _combine(step: Optional[Step], first: Sign, second: Sign,
+             memo: Optional[dict]) -> Optional[Sign]:
+    """The chart mother of ``step`` on chart signs ``first`` and ``second``.
+
+    On a miss of the step's key in ``memo`` it grafts both synsems into a
+    new workspace, runs the body on them, each daughter given as its synsem
+    node twice (the chart records no ``DTRS``), and extracts the mother's
+    synsem.  Only a mother that exists is placed.
+    """
+    if step is None:
+        return None
+    key, body, place = step
+
+    def build() -> Optional[Sign]:
+        ws = Workspace(first.hierarchy)
+        a, b = ws.graft(first.fs), ws.graft(second.fs)
+        parts = body(ws, a, a, b, b)
+        fs = parts and ws.extract(_synsem(ws, parts))
+        return fs and make_sign(ws.hierarchy, fs)
+
+    return _placed(_memoized(memo, key, build), place)
+
+
+def _underspecified(head: Sign, other: Sign, as_cluster: bool,
+                    place: Callable[[Sign], Optional[Domain]]) -> Step:
+    """The step of a trace-mode combination on an underspecified head.
 
     The head imposes no constraint on the other daughter (that is the
     defect being demonstrated), so no unification is needed; the mother is
     built from the daughters' synsems alone.  The other daughter
     contributes nothing beyond a possible SLASH element, so the memo key is
     the head's synsem, the SLASH donor and the kind of combination, which
-    keeps the exploding chart affordable.  A whole other daughter is keyed
-    too, as it makes the mother whole.  The mother records no daughters: a
-    whole one is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
+    keeps the exploding chart affordable.  The mother records no daughters:
+    rebuilt, it is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
     """
     from_other = head.facts.slash != 1 and other.facts.slash == 1
 
@@ -403,18 +388,12 @@ def _underspecified_mother(head: Sign, other: Sign, as_cluster: bool, memo: Opti
         cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
         return ws.avm("local", CAT=cat), lex, slash, None, {}
 
-    key = (head.fs.nodes, other.fs.nodes if from_other or _is_whole(other) else None,
-           as_cluster)
-    return _combine(key, head, other, memo, body, place)
-
-
-def whole_leaf(leaf: Sign) -> Sign:
-    """A chart leaf as a rebuild holds it: ``lexical-sign[SYNSEM]``."""
-    return Sign(leaf.hierarchy, embed(leaf.fs, TYPE_LEXICAL, "SYNSEM"), leaf.dom, leaf.facts)
+    return (head.fs.nodes, other.fs.nodes if from_other else None, as_cluster), body, place
 
 
 # ---------------------------------------------------------------------------
-# the schemata
+# the schemata: each ``apply_*`` runs its schema's step, which the rebuild
+# of a derivation runs too, in the chart's skeleton
 
 
 def apply_head_complement(head: Sign, comp: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
@@ -433,11 +412,15 @@ def apply_head_complement(head: Sign, comp: Sign, memo: Optional[dict] = None) -
     stays open once its VCOMP is none, and in the bundled fragment only
     traces leave VCOMP underspecified, so this surfaces in trace mode alone.
     """
+    return _combine(_head_complement(head, comp), head, comp, memo)
+
+
+def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_HEAD_COMPLEMENT, head, comp) or _slash_overflow(head, comp):
         return None
-    place = lambda: _insert_comp_dom(head, comp)
+    place = lambda _mother: _insert_comp_dom(head, comp)
     if head.facts.comps_kind != CLOSED:
-        return _underspecified_mother(head, comp, False, memo, place)
+        return _underspecified(head, comp, False, place)
     if not _compatible(head.hierarchy, head.facts.comps_last_head, comp.facts.head):
         return None
     if not _compatible(head.hierarchy, head.facts.comps_last_case, comp.facts.case):
@@ -453,8 +436,7 @@ def apply_head_complement(head: Sign, comp: Sign, memo: Optional[dict] = None) -
         return (ws.avm("local", CAT=cat), ws.atom("-"), slash, "head-complement-structure",
                 {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])})
 
-    return _combine((SCHEMA_HEAD_COMPLEMENT, head.fs.nodes, comp.fs.nodes), head, comp, memo,
-                    body, place)
+    return (SCHEMA_HEAD_COMPLEMENT, head.fs.nodes, comp.fs.nodes), body, place
 
 
 def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
@@ -464,6 +446,10 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[dict] = None) -
     value; the adjunct joins the domain as its own element and may end up
     separated from the head.
     """
+    return _combine(_head_adjunct(head, adjunct), head, adjunct, memo)
+
+
+def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_HEAD_ADJUNCT, head, adjunct) or _slash_overflow(head, adjunct):
         return None
     if not _compatible(head.hierarchy, adjunct.facts.mod_head, head.facts.head):
@@ -476,8 +462,8 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[dict] = None) -
                 _union_slash(ws, (h_synsem, a_synsem)), "head-adjunct-structure",
                 {"HEAD-DTR": h, "ADJUNCT-DTR": a})
 
-    return _combine((SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), head, adjunct, memo,
-                    body, lambda: od.domain_union(head.dom, adjunct.dom))
+    return ((SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), body,
+            lambda _mother: od.domain_union(head.dom, adjunct.dom))
 
 
 def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
@@ -494,13 +480,17 @@ def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[dict] = None) -
     the trace account suffers from.  Licensing-mode signs always pin VCOMP
     to none or a synsem, so this only surfaces in trace mode.
     """
+    return _combine(_verb_cluster(head, cluster), head, cluster, memo)
+
+
+def _verb_cluster(head: Sign, cluster: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_VERB_CLUSTER, head, cluster) or _slash_overflow(head, cluster):
         return None
-    place = lambda: od.domain_union(head.dom, cluster.dom)
+    place = lambda _mother: od.domain_union(head.dom, cluster.dom)
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
-        return _underspecified_mother(head, cluster, True, memo, place)
+        return _underspecified(head, cluster, True, place)
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, cluster.facts.vform):
         return None
 
@@ -513,8 +503,7 @@ def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[dict] = None) -
         return (ws.avm("local", CAT=cat), ws.atom("+"), slash, "head-cluster-structure",
                 {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])})
 
-    return _combine((SCHEMA_VERB_CLUSTER, head.fs.nodes, cluster.fs.nodes), head, cluster, memo,
-                    body, place)
+    return (SCHEMA_VERB_CLUSTER, head.fs.nodes, cluster.fs.nodes), body, place
 
 
 def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
@@ -529,6 +518,10 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
     rejected.  The licenser contributes nothing to the mother's domain,
     so it stays out of the mother's coverage until the filler binds it.
     """
+    return _combine(_slash_introduction(head, licenser), head, licenser, memo)
+
+
+def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_SLASH_INTRO, head, licenser):
         return None
     if not _compatible(head.hierarchy, head.facts.vcomp_vform, licenser.facts.vform):
@@ -545,9 +538,8 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
         return (ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]),
                 "complement-slash-licencing-structure", {"HEAD-DTR": h, "VCOMP-DTR": li})
 
-    mother = _combine((SCHEMA_SLASH_INTRO, head.fs.nodes, licenser.fs.nodes), head, licenser,
-                      memo, body, lambda: head.dom)
-    return mother if mother is None or check_comps_closed(mother) else None
+    return ((SCHEMA_SLASH_INTRO, head.fs.nodes, licenser.fs.nodes), body,
+            lambda mother: head.dom if check_comps_closed(mother) else None)
 
 
 def apply_filler_head(filler: Sign, head: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
@@ -559,6 +551,10 @@ def apply_filler_head(filler: Sign, head: Sign, memo: Optional[dict] = None) -> 
     The parser additionally requires the filler to be the very edge that
     licensed the dependency.
     """
+    return _combine(_filler_head(filler, head), filler, head, memo)
+
+
+def _filler_head(filler: Sign, head: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_FILLER_HEAD, filler, head):
         return None
     verb_pos = od.finite_verb_position(head.dom)
@@ -572,36 +568,86 @@ def apply_filler_head(filler: Sign, head: Sign, memo: Optional[dict] = None) -> 
         return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
                 "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f})
 
-    return _combine((SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), filler, head, memo,
-                    body, lambda: od.insert_filler_domain(head.dom, filler, verb_pos))
+    return ((SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), body,
+            lambda _mother: od.insert_filler_domain(head.dom, filler, verb_pos))
 
 
-# schema label -> name of the function applying it, looked up in this
+# schema label -> the name of the function applying it, looked up in this
 # module's namespace at every call rather than bound here, so that a wrapper
-# installed on the module attribute (perfbench/tracer.py) sees every call
+# installed on the module attribute (perfbench/tracer.py) sees every call;
+# and the schema's step, which the rebuild runs in its own workspace
 _APPLY = {
-    SCHEMA_HEAD_COMPLEMENT: "apply_head_complement",
-    SCHEMA_HEAD_ADJUNCT: "apply_head_adjunct",
-    SCHEMA_VERB_CLUSTER: "apply_verb_cluster",
-    SCHEMA_SLASH_INTRO: "apply_pvp_slash_introduction",
-    SCHEMA_FILLER_HEAD: "apply_filler_head",
+    SCHEMA_HEAD_COMPLEMENT: ("apply_head_complement", _head_complement),
+    SCHEMA_HEAD_ADJUNCT: ("apply_head_adjunct", _head_adjunct),
+    SCHEMA_VERB_CLUSTER: ("apply_verb_cluster", _verb_cluster),
+    SCHEMA_SLASH_INTRO: ("apply_pvp_slash_introduction", _slash_introduction),
+    SCHEMA_FILLER_HEAD: ("apply_filler_head", _filler_head),
 }
 
 
 def apply_schema(schema: str, first: Sign, second: Sign,
                  memo: Optional[dict] = None) -> Optional[Sign]:
-    """Apply the schema labelled ``schema`` to its daughters in derivation order.
+    """Apply the schema labelled ``schema`` to chart signs in derivation order.
 
-    The one dispatch for both callers.  The chart passes chart signs
-    (synsems) and one ``memo`` over a parse, and gets mothers of SYNSEM and
-    domain only; the rebuild of a derivation passes whole signs and no memo,
-    and gets whole mothers with their ``DTRS``, built afresh.  A memo keys a
-    whole daughter apart from every chart sign, so mixed calls may share one
-    with the chart and still get whole mothers.  Every schema
-    first tests the daughters' role masks (``SignFacts.heads`` and
-    ``deps``), then its conditions on the pair.
+    The chart's one dispatch.  It gets a mother of SYNSEM and domain only,
+    through ``memo`` if one is given.  Every schema first tests the
+    daughters' role masks (``SignFacts.heads`` and ``deps``), then its
+    conditions on the pair; the rebuild of a derivation runs the same
+    steps (:func:`rebuild`).
     """
-    return globals()[_APPLY[schema]](first, second, memo=memo)
+    return globals()[_APPLY[schema][0]](first, second, memo=memo)
+
+
+# ---------------------------------------------------------------------------
+# the rebuild of a derivation, in one workspace
+
+
+def rebuild(root) -> Optional[Sign]:
+    """The whole sign of derivation tree ``root``; None on divergence.
+
+    A node of the tree has its chart ``sign``, and an internal one its
+    ``schema`` and two ``daughters`` (:class:`vorfeld.parser.Edge`).  In
+    one workspace, bottom-up, each leaf occurrence is grafted once as
+    ``lexical-sign[SYNSEM]`` and each internal one runs its schema's step:
+    the prechecks and ``place()`` read the daughters' chart signs, the body
+    unifies their nodes, and extracting the mother's synsem seals its
+    append lists, runs the occurs check and gives the chart sign the next
+    step reads.  Only the root is extracted whole; its ``open_lists``
+    covers ``DTRS`` too.
+    """
+    ws = Workspace(root.sign.hierarchy)
+    done = []  # finished subtrees: chart sign, whole sign node, synsem node
+    stack = [(root, False)]
+    while stack:
+        edge, expanded = stack.pop()
+        if not edge.daughters:
+            synsem = ws.graft(edge.sign.fs)
+            done.append((edge.sign, ws.avm(TYPE_LEXICAL, SYNSEM=synsem), synsem))
+        elif not expanded:
+            stack.append((edge, True))
+            stack.extend((d, False) for d in reversed(edge.daughters))
+        else:
+            (a, a_node, a_synsem), (b, b_node, b_synsem) = done[-2:]
+            del done[-2:]
+            step = _APPLY[edge.schema][1](a, b)
+            if step is None:
+                return None
+            _key, body, place = step
+            parts = body(ws, a_node, a_synsem, b_node, b_synsem)
+            if parts is None:
+                return None
+            synsem = _synsem(ws, parts)
+            fs = ws.extract(synsem)
+            mother = _placed(fs and make_sign(ws.hierarchy, fs), place)
+            if mother is None:
+                return None
+            feats = {"SYNSEM": synsem}
+            if parts[3] is not None:
+                feats["DTRS"] = ws.avm(parts[3], **parts[4])
+            done.append((mother, ws.avm(TYPE_PHRASAL, **feats), synsem))
+    sign, node, _ = done[0]
+    fs = ws.extract(node)
+    return fs and Sign(ws.hierarchy, fs, sign.dom, _facts(fs, fs.resolve(P_SYNSEM)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +663,10 @@ def check_comps_closed(sign: Sign) -> bool:
     discharged, every list in the sign's structure must have determinate
     length; a trace in the verbal-complement slot leaves the attracted
     COMPS list open, which is precisely the defect this predicate detects.
-    A chart sign is its synsem, so only the synsem is checked there; on a
-    rebuilt sign the ``DTRS`` are checked too.  The lists were read once,
-    when the sign's facts were (``SignFacts.open_lists``).
+    A chart sign is its synsem, so only the synsem is checked there, as
+    at each step of a rebuild; on the root a rebuild returns the ``DTRS``
+    are checked too.  The lists were read once, when the sign's facts were
+    (``SignFacts.open_lists``).
     """
     return sign.facts.vcomp in ("sel", "open", "missing") or not sign.facts.open_lists
 

@@ -116,7 +116,7 @@ class Derivation:
 
     @cached_property
     def sign(self) -> Sign:
-        """The full root sign, ``DTRS`` included, rebuilt once by :func:`replay`."""
+        """The full root sign, ``DTRS`` included: :func:`replay`, run once and kept."""
         sign = replay(self)
         if sign is None:
             raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
@@ -366,18 +366,11 @@ def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
 
 
 def enumerate_readings(derivations: Sequence[Derivation]) -> list[tuple[Derivation, str]]:
-    """Derivations in deterministic order, each with its root AVM text.
-
-    The readings of one parse share most of their internal edges, so they
-    are rebuilt through one cache of full signs, which lives for this call
-    only: each distinct edge is unified once.  It is never the chart's
-    schema memo, whose mothers carry no ``DTRS``.
-    """
-    ordered = sorted(derivations, key=Derivation.canonical_key)
-    rebuilt: dict[Edge, Optional[Sign]] = {}
+    """Derivations in deterministic order, each with its root AVM text,
+    printed from its :func:`replay`."""
     readings = []
-    for d in ordered:
-        sign = _rebuild(d.root, rebuilt)
+    for d in sorted(derivations, key=Derivation.canonical_key):
+        sign = replay(d)
         if sign is None:
             raise RuntimeError(f"derivation {d.canonical_key()} does not replay")
         readings.append((d, print_fs(sign.fs)))
@@ -410,45 +403,17 @@ def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
 
 
 def replay(derivation: Derivation) -> Optional[Sign]:
-    """Re-apply every schema from the lexical leaves up; None on divergence.
+    """The full sign of ``derivation``, ``DTRS`` included; None on divergence.
 
-    The rebuild starts from whole leaves, so each mother is whole and keeps
-    its ``DTRS``, unlike the chart's: the result is the full sign, an AVM
-    with the whole derivation inside.
-    Soundness: its SYNSEM and domain equal those of the chart's root.  The
-    rebuild shares no memo with the chart: each distinct edge unifies afresh,
-    once (a licenser that is also the filler too), so the comparison checks
-    the chart rather than the memo against itself.
+    The derivation is rebuilt in one workspace, each step through its
+    schema's prechecks, unification and ``place()``
+    (:func:`vorfeld.grammar.rebuild`), and only the root is extracted
+    whole.  An edge that occurs twice, a licenser that is also the filler,
+    is built twice, and its two copies share only what the schemata unify,
+    their LOC.
+    Soundness: the root's SYNSEM and domain equal those of the chart's
+    root.  The rebuild shares no memo with the chart: every step unifies
+    afresh, so the comparison checks the chart rather than the memo
+    against itself.
     """
-    return _rebuild(derivation.root, {})
-
-
-def _rebuild(root: Edge, rebuilt: dict[Edge, Optional[Sign]]) -> Optional[Sign]:
-    """The full sign of ``root``, rebuilt bottom-up without recursion.
-
-    Edges found in ``rebuilt`` are taken from it, and every edge rebuilt is
-    added to it, so each distinct edge is rebuilt once however many trees
-    passed in with the same ``rebuilt`` share it.  A leaf rebuilds to
-    ``lexical-sign[SYNSEM]`` (:func:`vorfeld.grammar.whole_leaf`), and since
-    a schema's mother is whole when its daughters are, every other edge to
-    a ``phrasal-sign``.
-    """
-    done: list[Optional[Sign]] = []  # full signs of the finished subtrees
-    stack = [(root, False)]
-    while stack:
-        edge, expanded = stack.pop()
-        if edge in rebuilt:
-            done.append(rebuilt[edge])
-        elif not edge.daughters:
-            rebuilt[edge] = G.whole_leaf(edge.sign)
-            done.append(rebuilt[edge])
-        elif not expanded:
-            stack.append((edge, True))
-            stack.extend((d, False) for d in reversed(edge.daughters))
-        else:
-            b = done.pop()
-            a = done.pop()
-            sign = None if a is None or b is None else G.apply_schema(edge.schema, a, b)
-            rebuilt[edge] = sign
-            done.append(sign)
-    return done[0]
+    return G.rebuild(derivation.root)

@@ -159,7 +159,7 @@ class TestCmdParse:
     def test_bare_parse_renders_no_avm(self, capsys, monkeypatch):
         from vorfeld import parser
         calls = []
-        for name in ("print_fs", "replay", "_rebuild"):
+        for name in ("print_fs", "replay"):
             def counted(*args, _name=name, _original=getattr(parser, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -169,10 +169,8 @@ class TestCmdParse:
         assert main(["parse", "--sentence", sentence, "--print-derivation"]) == 0
         assert calls == []
         assert main(["parse", "--sentence", sentence, "--print-avm"]) == 0
-        # the readings are rebuilt together (parser.enumerate_readings), one
-        # shared-cache rebuild each rather than one replay each
-        assert calls.count("print_fs") == calls.count("_rebuild") == 10
-        assert "replay" not in calls
+        # each reading is printed from its replay (parser.enumerate_readings)
+        assert calls.count("print_fs") == calls.count("replay") == 10
         capsys.readouterr()
 
     def test_trace_mode_reports_the_edge_limit(self, capsys):

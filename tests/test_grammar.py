@@ -1,4 +1,4 @@
-from conftest import corpus_sentences, sign_at
+from conftest import sign_at
 from vorfeld import grammar
 from vorfeld.avm import read_fs
 from vorfeld.grammar import (
@@ -20,15 +20,13 @@ from vorfeld.grammar import (
     apply_pvp_slash_introduction,
     apply_schema,
     apply_verb_cluster,
-    TYPE_LEXICAL,
     check_comps_closed,
     lexical_sign,
     make_vcomp_trace,
-    whole_leaf,
 )
 from vorfeld.orderdomain import mask_positions
 from vorfeld.parser import Derivation, Edge, demonstrate_trace_mode, parse
-from vorfeld.tfs import Workspace, fs_equal, path_get
+from vorfeld.tfs import fs_equal, path_get
 
 
 def _comps_cases(sign):
@@ -355,33 +353,3 @@ class TestTrace:
         assert trace.dom.elements == ()
         assert trace.dom.coverage == 0
 
-
-def _whole_leaf_reference(leaf):
-    """``whole_leaf`` by graft and extract, as it was written before it
-    embedded the leaf's nodes without a workspace (the graft of a chart leaf
-    inlined)."""
-    ws = Workspace(leaf.hierarchy)
-    node = ws.graft(leaf.fs)
-    return Sign(leaf.hierarchy, ws.extract(ws.avm(TYPE_LEXICAL, SYNSEM=node)), leaf.dom,
-                leaf.facts)
-
-
-class TestWholeLeaf:
-    def test_equals_the_graft_and_extract_reference(self, fragment, monkeypatch):
-        """Every lexical sign of the corpus tokens, and the trace, rebuild as
-        the reference does, and without a single extraction."""
-        leaves = [make_vcomp_trace(fragment.hierarchy)]
-        for tokens in corpus_sentences():
-            for position in range(len(tokens)):
-                leaves.extend(sign for _, sign in fragment.lookup(tokens, position))
-        expected = [_whole_leaf_reference(leaf) for leaf in leaves]
-        extracts = []
-        extract = Workspace.extract
-        monkeypatch.setattr(Workspace, "extract",
-                            lambda ws, root: extracts.append(root) or extract(ws, root))
-        for leaf, reference in zip(leaves, expected):
-            sign = whole_leaf(leaf)
-            assert fs_equal(sign.fs, reference.fs), leaf.dom.phon()
-            assert (sign.dom, sign.facts) == (reference.dom, reference.facts)
-        assert extracts == []
-        assert len(leaves) == 79  # 78 lexical signs and the trace

@@ -1,8 +1,11 @@
 """The parser's chart equals the grammar's closure (see ``oracle.py``)."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_sentences
 from oracle import closure
+from vorfeld.lexicon import load_fragment
 from vorfeld.parser import TRACE, ParseOptions, parse
 
 # one-adjunct insertions from perfbench/adjunct_pins.json: a fronted partial
@@ -43,5 +46,49 @@ def test_trace_chart_is_the_closure_up_to_the_limit(fragment):
     chart = parse(tokens, fragment, ParseOptions(mode=TRACE, edge_limit=limit)).edges
     reference = closure(tokens, fragment, mode=TRACE, edge_limit=limit)
     assert len(chart) == len(reference) == limit
+    assert ([(e.key(), _row(chart, e)) for e in chart]
+            == [(e.key(), _row(reference, e)) for e in reference])
+
+
+LEXICON = load_fragment()
+
+
+def _phonologies(tokens):
+    """``tokens`` cut into the phonologies of lexical entries, longest first."""
+    units, pos = [], 0
+    while pos < len(tokens):
+        span = max(span for span, _sign in LEXICON.lookup(tokens, pos))
+        units.append(tuple(tokens[pos:pos + span]))
+        pos += span
+    return units
+
+
+BAGS = [_phonologies(tokens) for tokens in corpus_sentences()]
+BAGS += [_phonologies(sentence.split()) for sentence in ADJUNCT_INSERTIONS]
+
+# The entries of a corpus line or an adjunct insertion in any order, which
+# keeps the readings within reach (criterion 2's bag has 28 accepted orders
+# of 5,040), or 2-6 entries of the lexicon, which mostly give dead charts.
+SENTENCES = st.one_of(
+    st.sampled_from(BAGS).flatmap(st.permutations),
+    st.lists(st.sampled_from(sorted({entry.phon for entry in LEXICON.words()})),
+             min_size=2, max_size=6),
+).map(lambda units: [token for unit in units for token in unit])
+
+GENERATED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@GENERATED
+@given(tokens=SENTENCES)
+def test_generated_chart_is_the_closure(fragment, tokens):
+    assert _by_key(parse(tokens, fragment).edges) == _by_key(closure(tokens, fragment))
+
+
+@GENERATED
+@given(tokens=SENTENCES)
+def test_generated_trace_chart_is_the_closure_up_to_the_limit(fragment, tokens):
+    limit = 200
+    chart = parse(tokens, fragment, ParseOptions(mode=TRACE, edge_limit=limit)).edges
+    reference = closure(tokens, fragment, mode=TRACE, edge_limit=limit)
     assert ([(e.key(), _row(chart, e)) for e in chart]
             == [(e.key(), _row(reference, e)) for e in reference])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corpus_sentences
 from oracle import closure
-from vorfeld import grammar, parser
+from vorfeld import grammar
 from vorfeld.avm import print_fs
 from vorfeld.grammar import (
     P_SYNSEM,
@@ -18,7 +18,6 @@ from vorfeld.grammar import (
     TYPE_LEXICAL,
     TYPE_PHRASAL,
     check_comps_closed,
-    whole_leaf,
 )
 from vorfeld.cli import run_corpus
 from vorfeld.lexicon import corpus_text, load_lexicon
@@ -221,13 +220,12 @@ class TestSoundness:
                 # covers the daughters only on the rebuilt sign.
                 assert check_comps_closed(again)
                 # Domains compare categories, not synsems: each internal
-                # edge's synsem is held to its rebuild directly.
-                rebuilt = {}
-                parser._rebuild(derivation.root, rebuilt)
+                # edge's synsem is held to its own rebuild directly.
                 for edge in derivation.edges():
                     if edge.daughters:
-                        assert fs_equal(path_get(rebuilt[edge].fs, P_SYNSEM), edge.sign.fs)
-                        assert rebuilt[edge].dom == edge.sign.dom
+                        sign = replay(Derivation(edge))
+                        assert fs_equal(path_get(sign.fs, P_SYNSEM), edge.sign.fs)
+                        assert sign.dom == edge.sign.dom
 
     def test_linearization_reproduces_the_input(self, fragment):
         for sentence in PINNED_READINGS:
@@ -261,30 +259,47 @@ class TestDerivationRecord:
 
 
     def test_every_edge_rebuilds_to_a_whole_sign(self, fragment):
-        """Every edge of the corpus charts and of a trace-mode chart rebuilds
-        to a whole sign with the chart's synsem: a leaf to
-        ``lexical-sign[SYNSEM]``, any other edge to a ``phrasal-sign`` (an
-        underspecified trace-mode mother too, which records no ``DTRS``).
-        Under ``DTRS`` only the derivation's leaves are lexical signs."""
+        """Every edge of the corpus charts and of a trace-mode chart is the
+        mother its schema gives its daughters' chart signs, and rebuilds to
+        a whole sign with the chart's synsem: a leaf to
+        ``lexical-sign[SYNSEM]``, any other edge to a ``phrasal-sign`` whose
+        ``DTRS`` has its schema's type, or none for a trace-mode mother on
+        an underspecified head.  Under ``DTRS`` one sign stands for each
+        occurrence in the derivation and only the leaves are lexical signs,
+        so a licenser that is also the filler is there twice."""
         results = [parse(sentence, fragment) for sentence in corpus_sentences()]
         results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=3000)))
         for result in results:
-            rebuilt = {}
+            memo = {}
             for edge in result.edges:
-                fs = parser._rebuild(edge, rebuilt).fs
+                fs = replay(Derivation(edge)).fs
                 types = [node.type for node in fs.nodes]
                 assert types[0] == (TYPE_PHRASAL if edge.daughters else TYPE_LEXICAL)
                 assert fs_equal(path_get(fs, P_SYNSEM), edge.sign.fs)
-                # the derivation down to the mothers that record no daughters
+                if edge.daughters:
+                    a, b = edge.daughters
+                    chart = grammar.apply_schema(edge.schema, a.sign, b.sign, memo)
+                    assert fs_equal(chart.fs, edge.sign.fs) and chart.dom == edge.sign.dom
+                    assert fs.type_at(("DTRS",)) == (
+                        None if _records_no_daughters(edge) else STRUCTURE_TYPES[edge.schema])
+                # the derivation's occurrences down to the mothers that record
+                # no daughters
                 shown, stack = [], [edge]
                 while stack:
                     e = stack.pop()
                     shown.append(e)
-                    if e.daughters and rebuilt[e].fs.has_path(("DTRS",)):
+                    if e.daughters and not _records_no_daughters(e):
                         stack.extend(e.daughters)
                 leaves = sum(1 for e in shown if not e.daughters)
                 assert types.count(TYPE_LEXICAL) == leaves
                 assert types.count(TYPE_PHRASAL) == len(shown) - leaves
+
+
+def _records_no_daughters(edge) -> bool:
+    """``edge`` is a trace-mode mother on an underspecified head."""
+    head = edge.daughters[0].sign.facts
+    return (head.comps_kind != CLOSED if edge.schema == SCHEMA_HEAD_COMPLEMENT
+            else edge.schema == SCHEMA_VERB_CLUSTER and head.vcomp == "open")
 
 
 class TestReadings:
@@ -469,7 +484,7 @@ class TestSlashIndex:
 
 class TestSchemaMemo:
     """A parse unifies each (schema, daughter structures) key once; a
-    rebuild shares nothing with the chart, and its mothers are whole."""
+    rebuild shares nothing with the chart."""
 
     def test_one_build_per_memo_key(self, monkeypatch, fragment):
         """Work count: each sentence builds one mother structure per distinct
@@ -535,87 +550,28 @@ class TestSchemaMemo:
         assert shared_extracts == 96
 
     def test_replay_unifies_every_step_again(self, monkeypatch, fragment):
-        """After the chart has filled its memo, rebuilding each reading still
-        extracts once per distinct internal edge of its derivation: 5 for
-        every reading of this sentence, where its trees hold 5 to 7 internal
-        nodes (a licenser that is also the filler is rebuilt once)."""
+        """After the chart has filled its memo, rebuilding a reading still
+        extracts once per internal node of its tree, and once more for the
+        whole root, and grafts once per leaf: 6 to 8 extracts on this
+        sentence, whose trees hold 5 to 7 internal nodes (a licenser that is
+        also the filler is rebuilt at each of its two nodes)."""
         result = parse(S_7B.split(), fragment)
         assert result.readings == PINNED_READINGS[S_7B]
-        extracts = []
-        extract = Workspace.extract
-        monkeypatch.setattr(Workspace, "extract",
-                            lambda ws, root: extracts.append(root) or extract(ws, root))
-        nodes = []
+        extracts = self.count_extracts(monkeypatch)
+        grafts = []
+        graft = Workspace.graft
+        monkeypatch.setattr(Workspace, "graft", lambda ws, fs: grafts.append(fs) or graft(ws, fs))
+        counts = []
         for derivation in result.derivations:
             extracts.clear()
+            grafts.clear()
             assert replay(derivation) is not None
-            internal = [e for e in derivation.edges() if e.daughters]
-            assert len(extracts) == len(set(internal)) == 5
-            nodes.append(len(internal))
-        assert max(nodes) == 7
-
-    def test_readings_rebuild_each_distinct_edge_once(self, monkeypatch, fragment):
-        """Rendered together, the readings extract once per distinct internal
-        edge across all of them (fewer times than one replay per reading),
-        and each rebuilt sign equals its standalone replay."""
-        result = parse(S_7B.split(), fragment)
-        internal = [e for d in result.derivations for e in d.edges() if e.daughters]
-        extracts, rebuilt = [], {}
-        extract, rebuild = Workspace.extract, parser._rebuild
-        monkeypatch.setattr(Workspace, "extract",
-                            lambda ws, root: extracts.append(root) or extract(ws, root))
-        monkeypatch.setattr(parser, "_rebuild", lambda root, cache: rebuilt.setdefault(
-            root, rebuild(root, cache)))
-        readings = enumerate_readings(result.derivations)
-        assert len(readings) == PINNED_READINGS[S_7B] == len(rebuilt)
-        assert len(extracts) == len(set(internal)) < len(internal)
-        monkeypatch.setattr(parser, "_rebuild", rebuild)
-        for derivation, _avm in readings:
-            shared, alone = rebuilt[derivation.root], replay(derivation)
-            assert fs_equal(shared.fs, alone.fs) and shared.dom == alone.dom
-
-    def test_a_mother_is_whole_exactly_when_a_daughter_is(self, fragment, trace_chart):
-        """Every schema, on sampled edges of the corpus charts and of the
-        trace chart: two chart daughters give the chart's synsem; the same
-        pair rebuilt whole gives a ``phrasal-sign`` with that SYNSEM and the
-        schema's ``DTRS`` type (none for a trace-mode mother on an
-        underspecified head); a mixed pair gives that whole mother with the
-        chart daughter wrapped as ``lexical-sign[SYNSEM]``.  One memo per
-        chart serves every call, so a whole daughter must not hit the
-        chart's mothers."""
-        charts = [parse(sentence, fragment).edges for sentence in corpus_sentences()]
-        charts.append(trace_chart.edges)
-        rng = random.Random(14)
-        tried = dict.fromkeys(SCHEMATA, 0)
-        for edges in charts:
-            rebuilt, memo = {}, {}
-            for schema in SCHEMATA:
-                built = [e for e in edges if e.schema == schema]
-                for edge in rng.sample(built, min(len(built), 25)):
-                    a, b = edge.daughters
-                    chart = grammar.apply_schema(schema, a.sign, b.sign, memo)
-                    assert chart.fs.nodes[0].type == "synsem"
-                    assert fs_equal(chart.fs, edge.sign.fs) and chart.dom == edge.sign.dom
-                    whole_a, whole_b = parser._rebuild(a, rebuilt), parser._rebuild(b, rebuilt)
-                    whole = grammar.apply_schema(schema, whole_a, whole_b, memo)
-                    assert whole.fs.nodes[0].type == TYPE_PHRASAL
-                    assert fs_equal(path_get(whole.fs, P_SYNSEM), chart.fs)
-                    assert whole.dom == chart.dom
-                    underspecified = (
-                        a.sign.facts.comps_kind != CLOSED if schema == SCHEMA_HEAD_COMPLEMENT
-                        else schema == SCHEMA_VERB_CLUSTER and a.sign.facts.vcomp == "open")
-                    if underspecified:
-                        assert not whole.fs.has_path(("DTRS",))
-                    else:
-                        assert whole.fs.type_at(("DTRS",)) == STRUCTURE_TYPES[schema]
-                    for mixed, wrapped in (((whole_a, b.sign), (whole_a, whole_leaf(b.sign))),
-                                           ((a.sign, whole_b), (whole_leaf(a.sign), whole_b))):
-                        mother = grammar.apply_schema(schema, *mixed, memo)
-                        assert fs_equal(mother.fs, grammar.apply_schema(schema, *wrapped, memo).fs)
-                        assert fs_equal(path_get(mother.fs, P_SYNSEM), chart.fs)
-                        assert mother.dom == chart.dom
-                    tried[schema] += 1
-        assert min(tried.values()) >= 25, tried
+            nodes = list(derivation.edges())
+            internal = sum(1 for e in nodes if e.daughters)
+            assert len(extracts) == internal + 1
+            assert len(grafts) == len(nodes) - internal
+            counts.append(len(extracts))
+        assert (min(counts), max(counts)) == (6, 8)
 
 
 class TestLexiconVariants:

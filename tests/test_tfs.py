@@ -8,7 +8,6 @@ from vorfeld.tfs import (
     PathError,
     TypeHierarchy,
     Workspace,
-    embed,
     fs_equal,
     path_get,
     subsumes,
@@ -294,18 +293,6 @@ class TestPaths:
         value = "(b (H (list #1=x (openlist #1#))))"
         x = read_fs(f"(a (F {value}){sibling})", diamond)
         assert fs_equal(path_get(x, ("F",)), read_fs(value, diamond))
-
-    def test_embed_equals_graft_and_extract(self, diamond, fragment):
-        """A structure embedded under a new one-feature root comes out as
-        grafting and extracting it would give, and ``path_get`` takes it back."""
-        cases = [(fs, diamond) for pair in structure_pairs(diamond, seed=7, count=100)
-                 for fs in pair]
-        cases += [(entry.fs, fragment.hierarchy) for entry in fragment.entries]
-        for fs, hierarchy in cases:
-            ws = Workspace(hierarchy)
-            embedded = embed(fs, "top", "F")
-            assert fs_equal(embedded, ws.extract(ws.avm("top", F=ws.graft(fs))))
-            assert fs_equal(path_get(embedded, ("F",)), fs)
 
     def test_wird_vform_is_finite(self, fragment):
         (entry,) = fragment.find("wird")
