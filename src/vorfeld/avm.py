@@ -35,7 +35,6 @@ from .tfs import (
     Node,
     TypeHierarchy,
     _canonicalize,
-    postorder,
     validate,
 )
 
@@ -202,22 +201,20 @@ def build_fs(form, hierarchy: TypeHierarchy,
              check: bool = True) -> FeatureStructure:
     """Like :func:`read_fs` but starting from an already-parsed form."""
     templates = templates or {}
-    store: dict[int, Node] = {}
-    counter = [0]
+    store: list[Optional[Node]] = []  # node id -> node, None until built
     tags: dict[str, int] = {}
 
     def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
+        store.append(None)
+        return len(store) - 1
 
     def graft_template(fs: FeatureStructure) -> int:
-        offset = counter[0]
-        for j, node in enumerate(fs.nodes):
-            nid = fresh()
+        offset = len(store)
+        for node in fs.nodes:
             if node.kind == AVM:
-                store[nid] = Node(AVM, node.type, tuple((f, c + offset) for f, c in node.feats))
+                store.append(Node(AVM, node.type, tuple((f, c + offset) for f, c in node.feats)))
             else:
-                store[nid] = Node(node.kind, "", (), tuple(c + offset for c in node.elems))
+                store.append(Node(node.kind, "", (), tuple(c + offset for c in node.elems)))
         return offset
 
     def build(expr, depth: int) -> int:
@@ -295,14 +292,9 @@ def build_fs(form, hierarchy: TypeHierarchy,
         store[nid] = Node(AVM, head.name, built)
         return nid
 
-    def children(nid: int):
-        node = store[nid]
-        return [c for _, c in node.feats] if node.kind == AVM else node.elems
-
-    root = build(form, 1)
-    if postorder(root, children) is None:
+    fs = _canonicalize(build(form, 1), store)
+    if fs is None:
         raise AvmSyntaxError("cyclic structure in AVM text")
-    fs = _canonicalize(root, *zip(*(store[nid] for nid in range(len(store)))))
     if check:
         try:
             validate(fs, hierarchy)

@@ -13,7 +13,9 @@ of:
 Shared children encode reentrancy.  All structures are immutable after
 construction and safe to share between threads; unification never mutates
 its inputs and returns ``None`` on failure (failure is a value here, not a
-fault).  Cyclic unification results are rejected by an occurs check.
+fault).  Unification runs in a :class:`Workspace` of dense per-node
+arrays; one depth-first walk extracts a result in canonical form, resolving
+append lists and rejecting cyclic results by an occurs check.
 
 Sets are capped at one element: the grammar never needs two simultaneous
 nonlocal dependencies, and the cap keeps set unification trivial.  General
@@ -24,7 +26,7 @@ remainder is undecidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 AVM = "avm"
 CLOSED = "closed"
@@ -252,7 +254,7 @@ def path_get(fs: FeatureStructure, path: Sequence[str]) -> FeatureStructure:
     The result is a standalone structure in canonical form; raises
     PathError on an undefined feature.
     """
-    return _canonicalize(fs.resolve(path), *zip(*fs.nodes))
+    return _canonicalize(fs.resolve(path), fs.nodes)
 
 
 def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
@@ -260,58 +262,45 @@ def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
     return a.nodes == b.nodes
 
 
-def postorder(root: int, children: Callable[[int], Iterable[int]]) -> Optional[list[int]]:
-    """The nodes reachable from ``root``, each after all of its children.
+def _canonicalize(root: int, nodes: Sequence[Node]) -> Optional[FeatureStructure]:
+    """The nodes reachable from ``root``, renumbered in canonical order.
 
-    This is the occurs check: returns None when the graph has a cycle.
-    Node ids are non-negative; ``~node`` on the stack marks leaving it.
+    ``nodes[n]`` is node ``n``, its features sorted by name.  Canonical
+    order is the preorder of a depth-first walk from ``root`` that takes
+    features by name and elements in list order.  The walk is also the
+    occurs check: it returns None on meeting a node again while that node
+    is on the current path.  Node ids are non-negative; ``~node`` on the
+    stack marks leaving it.
     """
-    order: list[int] = []
-    finished: dict[int, bool] = {}  # False while the node is on the current path
+    order: dict[int, int] = {}
+    path: set[int] = set()
     stack = [root]
     while stack:
         cur = stack.pop()
         if cur < 0:
-            finished[~cur] = True
-            order.append(~cur)
-        elif cur not in finished:
-            finished[cur] = False
-            stack.append(~cur)
-            stack.extend(children(cur))
-        elif not finished[cur]:
+            path.discard(~cur)
+        elif cur not in order:
+            order[cur] = len(order)
+            kind, _, feats, elems = nodes[cur]
+            children = [c for _, c in feats] if kind == AVM else elems
+            if children:
+                path.add(cur)
+                stack.append(~cur)
+                stack.extend(reversed(children))
+        elif cur in path:
             return None
-    return order
+    return _renumbered(order, [nodes[n] for n in order])
 
 
-def _canonicalize(root: int, kinds: Mapping[int, str], types: Mapping[int, str],
-                  feats: Mapping[int, Sequence[tuple[str, int]]],
-                  elems: Mapping[int, Sequence[int]]) -> FeatureStructure:
-    """Renumber the nodes reachable from ``root`` in deterministic DFS order.
-
-    Node ``n`` has kind ``kinds[n]``; an AVM node has type ``types[n]`` and
-    features ``feats[n]``, sorted by name; any other node has elements
-    ``elems[n]``.  A sequence of nodes gives these mappings as
-    ``zip(*nodes)``.  Assumes the graph is acyclic (reader and workspace
-    check before calling).
-    """
-    order: dict[int, int] = {}
-    visit = [root]
-    while visit:
-        cur = visit.pop()
-        if cur in order:
-            continue
-        order[cur] = len(order)
-        if kinds[cur] == AVM:
-            visit.extend([c for _, c in reversed(feats[cur])])
+def _renumbered(order: Mapping[int, int], nodes: Iterable[Node]) -> FeatureStructure:
+    """``nodes``, in canonical order, with each child ``c`` renamed ``order[c]``."""
+    out = []
+    for kind, type_, feats, elems in nodes:
+        if kind == AVM:
+            out.append(Node(AVM, type_, tuple([(f, order[c]) for f, c in feats])))
         else:
-            visit.extend(reversed(elems[cur]))
-    nodes = []
-    for old in order:
-        if kinds[old] == AVM:
-            nodes.append(Node(AVM, types[old], tuple([(f, order[c]) for f, c in feats[old]])))
-        else:
-            nodes.append(Node(kinds[old], "", (), tuple([order[c] for c in elems[old]])))
-    return FeatureStructure(tuple(nodes))
+            out.append(Node(kind, "", (), tuple([order[c] for c in elems])))
+    return FeatureStructure(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -324,30 +313,29 @@ class Workspace:
     Build nodes (or graft whole structures in), call :meth:`unify_nodes`
     for each constraint, then :meth:`extract` an immutable result.  After
     any failed unification the workspace is poisoned and extraction
-    returns None.
+    returns None.  Node ids index five lists (kind, type, features,
+    elements, union-find parent); elements are replaced, never edited.
     """
 
     def __init__(self, hierarchy: TypeHierarchy):
         self.hierarchy = hierarchy
-        self._kind: dict[int, str] = {}
-        self._type: dict[int, str] = {}
-        self._feats: dict[int, dict[str, int]] = {}
-        self._elems: dict[int, list[int]] = {}
-        self._parent: dict[int, int] = {}
-        self._next = 0
+        self._kind: list[Optional[str]] = []
+        self._type: list[str] = []
+        self._feats: list[dict[str, int]] = []
+        self._elems: list[Sequence[int]] = []
+        self._parent: list[int] = []
         self.failed = False
 
     # -- construction -------------------------------------------------
 
     def _new(self, kind: str, type_: str = "", feats: Optional[dict[str, int]] = None,
-             elems: Optional[list[int]] = None) -> int:
-        i = self._next
-        self._next += 1
-        self._kind[i] = kind
-        self._type[i] = type_
-        self._feats[i] = feats or {}
-        self._elems[i] = elems or []
-        self._parent[i] = i
+             elems: Sequence[int] = ()) -> int:
+        i = len(self._parent)
+        self._kind.append(kind)
+        self._type.append(type_)
+        self._feats.append(feats or {})
+        self._elems.append(elems)
+        self._parent.append(i)
         return i
 
     def avm(self, type_: str, **feats: int) -> int:
@@ -373,12 +361,14 @@ class Workspace:
 
     def graft(self, fs: FeatureStructure) -> int:
         """Copy ``fs`` into the workspace; returns the new root id."""
-        offset = self._next
-        for i, node in enumerate(fs.nodes):
-            if node.kind == AVM:
-                self._new(AVM, node.type, {f: c + offset for f, c in node.feats})
-            else:
-                self._new(node.kind, elems=[c + offset for c in node.elems])
+        offset = len(self._parent)
+        kinds, types, feats, elems = self._kind, self._type, self._feats, self._elems
+        for kind, type_, fs_feats, fs_elems in fs.nodes:
+            kinds.append(kind)
+            types.append(type_)
+            feats.append({f: c + offset for f, c in fs_feats} if fs_feats else {})
+            elems.append([c + offset for c in fs_elems] if fs_elems else ())
+        self._parent.extend(range(offset, len(kinds)))
         return offset
 
     def set_feat(self, node: int, feat: str, value: int) -> None:
@@ -387,9 +377,10 @@ class Workspace:
     # -- union-find ---------------------------------------------------
 
     def find(self, x: int) -> int:
-        while self._parent[x] != x:
-            self._parent[x] = self._parent[self._parent[x]]
-            x = self._parent[x]
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
     def resolve(self, root: int, path: Iterable[str]) -> int:
@@ -552,38 +543,68 @@ class Workspace:
 
     # -- extraction ---------------------------------------------------
 
-    def _children(self, nid: int) -> Iterable[int]:
-        """Children of ``nid``, stored back as their union-find representatives."""
-        find = self.find
-        if self._kind[nid] == AVM:
-            feats = self._feats[nid] = {f: find(c) for f, c in self._feats[nid].items()}
-            return feats.values()
-        elems = self._elems[nid] = [find(c) for c in self._elems[nid]]
-        return elems
+    def _seal(self, nid: int, sealed: list) -> None:
+        """Close append node ``nid`` if its parts are closed, sealing append
+        parts first; ``sealed`` gets each sealed node with its parts."""
+        kinds, elems = self._kind, self._elems
+        parts = elems[nid] = [self.find(p) for p in elems[nid]]
+        kinds[nid] = None  # while its parts seal: a part containing it stays open
+        for p in parts:
+            if kinds[p] == APPEND:
+                self._seal(p, sealed)
+        if all(kinds[p] == CLOSED for p in parts):
+            sealed.append((nid, parts))
+            kinds[nid], elems[nid] = CLOSED, [e for p in parts for e in elems[p]]
+        else:
+            kinds[nid] = APPEND
 
     def extract(self, root: int) -> Optional[FeatureStructure]:
         """Seal the subgraph under ``root`` as an immutable structure.
 
-        Append nodes whose parts are all closed become closed lists.
-        Returns None if a unification failed earlier or the merge produced
-        a cycle (occurs check).
+        One depth-first walk from the root's representative does all the
+        work on a node's first visit: it numbers the node in canonical
+        order (see :func:`_canonicalize`), maps its children to their
+        union-find representatives, seals an append node whose parts are
+        all closed as a closed list, and runs the occurs check.  A linear
+        pass then writes the nodes.  Seals stay in the workspace, so later
+        unifications see closed lists.  Returns None, leaving no seal
+        behind, if a unification failed earlier or the merge made a cycle.
         """
         if self.failed:
             return None
-        root = self.find(root)
-        reached = postorder(root, self._children)
-        if reached is None:
-            return None
-        kinds, elems = self._kind, self._elems
-        feats: dict[int, list[tuple[str, int]]] = {}
-        for nid in reached:
-            if kinds[nid] == AVM:
-                feats[nid] = sorted(self._feats[nid].items())
-            elif kinds[nid] == APPEND and all(kinds[p] == CLOSED for p in elems[nid]):
-                # the parts come earlier in post-order, so they are already final
-                kinds[nid] = CLOSED
-                elems[nid] = [e for p in elems[nid] for e in elems[p]]
-        return _canonicalize(root, kinds, self._type, feats, elems)
+        kinds, types, feats, elems, parent = self._kind, self._type, self._feats, self._elems, self._parent
+        find = self.find
+        order: dict[int, int] = {}
+        reached: list[tuple] = []  # the nodes in canonical order, children as representatives
+        sealed: list[tuple[int, list[int]]] = []
+        path: set[int] = set()
+        stack = [find(root)]
+        while stack:
+            cur = stack.pop()
+            if cur < 0:
+                path.discard(~cur)
+            elif cur not in order:
+                order[cur] = len(reached)
+                kind = kinds[cur]
+                if kind == AVM:
+                    pairs = [(f, c if parent[c] == c else find(c)) for f, c in sorted(feats[cur].items())]
+                    reached.append((AVM, types[cur], pairs, ()))
+                    children = [c for _, c in pairs]
+                else:
+                    if kind == APPEND:
+                        self._seal(cur, sealed)
+                        kind = kinds[cur]
+                    children = [c if parent[c] == c else find(c) for c in elems[cur]]
+                    reached.append((kind, "", (), children))
+                if children:
+                    path.add(cur)
+                    stack.append(~cur)
+                    stack.extend(reversed(children))
+            elif cur in path:
+                for nid, parts in sealed:
+                    kinds[nid], elems[nid] = APPEND, parts
+                return None
+        return _renumbered(order, reached)
 
 
 # ---------------------------------------------------------------------------

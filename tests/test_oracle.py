@@ -75,20 +75,44 @@ SENTENCES = st.one_of(
              min_size=2, max_size=6),
 ).map(lambda units: [token for unit in units for token in unit])
 
-GENERATED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+def _generated(examples: int):
+    return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
 
 
-@GENERATED
-@given(tokens=SENTENCES)
-def test_generated_chart_is_the_closure(fragment, tokens):
+def _check_chart(fragment, tokens):
     assert _by_key(parse(tokens, fragment).edges) == _by_key(closure(tokens, fragment))
 
 
-@GENERATED
-@given(tokens=SENTENCES)
-def test_generated_trace_chart_is_the_closure_up_to_the_limit(fragment, tokens):
+def _check_trace_chart(fragment, tokens):
     limit = 200
     chart = parse(tokens, fragment, ParseOptions(mode=TRACE, edge_limit=limit)).edges
     reference = closure(tokens, fragment, mode=TRACE, edge_limit=limit)
     assert ([(e.key(), _row(chart, e)) for e in chart]
             == [(e.key(), _row(reference, e)) for e in reference])
+
+
+@_generated(40)
+@given(tokens=SENTENCES)
+def test_generated_chart_is_the_closure(fragment, tokens):
+    _check_chart(fragment, tokens)
+
+
+@_generated(40)
+@given(tokens=SENTENCES)
+def test_generated_trace_chart_is_the_closure_up_to_the_limit(fragment, tokens):
+    _check_trace_chart(fragment, tokens)
+
+
+@pytest.mark.slow
+@_generated(400)
+@given(tokens=SENTENCES)
+def test_generated_chart_is_the_closure_slow(fragment, tokens):
+    _check_chart(fragment, tokens)
+
+
+@pytest.mark.slow
+@_generated(400)
+@given(tokens=SENTENCES)
+def test_generated_trace_chart_is_the_closure_up_to_the_limit_slow(fragment, tokens):
+    _check_trace_chart(fragment, tokens)

@@ -3,11 +3,15 @@ import pytest
 from fsgen import structure_pairs
 from vorfeld.avm import read_fs
 from vorfeld.tfs import (
+    AVM,
+    CLOSED,
     ConfigurationError,
     HierarchyError,
+    Node,
     PathError,
     TypeHierarchy,
     Workspace,
+    _canonicalize,
     fs_equal,
     path_get,
     subsumes,
@@ -199,6 +203,25 @@ class TestExtract:
         for fs, hierarchy in cases:
             ws = Workspace(hierarchy)
             assert fs_equal(ws.extract(ws.graft(fs)), fs)
+
+
+class TestCanonicalize:
+    """The reader cannot write a cycle, so only hand-built node lists reach
+    the occurs check of ``_canonicalize``."""
+
+    @pytest.mark.parametrize("root", [0, 1, 2])
+    def test_a_cycle_is_rejected(self, root):
+        # 0 -F-> 1 -> 2 -G-> 0: a cycle through a list, from any node on it
+        nodes = [Node(AVM, "a", (("F", 1),)), Node(CLOSED, "", (), (2,)), Node(AVM, "b", (("G", 0),))]
+        assert _canonicalize(root, nodes) is None
+
+    def test_a_self_loop_is_rejected(self):
+        assert _canonicalize(0, [Node(AVM, "a", (("F", 0),))]) is None
+
+    def test_a_shared_node_is_no_cycle(self):
+        nodes = [Node(AVM, "x"), Node(AVM, "a", (("F", 0), ("G", 0))), Node(CLOSED, "", (), (1, 0))]
+        fs = _canonicalize(2, nodes)
+        assert fs.nodes == (Node(CLOSED, "", (), (1, 2)), Node(AVM, "a", (("F", 2), ("G", 2))), Node(AVM, "x"))
 
 
 def _naive_merge(a, b, hierarchy):
