@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
+from .grammar import SchemaMemo
 from .lexicon import Lexicon, LexiconError, corpus_text, fragment_text, load_lexicon
 from .orderdomain import fields, mask_positions
 from .parser import (
@@ -34,11 +35,15 @@ class CorpusLine:
 
 @dataclass
 class LineOutcome:
+    """How one corpus line fared; a line whose parse hit the edge limit
+    (``limit_hit``) never passes, since its reading count is a lower bound."""
+
     line: CorpusLine
     readings: int
     passed: bool
     error: Optional[str]
     millis: float
+    limit_hit: bool = False
 
 
 @dataclass
@@ -157,7 +162,8 @@ def run_corpus(lexicon: Lexicon, text: str,
     """Parse every corpus line and judge it against its verdict.
 
     Lines are processed in order (outcomes keep corpus order); a lexical
-    gap counts as a failing line, not a crash.  The lines share one schema
+    gap counts as a failing line, not a crash, and so does a line whose
+    parse hit ``edge_limit``.  The lines share one schema
     memo, which lives for this call: a line unifies only the (schema,
     daughter synsems) triples no earlier line did, so its ``millis`` leave
     out the unifications an earlier line already did, while its chart and
@@ -166,7 +172,7 @@ def run_corpus(lexicon: Lexicon, text: str,
     line's domains, so it is never shared.
     """
     options = ParseOptions(edge_limit=edge_limit)
-    memo: dict = {}
+    memo = SchemaMemo()
     outcomes: list[LineOutcome] = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = parse_corpus_line(number, raw)
@@ -176,13 +182,14 @@ def run_corpus(lexicon: Lexicon, text: str,
         start = time.perf_counter()
         error = None
         readings = 0
+        limit_hit = False
         try:
             result = parse(tokens, lexicon, options, memo=memo)
-            readings = result.readings
+            readings, limit_hit = result.readings, result.limit_hit
         except LexicalGapError as exc:
             error = str(exc)
         millis = (time.perf_counter() - start) * 1000.0
-        if error is not None:
+        if error is not None or limit_hit:
             passed = False
         elif line.verdict == "BAD":
             passed = readings == 0
@@ -190,7 +197,7 @@ def run_corpus(lexicon: Lexicon, text: str,
             passed = readings == line.expected
         else:
             passed = readings >= 1
-        outcomes.append(LineOutcome(line, readings, passed, error, millis))
+        outcomes.append(LineOutcome(line, readings, passed, error, millis, limit_hit))
     return Report(outcomes)
 
 
@@ -202,16 +209,22 @@ def _expected_text(line: CorpusLine) -> str:
     return ">=1"
 
 
+def _got_text(outcome: LineOutcome) -> str:
+    """The reading count, or what stopped the parse from giving one."""
+    if outcome.error:
+        return "gap"
+    return "limit" if outcome.limit_hit else str(outcome.readings)
+
+
 def format_report(report: Report) -> str:
     rows = []
-    rows.append(f"{'line':>4}  {'status':6}  {'verdict':7}  {'want':>4}  {'got':>3}  "
+    rows.append(f"{'line':>4}  {'status':6}  {'verdict':7}  {'want':>4}  {'got':>5}  "
                 f"{'ms':>8}  sentence")
     for o in report.outcomes:
         status = "pass" if o.passed else "FAIL"
-        got = "gap" if o.error else str(o.readings)
         rows.append(
             f"{o.line.number:>4}  {status:6}  {o.line.verdict:7}  "
-            f"{_expected_text(o.line):>4}  {got:>3}  {o.millis:8.1f}  {o.line.sentence}"
+            f"{_expected_text(o.line):>4}  {_got_text(o):>5}  {o.millis:8.1f}  {o.line.sentence}"
         )
     good, total = report.totals
     rows.append(f"{good}/{total} lines pass")
@@ -223,6 +236,8 @@ def machine_report(report: Report) -> str:
 
     All fields except time_ms are deterministic for identical inputs;
     time_ms leaves out the unifications an earlier line of the run did.
+    ``got`` is the number of readings found, which the edge limit may have
+    cut short: ``limit_hit`` says whether it did.
     """
     rows = []
     for o in report.outcomes:
@@ -232,6 +247,7 @@ def machine_report(report: Report) -> str:
             f"verdict={o.line.verdict}",
             f"expected={_expected_text(o.line)}",
             f"got={'gap' if o.error else o.readings}",
+            f"limit_hit={int(o.limit_hit)}",
             f"time_ms={o.millis:.1f}",
             f"sentence={o.line.sentence}",
         ]

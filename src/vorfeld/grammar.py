@@ -39,18 +39,23 @@ application never mutates the daughters and returns None on failure.
 
 What a schema asks of one daughter alone is stated once, in two role masks
 of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
-sign may be the first daughter of, ``deps`` the second.  A schema tests the
-masks, then its conditions on the pair; the parser pairs on the same masks.
+sign may be the first daughter of, ``deps`` the second.  So are the types a
+schema compares between its daughters before it unifies (HEAD and CASE of
+the last complement, MOD HEAD, VCOMP VFORM), in the facts' extension masks
+(:meth:`vorfeld.tfs.TypeHierarchy.extension`).  A schema tests the role
+masks, then its conditions on the pair; the parser pairs on the same role
+masks and extension masks, so no pair they rule out reaches a schema.
 
 A schema's step runs its prechecks and gives the mother's memo key, the
 body that unifies and the domain; its ``apply_*`` function runs the step
 in the chart's one skeleton.  A mother's structure depends only on the
 schema and its daughters' structures, never on their coverage or domain.
-So the skeleton takes an optional memo: after the prechecks (which may
-read the domains) it looks up ``(schema, first synsem, second synsem)``,
-unifies on a miss, and stores the mother's synsem and facts (a sign with
-an empty domain), or None; the domain is always built from the daughters
-at hand, and only for a mother that exists.
+So the skeleton takes an optional memo (:class:`SchemaMemo`): after the
+prechecks (which may read the domains) it looks up ``(schema, first
+synsem, second synsem)``, each synsem by its id in the memo's intern
+table, unifies on a miss, and stores the mother's synsem, interned, and
+facts (a sign with an empty domain), or None; the domain is always built
+from the daughters at hand, and only for a mother that exists.
 A memo key needs nothing of the sentence, so a memo may outlive a parse:
 the parser takes one memo per parse, fresh unless its caller passes one
 (``run_corpus`` shares one between the lines of a corpus), and it also
@@ -125,7 +130,9 @@ SCHEMA_BIT = {schema: 1 << i for i, schema in enumerate(SCHEMATA)}
 
 @dataclass(frozen=True)
 class SignFacts:
-    """Cheap category summary: the schemata's daughter-local preconditions."""
+    """Cheap category summary: the schemata's daughter-local preconditions,
+    and the extension masks (``*_ext``) of the facts a schema compares with
+    the other daughter's, so a type clash is one and of two ints."""
 
     head: Optional[str]
     vform: Optional[str]
@@ -143,6 +150,15 @@ class SignFacts:
     mod_head: Optional[str] = None
     heads: int = 0  # role masks, one SCHEMA_BIT per schema: first daughter
     deps: int = 0  # ... and second daughter
+    # extension masks (TypeHierarchy.extension) of the facts the schemata
+    # compare between daughters; -1, every bit, for a fact of None
+    head_ext: int = -1
+    case_ext: int = -1
+    vform_ext: int = -1
+    comps_last_head_ext: int = -1
+    comps_last_case_ext: int = -1
+    vcomp_vform_ext: int = -1
+    mod_head_ext: int = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +176,7 @@ class Sign:
     facts: SignFacts
 
 
-def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
+def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> SignFacts:
     """The facts of the synsem at node ``synsem`` of ``fs``; ``open_lists``
     is read off the whole of ``fs``."""
     comps_kind = comps_last_head = comps_last_case = None
@@ -191,6 +207,7 @@ def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
     except PathError:
         pass
     head, vform = fs.type_at(P_HEAD, synsem), fs.type_at(P_VFORM, synsem)
+    case, mod_head = fs.type_at(P_CASE, synsem), fs.type_at(P_MOD + P_HEAD, synsem)
     has_mod = fs.type_at(P_MOD, synsem) is not None
     # the schemata's daughter-local preconditions, stated here only
     heads = _roles(
@@ -213,7 +230,7 @@ def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
     return SignFacts(
         head=head,
         vform=vform,
-        case=fs.type_at(P_CASE, synsem),
+        case=case,
         lex=fs.type_at(P_LEX, synsem),
         comps_kind=comps_kind,
         comps_len=comps_len,
@@ -224,10 +241,23 @@ def _facts(fs: FeatureStructure, synsem: int = 0) -> SignFacts:
         comps_last_head=comps_last_head,
         comps_last_case=comps_last_case,
         vcomp_vform=vcomp_vform,
-        mod_head=fs.type_at(P_MOD + P_HEAD, synsem),
+        mod_head=mod_head,
         heads=heads,
         deps=deps,
+        head_ext=_extension(hierarchy, head),
+        case_ext=_extension(hierarchy, case),
+        vform_ext=_extension(hierarchy, vform),
+        comps_last_head_ext=_extension(hierarchy, comps_last_head),
+        comps_last_case_ext=_extension(hierarchy, comps_last_case),
+        vcomp_vform_ext=_extension(hierarchy, vcomp_vform),
+        mod_head_ext=_extension(hierarchy, mod_head),
     )
+
+
+def _extension(hierarchy: TypeHierarchy, fact: Optional[str]) -> int:
+    """The extension mask of ``fact``; every bit for a fact the hierarchy
+    cannot rule out: none, or a list or set value."""
+    return hierarchy.extension(fact) if fact in hierarchy else -1
 
 
 def _roles(*admitted: bool) -> int:
@@ -237,7 +267,7 @@ def _roles(*admitted: bool) -> int:
 
 def make_sign(hierarchy: TypeHierarchy, synsem: FeatureStructure) -> Sign:
     """The chart sign of ``synsem``, with an empty domain."""
-    return Sign(hierarchy, synsem, EMPTY_DOMAIN, _facts(synsem))
+    return Sign(hierarchy, synsem, EMPTY_DOMAIN, _facts(hierarchy, synsem))
 
 
 def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
@@ -272,10 +302,6 @@ def _try_resolve(ws: Workspace, root: int, path) -> Optional[int]:
         return None
 
 
-def _compatible(hierarchy: TypeHierarchy, a: Optional[str], b: Optional[str]) -> bool:
-    return a is None or b is None or hierarchy.glb(a, b) is not None
-
-
 def _admits(schema: str, first: Sign, second: Sign) -> bool:
     """The daughters' role masks admit them to ``schema``, in this order."""
     return bool(first.facts.heads & second.facts.deps & SCHEMA_BIT[schema])
@@ -298,12 +324,38 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
     return od.domain_union(head.dom, Domain((element,), element.coverage))
 
 
-def _memoized(memo: Optional[dict], key: tuple,
+class SchemaMemo(dict):
+    """The schema memo: a memo key's mother sign, with an empty domain, or None.
+
+    A key is ``(schema, first id, second id)``, where an id is a daughter
+    synsem's in the memo's intern table: :meth:`intern` maps a canonical
+    node tuple to the one structure of that shape the memo holds, which
+    carries its id (``FeatureStructure.sid``).  So a key hashes three small
+    values, and a mother met again under another key shares its structure.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.structures: list[FeatureStructure] = []  # by id
+        self._ids: dict[tuple, int] = {}  # node tuple -> id
+
+    def intern(self, fs: FeatureStructure) -> FeatureStructure:
+        """The memo's structure equal to ``fs``, interned on first sight."""
+        if 0 <= fs.sid < len(self.structures) and self.structures[fs.sid] is fs:
+            return fs
+        sid = self._ids.get(fs.nodes)
+        if sid is None:
+            sid = self._ids[fs.nodes] = len(self.structures)
+            self.structures.append(FeatureStructure(fs.nodes, sid))
+        return self.structures[sid]
+
+
+def _memoized(memo: Optional[SchemaMemo], key: tuple,
               build: Callable[[], Optional[Sign]]) -> Optional[Sign]:
     """``build()``, run once per ``key`` of ``memo`` (every time without one).
 
-    A key holds the daughters' synsems, or as much of them as the mother
-    depends on.
+    A key holds the ids of the daughters' synsems, or of as much of them as
+    the mother depends on.
     """
     if memo is None:
         return build()
@@ -314,10 +366,11 @@ def _memoized(memo: Optional[dict], key: tuple,
         return mother
 
 
-# A schema past its prechecks: its memo key; its body, which unifies and
-# returns the mother's LOC, LEX (None for none) and SLASH nodes and its DTRS
-# type (None for none) and features, or None; and ``place(mother)``, the
-# mother's domain built from the daughters at hand, or None.
+# A schema past its prechecks: its memo key, as a label and the structures
+# the mother depends on (the second may be None); its body, which unifies
+# and returns the mother's LOC, LEX (None for none) and SLASH nodes and its
+# DTRS type (None for none) and features, or None; and ``place(mother)``,
+# the mother's domain built from the daughters at hand, or None.
 Step = tuple[tuple, Callable[..., Optional[tuple]], Callable[[Sign], Optional[Domain]]]
 
 
@@ -337,24 +390,27 @@ def _placed(mother: Optional[Sign], place: Callable[[Sign], Optional[Domain]]) -
 
 
 def _combine(step: Optional[Step], first: Sign, second: Sign,
-             memo: Optional[dict]) -> Optional[Sign]:
+             memo: Optional[SchemaMemo]) -> Optional[Sign]:
     """The chart mother of ``step`` on chart signs ``first`` and ``second``.
 
     On a miss of the step's key in ``memo`` it grafts both synsems into a
     new workspace, runs the body on them, each daughter given as its synsem
     node twice (the chart records no ``DTRS``), and extracts the mother's
-    synsem.  Only a mother that exists is placed.
+    synsem, which the memo interns.  Only a mother that exists is placed.
     """
     if step is None:
         return None
-    key, body, place = step
+    (label, a_fs, b_fs), body, place = step
+    key = None
+    if memo is not None:
+        key = (label, memo.intern(a_fs).sid, None if b_fs is None else memo.intern(b_fs).sid)
 
     def build() -> Optional[Sign]:
         ws = Workspace(first.hierarchy)
         a, b = ws.graft(first.fs), ws.graft(second.fs)
         parts = body(ws, a, a, b, b)
         fs = parts and ws.extract(_synsem(ws, parts))
-        return fs and make_sign(ws.hierarchy, fs)
+        return fs and make_sign(ws.hierarchy, fs if memo is None else memo.intern(fs))
 
     return _placed(_memoized(memo, key, build), place)
 
@@ -367,7 +423,7 @@ def _underspecified(head: Sign, other: Sign, as_cluster: bool,
     defect being demonstrated), so no unification is needed; the mother is
     built from the daughters' synsems alone.  The other daughter
     contributes nothing beyond a possible SLASH element, so the memo key is
-    the head's synsem, the SLASH donor and the kind of combination, which
+    the kind of combination, the head's synsem and the SLASH donor's, which
     keeps the exploding chart affordable.  The mother records no daughters:
     rebuilt, it is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
     """
@@ -388,7 +444,7 @@ def _underspecified(head: Sign, other: Sign, as_cluster: bool,
         cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
         return ws.avm("local", CAT=cat), lex, slash, None, {}
 
-    return (head.fs.nodes, other.fs.nodes if from_other else None, as_cluster), body, place
+    return (as_cluster, head.fs, other.fs if from_other else None), body, place
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +452,7 @@ def _underspecified(head: Sign, other: Sign, as_cluster: bool,
 # of a derivation runs too, in the chart's skeleton
 
 
-def apply_head_complement(head: Sign, comp: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_head_complement(head: Sign, comp: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
     """Saturate the last element of the head's COMPS list with ``comp``.
 
     The head's verbal complement must already be discharged (VCOMP none):
@@ -421,9 +477,8 @@ def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
     place = lambda _mother: _insert_comp_dom(head, comp)
     if head.facts.comps_kind != CLOSED:
         return _underspecified(head, comp, False, place)
-    if not _compatible(head.hierarchy, head.facts.comps_last_head, comp.facts.head):
-        return None
-    if not _compatible(head.hierarchy, head.facts.comps_last_case, comp.facts.case):
+    if not (head.facts.comps_last_head_ext & comp.facts.head_ext
+            and head.facts.comps_last_case_ext & comp.facts.case_ext):
         return None
 
     def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
@@ -436,10 +491,10 @@ def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
         return (ws.avm("local", CAT=cat), ws.atom("-"), slash, "head-complement-structure",
                 {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])})
 
-    return (SCHEMA_HEAD_COMPLEMENT, head.fs.nodes, comp.fs.nodes), body, place
+    return (SCHEMA_HEAD_COMPLEMENT, head.fs, comp.fs), body, place
 
 
-def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
     """Attach a modifier; its MOD value unifies with the head's synsem.
 
     The mother shares the head's whole CAT (category, valence) and LEX
@@ -452,7 +507,7 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[dict] = None) -
 def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_HEAD_ADJUNCT, head, adjunct) or _slash_overflow(head, adjunct):
         return None
-    if not _compatible(head.hierarchy, adjunct.facts.mod_head, head.facts.head):
+    if not adjunct.facts.mod_head_ext & head.facts.head_ext:
         return None
 
     def body(ws: Workspace, h: int, h_synsem: int, a: int, a_synsem: int):
@@ -462,11 +517,11 @@ def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
                 _union_slash(ws, (h_synsem, a_synsem)), "head-adjunct-structure",
                 {"HEAD-DTR": h, "ADJUNCT-DTR": a})
 
-    return ((SCHEMA_HEAD_ADJUNCT, head.fs.nodes, adjunct.fs.nodes), body,
+    return ((SCHEMA_HEAD_ADJUNCT, head.fs, adjunct.fs), body,
             lambda _mother: od.domain_union(head.dom, adjunct.dom))
 
 
-def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
     """Combine a verb with its verbal complement into a (partial) cluster.
 
     The embedded sign's full synsem unifies with the head's VCOMP value,
@@ -491,7 +546,7 @@ def _verb_cluster(head: Sign, cluster: Sign) -> Optional[Step]:
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
         return _underspecified(head, cluster, True, place)
-    if not _compatible(head.hierarchy, head.facts.vcomp_vform, cluster.facts.vform):
+    if not head.facts.vcomp_vform_ext & cluster.facts.vform_ext:
         return None
 
     def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
@@ -503,11 +558,11 @@ def _verb_cluster(head: Sign, cluster: Sign) -> Optional[Step]:
         return (ws.avm("local", CAT=cat), ws.atom("+"), slash, "head-cluster-structure",
                 {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])})
 
-    return (SCHEMA_VERB_CLUSTER, head.fs.nodes, cluster.fs.nodes), body, place
+    return (SCHEMA_VERB_CLUSTER, head.fs, cluster.fs), body, place
 
 
 def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
-                                 memo: Optional[dict] = None) -> Optional[Sign]:
+                                 memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
     """Discharge the head's VCOMP into SLASH, licensed by a real projection.
 
     Only the licenser's LOC unifies with the VCOMP restriction — LEX lives
@@ -524,7 +579,7 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
 def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
     if not _admits(SCHEMA_SLASH_INTRO, head, licenser):
         return None
-    if not _compatible(head.hierarchy, head.facts.vcomp_vform, licenser.facts.vform):
+    if not head.facts.vcomp_vform_ext & licenser.facts.vform_ext:
         return None
     if head.dom.coverage & licenser.dom.coverage:
         return None
@@ -538,11 +593,11 @@ def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
         return (ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]),
                 "complement-slash-licencing-structure", {"HEAD-DTR": h, "VCOMP-DTR": li})
 
-    return ((SCHEMA_SLASH_INTRO, head.fs.nodes, licenser.fs.nodes), body,
+    return ((SCHEMA_SLASH_INTRO, head.fs, licenser.fs), body,
             lambda mother: head.dom if check_comps_closed(mother) else None)
 
 
-def apply_filler_head(filler: Sign, head: Sign, memo: Optional[dict] = None) -> Optional[Sign]:
+def apply_filler_head(filler: Sign, head: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
     """Bind the clause's SLASH element against the fronted filler.
 
     The head must be a saturated finite clause carrying exactly one SLASH
@@ -568,7 +623,7 @@ def _filler_head(filler: Sign, head: Sign) -> Optional[Step]:
         return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
                 "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f})
 
-    return ((SCHEMA_FILLER_HEAD, filler.fs.nodes, head.fs.nodes), body,
+    return ((SCHEMA_FILLER_HEAD, filler.fs, head.fs), body,
             lambda _mother: od.insert_filler_domain(head.dom, filler, verb_pos))
 
 
@@ -586,7 +641,7 @@ _APPLY = {
 
 
 def apply_schema(schema: str, first: Sign, second: Sign,
-                 memo: Optional[dict] = None) -> Optional[Sign]:
+                 memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
     """Apply the schema labelled ``schema`` to chart signs in derivation order.
 
     The chart's one dispatch.  It gets a mother of SYNSEM and domain only,
@@ -647,7 +702,7 @@ def rebuild(root) -> Optional[Sign]:
             done.append((mother, ws.avm(TYPE_PHRASAL, **feats), synsem))
     sign, node, _ = done[0]
     fs = ws.extract(node)
-    return fs and Sign(ws.hierarchy, fs, sign.dom, _facts(fs, fs.resolve(P_SYNSEM)))
+    return fs and Sign(ws.hierarchy, fs, sign.dom, _facts(ws.hierarchy, fs, fs.resolve(P_SYNSEM)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ against the shared immutable lexicon, each with its own schema memo.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -35,6 +35,7 @@ from .grammar import (
     SCHEMA_HEAD_COMPLEMENT,
     SCHEMA_SLASH_INTRO,
     SCHEMA_VERB_CLUSTER,
+    SchemaMemo,
     Sign,
     check_comps_closed,
     is_complete_clause,
@@ -50,6 +51,7 @@ LEX_SCHEMA = "lex"
 TRACE_SCHEMA = "trace"
 
 _HC, _HA, _VC, _SI, _FH = (SCHEMA_BIT[schema] for schema in G.SCHEMATA)
+_VS = _VC | _SI  # the schemata that compare the head's VCOMP VFORM with the other's VFORM
 
 
 class LexicalGapError(Exception):
@@ -199,20 +201,27 @@ def detect_clause_type(first_signs: Iterable[Sign]) -> str:
 
 def parse(tokens: Sequence[str], lexicon: Lexicon,
           options: Optional[ParseOptions] = None, *,
-          memo: Optional[dict] = None) -> ParseResult:
+          memo: Optional[SchemaMemo] = None) -> ParseResult:
     """All complete analyses of ``tokens``, bottom-up.
 
     Raises LexicalGapError for tokens outside the lexicon.  When the edge
     limit is exceeded the result carries ``limit_hit`` and whatever
     derivations were found before the cutoff.
 
-    ``memo`` is the schema memo (see :mod:`vorfeld.grammar`); None gives
-    this parse a fresh one.  A mother's synsem depends only on the schema
-    and its daughters' synsems, never on the sentence, so parses may share
-    a memo and each unifies only what none before it did; the chart, its
-    readings and its edge ids are the same either way.  Share a memo only
-    between sequential parses over one lexicon: its mothers carry that
-    lexicon's hierarchy.
+    ``memo`` is the schema memo (:class:`vorfeld.grammar.SchemaMemo`);
+    None gives this parse a fresh one.  A mother's synsem depends only on
+    the schema and its daughters' synsems, never on the sentence, so parses
+    may share a memo and each unifies only what none before it did; the
+    chart, its readings and its edge ids are the same either way.  Share a
+    memo only between sequential parses over one lexicon: its mothers carry
+    that lexicon's hierarchy.  Every chart sign's structure, lexical ones
+    included, is the memo's interned one, so a memo key never looks a
+    structure up by its nodes.
+
+    The pairing loop tries a pair of edges only on the schemata that the
+    first edge's ``heads`` and the second's ``deps`` admit and whose type
+    tests, ands of the signs' extension masks, pass: the tests the schema
+    makes first, so a dropped pair is one it would refuse before any work.
 
     Above the memo, each parse keeps a pair table of its own, which maps
     (schema, first sign, second sign) to the mother sign, domain included:
@@ -233,6 +242,15 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     edges: list[Edge] = []
     state = {"limit_hit": False, "rejected": 0}
+    # each (schema, daughter structures) triple is unified once per memo,
+    # whatever the coverages
+    if memo is None:
+        memo = SchemaMemo()
+
+    def leaf(sign: Sign) -> Sign:
+        """``sign`` on the memo's interned structure, as every mother is, so
+        that no memo key has to look its structure up by its nodes."""
+        return replace(sign, fs=memo.intern(sign.fs))
 
     def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
             licenser_id: Optional[int] = None, label: str = "") -> None:
@@ -256,7 +274,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     for pos in range(n):
         for k, (span, sign) in enumerate(lexicon.lookup(tokens, pos)):
             covered |= mask_span(pos, span)
-            add(sign, LEX_SCHEMA, (), label=f"{tokens[pos]}@{pos}/{k}")
+            add(leaf(sign), LEX_SCHEMA, (), label=f"{tokens[pos]}@{pos}/{k}")
 
     if covered != full:
         missing = [tokens[p] for p in mask_positions(full & ~covered)]
@@ -266,7 +284,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         clause_type = detect_clause_type(e.sign for e in edges if e.coverage & 1)
 
     if options.mode == TRACE:
-        trace = make_vcomp_trace(lexicon.hierarchy)
+        trace = leaf(make_vcomp_trace(lexicon.hierarchy))
         for boundary in range(n + 1):
             add(trace, TRACE_SCHEMA, (), label=f"@{boundary}")
 
@@ -289,10 +307,6 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         active &= ~_SI
     if clause_type != V2:
         active &= ~_FH
-    # each (schema, daughter structures) triple is unified once per memo,
-    # whatever the coverages
-    if memo is None:
-        memo = {}
     # the pair table: signs key by identity, and only mothers that exist are
     # stored, since failed pairs would grow licensing mode's table, where no
     # pair of signs recurs
@@ -332,20 +346,40 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         done += 1
         if e.schema == SCHEMA_FILLER_HEAD:
             continue
-        # a pair reaches combine only when its coverages are disjoint and the
-        # role masks admit some active schema, in the direction tried
+        # a pair reaches combine only when its coverages are disjoint, the
+        # role masks admit some active schema, in the direction tried, and
+        # the extension masks of the facts that schema compares intersect
         heads, deps = e.heads & active, e.deps & active
+        ef = e.sign.facts
         for f in unslashed if e.slash1 else processed:
             if e.coverage & f.coverage:
                 continue
             if fits := heads & f.deps:
-                combine(e, f, fits)
-                if state["limit_hit"]:
-                    break
+                ff = f.sign.facts
+                if fits & _HC and not (ef.comps_last_head_ext & ff.head_ext
+                                       and ef.comps_last_case_ext & ff.case_ext):
+                    fits &= ~_HC
+                if fits & _HA and not ff.mod_head_ext & ef.head_ext:
+                    fits &= ~_HA
+                if fits & _VS and not ef.vcomp_vform_ext & ff.vform_ext:
+                    fits &= ~_VS
+                if fits:
+                    combine(e, f, fits)
+                    if state["limit_hit"]:
+                        break
             if fits := f.heads & deps:
-                combine(f, e, fits)
-                if state["limit_hit"]:
-                    break
+                ff = f.sign.facts
+                if fits & _HC and not (ff.comps_last_head_ext & ef.head_ext
+                                       and ff.comps_last_case_ext & ef.case_ext):
+                    fits &= ~_HC
+                if fits & _HA and not ef.mod_head_ext & ff.head_ext:
+                    fits &= ~_HA
+                if fits & _VS and not ff.vcomp_vform_ext & ef.vform_ext:
+                    fits &= ~_VS
+                if fits:
+                    combine(f, e, fits)
+                    if state["limit_hit"]:
+                        break
         processed.append(e)
         if not e.slash1:
             unslashed.append(e)

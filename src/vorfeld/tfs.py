@@ -25,7 +25,7 @@ remainder is undecidable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 AVM = "avm"
@@ -65,7 +65,10 @@ class TypeHierarchy:
     hierarchy also carries the appropriateness table: which features a type
     licenses and the required value type of each.  A feature may be
     introduced by exactly one type and is inherited by its subtypes; a
-    subtype may redeclare a feature only to narrow its value type.
+    subtype may redeclare a feature only to narrow its value type.  Each
+    type's extension mask, computed at load, has one bit for each of its
+    subtypes, so two types have a greatest lower bound exactly when their
+    masks share a bit: a compatibility test is one and.
     """
 
     def __init__(self, declarations: Sequence[tuple[str, Sequence[str], Sequence[tuple[str, str]]]]):
@@ -92,6 +95,8 @@ class TypeHierarchy:
             for anc in self._ancestors[name]:
                 self._subtypes[anc].add(name)
         self._glb = self._glb_table()
+        bit = {t: 1 << i for i, t in enumerate(sorted(self._parents))}
+        self._extension = {t: sum(bit[s] for s in subs) for t, subs in self._subtypes.items()}
         self._features: dict[str, dict[str, str]] = {}
         self._check_appropriateness()
 
@@ -175,6 +180,12 @@ class TypeHierarchy:
             self.check_type(b)
         return result
 
+    def extension(self, t: str) -> int:
+        """The extension mask of ``t``: ``extension(a) & extension(b)`` is
+        non-zero exactly when ``glb(a, b)`` is not None."""
+        self.check_type(t)
+        return self._extension[t]
+
     def features_for(self, t: str) -> Mapping[str, str]:
         self.check_type(t)
         return self._features[t]
@@ -204,10 +215,14 @@ class FeatureStructure:
 
     Nodes are numbered in deterministic depth-first order from the root
     (which is therefore always node 0), so two structures are isomorphic
-    exactly when their node tuples are equal.
+    exactly when their node tuples are equal.  ``sid`` is the structure's
+    id in the intern table of the schema memo that made it
+    (:class:`vorfeld.grammar.SchemaMemo`), -1 for any other structure; it
+    takes no part in equality.
     """
 
     nodes: tuple[Node, ...]
+    sid: int = field(default=-1, compare=False, repr=False)
 
     @property
     def root(self) -> int:

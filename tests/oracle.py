@@ -2,8 +2,8 @@
 
 :func:`closure` tries every ordered pair of two distinct edges with disjoint
 coverage against all five schemata through ``grammar.apply_schema``.  It
-uses no schema memo, no role-mask pre-filter and no SLASH index, so every
-optimisation of the parser is checked against it (Kiefer, Krieger, Carroll
+uses no schema memo, no role-mask or type-test pre-filter and no SLASH
+index, so every optimisation of the parser is checked against it (Kiefer, Krieger, Carroll
 & Malouf 1999 require quick-check filters to be sound).  It keeps only the
 conditions that belong to the grammar:
 

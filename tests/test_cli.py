@@ -298,12 +298,43 @@ class TestCmdCorpus:
         assert first["status"] == "pass"
         assert first["verdict"] == "OK"
         assert "time_ms" in first
+        assert [kv.split("=", 1)[0] for kv in lines[0].split("\t")] == [
+            "line", "status", "verdict", "expected", "got", "limit_hit", "time_ms", "sentence"]
+        assert {line.split("\t")[5] for line in lines[:-1]} == {"limit_hit=0"}
+
+    def test_a_line_cut_off_by_the_edge_limit_fails(self, tmp_path, capsys):
+        """Line 13 is ``BAD`` and builds 54 edges in full: stopped at 20 it
+        has no reading, which is not the verdict's "no reading", so it
+        fails, and both reports say that the limit stopped it."""
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("BAD\tMüssen wird er ihr ein Märchen erzählen.\n", encoding="utf-8")
+        out_path = tmp_path / "report.tsv"
+        assert main(["corpus", "--corpus", str(corpus), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert "limit_hit=0" in out_path.read_text(encoding="utf-8")
+        rc = main(["corpus", "--corpus", str(corpus), "--out", str(out_path),
+                   "--edge-limit", "20"])
+        table = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert table[1].split()[:5] == ["1", "FAIL", "BAD", "0", "limit"]
+        assert table[-1] == "0/1 lines pass"
+        record = dict(kv.split("=", 1) for kv in
+                      out_path.read_text(encoding="utf-8").splitlines()[0].split("\t"))
+        assert (record["status"], record["got"], record["limit_hit"]) == ("fail", "0", "1")
 
 
 class TestReportDeterminism:
     def test_byte_identical_modulo_timing(self, fragment):
-        first = run_corpus(fragment, corpus_text())
-        second = run_corpus(fragment, corpus_text())
+        self.check(fragment, 50000)
+
+    def test_byte_identical_when_the_limit_stops_every_line(self, fragment):
+        self.check(fragment, 20)
+
+    @staticmethod
+    def check(fragment, edge_limit):
+        first = run_corpus(fragment, corpus_text(), edge_limit)
+        second = run_corpus(fragment, corpus_text(), edge_limit)
+        assert [o.limit_hit for o in first.outcomes] == [edge_limit == 20] * 12
 
         def normalize(report_text):
             return re.sub(r"time_ms=[0-9.]+", "time_ms=_", report_text)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corpus_sentences
 from oracle import closure
-from vorfeld import grammar
+from vorfeld import cli, grammar
 from vorfeld.avm import print_fs
 from vorfeld.grammar import (
     P_SYNSEM,
@@ -15,6 +15,7 @@ from vorfeld.grammar import (
     SCHEMA_SLASH_INTRO,
     SCHEMA_VERB_CLUSTER,
     SCHEMATA,
+    SchemaMemo,
     TYPE_LEXICAL,
     TYPE_PHRASAL,
     check_comps_closed,
@@ -270,7 +271,7 @@ class TestDerivationRecord:
         results = [parse(sentence, fragment) for sentence in corpus_sentences()]
         results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=3000)))
         for result in results:
-            memo = {}
+            memo = SchemaMemo()
             for edge in result.edges:
                 fs = replay(Derivation(edge)).fs
                 types = [node.type for node in fs.nodes]
@@ -430,12 +431,14 @@ class TestSlashIndex:
         """Work count: the schema applications of the criterion-2 demo, the
         same with and without the index (no skipped pair reached a schema).
         The parse's pair table applies each (schema, first sign, second
-        sign) that has a mother once: 4,401 applications, where applying
-        every pair of edges afresh made 13,055."""
+        sign) that has a mother once, and the pairing loop drops the pairs
+        whose facts fail a schema's type test: 2,125 applications, each of
+        them a memo lookup (4,401 while those pairs reached the schema,
+        13,055 when every pair of edges was applied afresh)."""
         calls = self.count_applications(monkeypatch)
         report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000)
         assert report.edges_built == 10000
-        assert len(calls) == 4401
+        assert len(calls) == 2125
 
     def test_trace_edges_share_their_mothers(self, trace_chart):
         """Edges built from one pair of signs share the pair's mother, so
@@ -444,18 +447,19 @@ class TestSlashIndex:
         assert len({id(e.sign) for e in trace_chart.edges}) == 1340
 
     def test_licensing_mode_never_repeats_a_sign_pair(self, monkeypatch, fragment):
-        """Work count: ``run_corpus`` makes 4,566 schema applications, as
-        it did before the pair table: each is on a pair of signs no other
-        one had, so the table saves licensing mode nothing."""
+        """Work count: ``run_corpus`` makes 868 schema applications (4,566,
+        as before the pair table, while the pairs whose facts fail a
+        schema's type test reached the schema): each is on a pair of signs
+        no other one had, so the table saves licensing mode nothing."""
         calls = self.count_applications(monkeypatch)
         assert run_corpus(fragment, corpus_text()).passed
-        assert len(set(calls)) == len(calls) == 4566
+        assert len(set(calls)) == len(calls) == 868
 
     def test_the_pair_table_lives_for_one_parse(self, fragment):
         """Two trace-mode parses through one schema memo build the pinned
         chart twice, and share no sign: the pair table, whose mothers carry
         one sentence's domains, starts empty in each parse."""
-        memo = {}
+        memo = SchemaMemo()
         options = ParseOptions(mode="trace", edge_limit=10000)
         first, second = (parse(S_1A.split(), fragment, options, memo=memo) for _ in range(2))
         assert _chart_digest(first.edges) == _chart_digest(second.edges) == TRACE_CHART_DIGEST
@@ -534,7 +538,7 @@ class TestSchemaMemo:
         extracts = self.count_extracts(monkeypatch)
         reverse = "\n".join(reversed(corpus_text().splitlines()))
         assert run_corpus(fragment, reverse).passed and len(extracts) == 96
-        memo, shared_extracts = {}, 0
+        memo, shared_extracts = SchemaMemo(), 0
         for sentence in reversed(corpus_sentences()):
             before = len(extracts)
             shared = parse(sentence, fragment, memo=memo)
@@ -548,6 +552,70 @@ class TestSchemaMemo:
                 assert a.sign.fs.nodes == b.sign.fs.nodes and a.sign.facts == b.sign.facts
                 assert a.sign.dom == b.sign.dom
         assert shared_extracts == 96
+
+    @staticmethod
+    def count_lookups(monkeypatch) -> list:
+        """Every memo key looked up from now on."""
+        lookups = []
+        memoized = grammar._memoized
+
+        def counted(memo, key, build):
+            if memo is not None:
+                lookups.append(key)
+            return memoized(memo, key, build)
+
+        monkeypatch.setattr(grammar, "_memoized", counted)
+        return lookups
+
+    def test_memo_lookups_pinned(self, monkeypatch, fragment):
+        """Work count: ``run_corpus`` looks 868 keys up in its memo and
+        extracts 96 times, and the criterion-2 demo looks 2,125 keys up,
+        as they did while the pairs whose facts fail a schema's type test
+        reached the schemata: those pairs never reached the memo."""
+        lookups, extracts = self.count_lookups(monkeypatch), self.count_extracts(monkeypatch)
+        assert run_corpus(fragment, corpus_text()).passed
+        assert (len(lookups), len(extracts)) == (868, 96)
+        lookups.clear()
+        assert demonstrate_trace_mode(S_1A.split(), fragment).edges_built == 10000
+        assert len(lookups) == 2125
+
+    def test_equal_structures_share_one_interned_structure(self, fragment):
+        """Within one memo every chart sign's structure, lexical ones
+        included, is the memo's interned structure of its shape, and a memo
+        key is the schema (or the kind of trace-mode combination) and two
+        structure ids."""
+        memo = SchemaMemo()
+        results = [parse(sentence, fragment, memo=memo) for sentence in corpus_sentences()]
+        results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=3000),
+                             memo=memo))
+        shapes = {}
+        for result in results:
+            for edge in result.edges:
+                fs = edge.sign.fs
+                assert memo.structures[fs.sid] is fs
+                shapes.setdefault(fs.nodes, set()).add(id(fs))
+        assert all(len(objects) == 1 for objects in shapes.values())
+        assert len({fs.nodes for fs in memo.structures}) == len(memo.structures) >= len(shapes)
+        for label, first, second in memo:
+            assert label in SCHEMATA or label in (True, False)
+            assert isinstance(first, int) and (second is None or isinstance(second, int))
+
+    def test_no_two_corpus_runs_share_an_intern_table(self, monkeypatch, fragment):
+        """The lines of one ``run_corpus`` call share its memo and intern
+        table; the next call starts an empty one of its own."""
+        memos = []
+        parse_line = cli.parse
+        monkeypatch.setattr(cli, "parse", lambda *args, memo, **kw:
+                            memos.append((memo, len(memo.structures)))
+                            or parse_line(*args, memo=memo, **kw))
+        run_corpus(fragment, corpus_text())
+        run_corpus(fragment, corpus_text())
+        assert len(memos) == 24
+        first, second = memos[:12], memos[12:]
+        assert all(memo is first[0][0] for memo, _ in first)
+        assert all(memo is second[0][0] for memo, _ in second)
+        assert first[0][0] is not second[0][0]
+        assert first[0][1] == second[0][1] == 0
 
     def test_replay_unifies_every_step_again(self, monkeypatch, fragment):
         """After the chart has filled its memo, rebuilding a reading still

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fsgen import structure_pairs
+from test_lexicon import MINI_TYPES
 from vorfeld.avm import read_fs
+from vorfeld.lexicon import load_lexicon
 from vorfeld.tfs import (
     AVM,
     CLOSED,
@@ -82,6 +86,39 @@ class TestHierarchy:
         for s in diamond.types:
             for t in diamond.types:
                 assert rebuilt.glb(s, t) == diamond.glb(s, t)
+
+    def test_extension_masks_meet_exactly_when_a_glb_exists(self, diamond, fragment):
+        """The schemata's type tests (in the steps and in the pairing loop)
+        are ands of extension masks, and the closure oracle runs the same
+        steps, so this is what guards them: over every pair of types of
+        each hierarchy the tests declare, the masks share a bit exactly
+        when the glb table has an entry."""
+        for hierarchy in (diamond, fragment.hierarchy, load_lexicon(MINI_TYPES).hierarchy):
+            _assert_masks_match_glb(hierarchy)
+        with pytest.raises(ConfigurationError):
+            diamond.extension("nope")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(parents=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3),
+                            min_size=1, max_size=10))
+    def test_extension_masks_meet_exactly_when_a_glb_exists_generated(self, parents):
+        """The same over generated hierarchies: type ``t<i>`` has parents
+        among ``t0`` (the top) to ``t<i-1>``."""
+        declarations = [("t0", (), ())]
+        for i, ps in enumerate(parents, 1):
+            declarations.append((f"t{i}", tuple(sorted({f"t{p % i}" for p in ps})), ()))
+        try:
+            hierarchy = TypeHierarchy(declarations)
+        except HierarchyError:
+            assume(False)
+        _assert_masks_match_glb(hierarchy)
+
+
+def _assert_masks_match_glb(hierarchy: TypeHierarchy) -> None:
+    for a in hierarchy.types:
+        for b in hierarchy.types:
+            meet = hierarchy.extension(a) & hierarchy.extension(b)
+            assert bool(meet) == (hierarchy.glb(a, b) is not None), (a, b)
 
 
 # ------------------------------------------------------------- unification
