@@ -60,11 +60,14 @@ A memo key needs nothing of the sentence, so a memo may outlive a parse:
 the parser takes one memo per parse, fresh unless its caller passes one
 (``run_corpus`` shares one between the lines of a corpus), and it also
 holds the trace-mode mothers; the rebuild of a derivation uses none, so
-it unifies every step afresh.  Above the memo the parser keeps a pair table
-for one parse, keyed by the daughter signs themselves, which stores whole
-chart mothers, domain included, so a pair of signs met again does not reach
-a schema at all; it never enters the memo, since domains belong to one
-sentence.
+it unifies every step afresh.  The memo keeps one sign, so one facts
+object, per interned structure (:meth:`SchemaMemo.sign`).  Above the memo
+the parser keeps two tables for one parse: a sign table, which gives edges
+of equal structure and domain one sign, and a pair table, keyed by the
+daughter signs themselves, which stores whole chart mothers, domain
+included, or None for a pair without one, so a pair of signs met again
+does not reach a schema at all.  Neither enters the memo, since domains
+belong to one sentence.
 """
 from __future__ import annotations
 
@@ -144,10 +147,7 @@ class SignFacts:
     slash: Optional[int]
     has_mod: bool
     open_lists: bool  # some list of the whole structure, DTRS included, is open
-    comps_last_head: Optional[str] = None
-    comps_last_case: Optional[str] = None
     vcomp_vform: Optional[str] = None
-    mod_head: Optional[str] = None
     heads: int = 0  # role masks, one SCHEMA_BIT per schema: first daughter
     deps: int = 0  # ... and second daughter
     # extension masks (TypeHierarchy.extension) of the facts the schemata
@@ -238,10 +238,7 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
         slash=slash,
         has_mod=has_mod,
         open_lists=any(node.kind in (OPEN, APPEND) for node in fs.nodes),
-        comps_last_head=comps_last_head,
-        comps_last_case=comps_last_case,
         vcomp_vform=vcomp_vform,
-        mod_head=mod_head,
         heads=heads,
         deps=deps,
         head_ext=_extension(hierarchy, head),
@@ -331,13 +328,15 @@ class SchemaMemo(dict):
     synsem's in the memo's intern table: :meth:`intern` maps a canonical
     node tuple to the one structure of that shape the memo holds, which
     carries its id (``FeatureStructure.sid``).  So a key hashes three small
-    values, and a mother met again under another key shares its structure.
+    values, and a mother met again under another key shares its structure,
+    and its facts: :meth:`sign` keeps one sign per structure.
     """
 
     def __init__(self):
         super().__init__()
         self.structures: list[FeatureStructure] = []  # by id
         self._ids: dict[tuple, int] = {}  # node tuple -> id
+        self._signs: dict[int, Sign] = {}  # id -> sign with an empty domain
 
     def intern(self, fs: FeatureStructure) -> FeatureStructure:
         """The memo's structure equal to ``fs``, interned on first sight."""
@@ -348,6 +347,16 @@ class SchemaMemo(dict):
             sid = self._ids[fs.nodes] = len(self.structures)
             self.structures.append(FeatureStructure(fs.nodes, sid))
         return self.structures[sid]
+
+    def sign(self, sign: Sign) -> Sign:
+        """The chart sign of ``sign``'s structure, interned, with an empty
+        domain: one per structure, so equal structures share one facts
+        object.  On first sight of the structure it takes ``sign``'s facts."""
+        fs = self.intern(sign.fs)
+        known = self._signs.get(fs.sid)
+        if known is None:
+            known = self._signs[fs.sid] = Sign(sign.hierarchy, fs, EMPTY_DOMAIN, sign.facts)
+        return known
 
 
 def _memoized(memo: Optional[SchemaMemo], key: tuple,
@@ -396,7 +405,8 @@ def _combine(step: Optional[Step], first: Sign, second: Sign,
     On a miss of the step's key in ``memo`` it grafts both synsems into a
     new workspace, runs the body on them, each daughter given as its synsem
     node twice (the chart records no ``DTRS``), and extracts the mother's
-    synsem, which the memo interns.  Only a mother that exists is placed.
+    synsem, whose sign the memo keeps one of per structure.  Only a mother
+    that exists is placed.
     """
     if step is None:
         return None
@@ -410,7 +420,8 @@ def _combine(step: Optional[Step], first: Sign, second: Sign,
         a, b = ws.graft(first.fs), ws.graft(second.fs)
         parts = body(ws, a, a, b, b)
         fs = parts and ws.extract(_synsem(ws, parts))
-        return fs and make_sign(ws.hierarchy, fs if memo is None else memo.intern(fs))
+        return fs and (make_sign(ws.hierarchy, fs) if memo is None
+                       else memo.sign(make_sign(ws.hierarchy, fs)))
 
     return _placed(_memoized(memo, key, build), place)
 

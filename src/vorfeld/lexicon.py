@@ -50,9 +50,9 @@ from .tfs import (
 
 # the types the grammar builds, and those the entry checks and the finite
 # form rule name; a lexicon with entries must declare them all, since
-# without them a parse would fail mid-way (a file without entries parses
-# nothing)
-REQUIRED_TYPES = ("sign", "fin") + BUILT_TYPES
+# without them a parse would fail mid-way, or an entry check would fail
+# with a misleading message (a file without entries parses nothing)
+REQUIRED_TYPES = ("sign", "fin", "bse") + BUILT_TYPES
 
 
 class LexiconError(Exception):

@@ -3,9 +3,10 @@
 Edges cover arbitrary position sets, not just spans, which is what makes
 discontinuous constituents tractable: the schemata decide which coverages
 may combine, and the linearization check validates complete clauses.  A
-verb cluster's order is judged on the pair of daughters before the schema
-runs (:func:`vorfeld.orderdomain.cluster_in_order`), so no out-of-order
-cluster, and no edge built on one, enters the chart.  Two modes:
+verb cluster's order is judged on the pair of daughter signs, once, before
+the schema runs (:func:`vorfeld.orderdomain.cluster_in_order`), so no
+out-of-order cluster, and no edge built on one, enters the chart.  Two
+modes:
 
 * licensing (default): the slash-introduction schema licenses fronted
   verbal material against an actually present projection; traces are off.
@@ -21,7 +22,7 @@ against the shared immutable lexicon, each with its own schema memo.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -42,7 +43,7 @@ from .grammar import (
     make_vcomp_trace,
 )
 from .lexicon import Lexicon
-from .orderdomain import V2, VFINAL, mask_positions, mask_span
+from .orderdomain import V2, VFINAL, Domain, DomainElement, mask_positions, mask_span
 
 LICENSING = "licensing"
 TRACE = "trace"
@@ -52,6 +53,7 @@ TRACE_SCHEMA = "trace"
 
 _HC, _HA, _VC, _SI, _FH = (SCHEMA_BIT[schema] for schema in G.SCHEMATA)
 _VS = _VC | _SI  # the schemata that compare the head's VCOMP VFORM with the other's VFORM
+_UNSEEN = object()  # the pair table's default: no pair of signs maps to it
 
 
 class LexicalGapError(Exception):
@@ -223,15 +225,20 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     tests, ands of the signs' extension masks, pass: the tests the schema
     makes first, so a dropped pair is one it would refuse before any work.
 
-    Above the memo, each parse keeps a pair table of its own, which maps
-    (schema, first sign, second sign) to the mother sign, domain included:
-    a mother depends on nothing else, so a pair of signs goes through
-    ``apply_schema`` once however many pairs of edges hold it.  Edges built
-    from one pair share its mother's sign, so pairs on that sign hit in turn
-    (trace mode's n+1 trace edges share one sign).  Domains belong to the
-    sentence, so the table never outlives the parse.  Filler identity and
-    verb-cluster order are facts of the edges: they are judged on every
-    pair and never stored.
+    Above the memo, each parse keeps two tables of its own.  The sign
+    table holds one sign per structure id and domain, and each new mother
+    is swapped for it, so edges of equal structure and domain share one
+    sign (the criterion-2 chart's 10,000 edges hold 175).  The pair table
+    maps (schema, first sign, second sign) to that mother, or to None for a
+    pair without one: a mother depends on nothing else, so a pair of signs
+    goes through ``apply_schema`` once however many pairs of edges hold it,
+    failures included.  A verb cluster's order reads only the two signs'
+    domains, so it is judged on a miss of the pair table, before the
+    schema, and stored with the answer.  Domains belong to the sentence, so
+    neither table outlives the parse.  Filler identity and the licenser id
+    are facts of the edges: they are judged on every pair of edges and
+    never stored.  The root filter tests an edge's coverage before
+    :func:`is_reading`.
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
@@ -248,9 +255,13 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         memo = SchemaMemo()
 
     def leaf(sign: Sign) -> Sign:
-        """``sign`` on the memo's interned structure, as every mother is, so
-        that no memo key has to look its structure up by its nodes."""
-        return replace(sign, fs=memo.intern(sign.fs))
+        """``sign`` on the memo's interned structure and facts, as every
+        mother is, its domain's elements included: no memo key has to look
+        its structure up by its nodes, and equal structures share facts."""
+        base = memo.sign(sign)
+        elements = tuple(DomainElement(el.phon, el.coverage, base.facts, el.field)
+                         for el in sign.dom.elements)
+        return Sign(sign.hierarchy, base.fs, Domain(elements, sign.dom.coverage), base.facts)
 
     def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
             licenser_id: Optional[int] = None, label: str = "") -> None:
@@ -307,20 +318,39 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         active &= ~_SI
     if clause_type != V2:
         active &= ~_FH
-    # the pair table: signs key by identity, and only mothers that exist are
-    # stored, since failed pairs would grow licensing mode's table, where no
-    # pair of signs recurs
-    pairs: dict[tuple[str, Sign, Sign], Sign] = {}
+    # The parse's two tables.  ``signs`` holds its one sign per structure id
+    # and domain.  A domain keys as its coverage and, per element, coverage,
+    # field and facts object, of which the memo keeps one per structure:
+    # within one sentence coverage fixes phonology, so equal keys mean equal
+    # domains, and no domain or facts is hashed by value.  ``pairs`` maps
+    # (schema, first sign, second sign), signs by identity, to the mother
+    # from ``signs``, or to None for a pair without one, a verb cluster out
+    # of order included.  Edges built from equal pairs share one sign, so a
+    # pair of signs reaches a schema once.
+    signs: dict[tuple, Sign] = {}
+    pairs: dict[tuple[str, Sign, Sign], Optional[Sign]] = {}
+
+    def mother_of(schema: str, a: Sign, b: Sign) -> Optional[Sign]:
+        # a cluster's domain is the union of its daughters' domains, and its
+        # order reads only theirs
+        if schema == SCHEMA_VERB_CLUSTER and not od.cluster_in_order(
+                a.dom.coverage | b.dom.coverage, a.dom, clause_type):
+            return None
+        mother = G.apply_schema(schema, a, b, memo=memo)
+        if mother is None:
+            return None
+        dom = mother.dom
+        key = (mother.fs.sid, dom.coverage,
+               *[(el.coverage, el.field, id(el.facts)) for el in dom.elements])
+        return signs.setdefault(key, mother)
 
     def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:
         key = (schema, a.sign, b.sign)
-        mother = pairs.get(key)
-        if mother is None:
-            mother = G.apply_schema(schema, a.sign, b.sign, memo=memo)
-            if mother is None:
-                return
-            pairs[key] = mother
-        add(mother, schema, (a, b), licenser_id)
+        mother = pairs.get(key, _UNSEEN)
+        if mother is _UNSEEN:
+            mother = pairs[key] = mother_of(schema, a.sign, b.sign)
+        if mother is not None:
+            add(mother, schema, (a, b), licenser_id)
 
     def combine(a: Edge, b: Edge, fits: int) -> None:
         """Try the schemata in ``fits`` with ``a`` as the head-like first argument."""
@@ -329,8 +359,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             attach(SCHEMA_HEAD_COMPLEMENT, a, b, licenser_id)
         if fits & _HA:
             attach(SCHEMA_HEAD_ADJUNCT, a, b, licenser_id)
-        # a cluster's domain is the union of its daughters' domains
-        if fits & _VC and od.cluster_in_order(a.coverage | b.coverage, a.sign.dom, clause_type):
+        if fits & _VC:
             attach(SCHEMA_VERB_CLUSTER, a, b, licenser_id)
         if fits & _SI:
             attach(SCHEMA_SLASH_INTRO, a, b, b.id)
@@ -384,7 +413,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         if not e.slash1:
             unslashed.append(e)
 
-    derivations = sorted((Derivation(e) for e in edges if is_reading(e, tokens, clause_type)),
+    derivations = sorted((Derivation(e) for e in edges
+                          if e.coverage == full and is_reading(e, tokens, clause_type)),
                          key=Derivation.canonical_key)
     return ParseResult(tokens, options.mode, clause_type, tuple(derivations),
                        tuple(edges), options.edge_limit, state["limit_hit"],

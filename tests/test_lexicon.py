@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from vorfeld.grammar import P_SYNSEM, check_comps_closed, make_sign
@@ -5,6 +7,7 @@ from vorfeld.lexicon import (
     InapplicableError,
     LexiconError,
     finitivize,
+    fragment_text,
     load_fragment,
     load_lexicon,
 )
@@ -234,6 +237,15 @@ class TestVerbEntryInvariant:
 """
         with pytest.raises(LexiconError, match="restricted to bse"):
             load_lexicon(bad)
+
+    def test_renamed_bse_is_a_missing_type(self):
+        """The entry check reads ``bse`` by name, so a fragment that calls
+        it otherwise fails to load for want of the type, not on its first
+        verbal complement."""
+        renamed = re.sub(r"(?<![\w-])bse(?![\w-])", "base", fragment_text())
+        assert "(type base (vform))" in renamed
+        with pytest.raises(LexiconError, match=r"does not declare: bse$"):
+            load_lexicon(renamed)
 
 
 class TestLookupMidSentence:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corpus_sentences
 from oracle import closure
-from vorfeld import cli, grammar
+from vorfeld import cli, grammar, orderdomain
 from vorfeld.avm import print_fs
 from vorfeld.grammar import (
     P_SYNSEM,
@@ -431,29 +431,34 @@ class TestSlashIndex:
         """Work count: the schema applications of the criterion-2 demo, the
         same with and without the index (no skipped pair reached a schema).
         The parse's pair table applies each (schema, first sign, second
-        sign) that has a mother once, and the pairing loop drops the pairs
-        whose facts fail a schema's type test: 2,125 applications, each of
-        them a memo lookup (4,401 while those pairs reached the schema,
-        13,055 when every pair of edges was applied afresh)."""
+        sign) once, failures included, its sign table gives edges built
+        from equal pairs one sign, and the pairing loop drops the pairs
+        whose facts fail a schema's type test: 465 applications, each of
+        them a memo lookup (2,125 while the table held one sign per pair
+        of signs and no failures, 4,401 while those pairs reached the
+        schema, 13,055 when every pair of edges was applied afresh)."""
         calls = self.count_applications(monkeypatch)
         report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000)
         assert report.edges_built == 10000
-        assert len(calls) == 2125
+        assert len(calls) == 465
 
     def test_trace_edges_share_their_mothers(self, trace_chart):
-        """Edges built from one pair of signs share the pair's mother, so
-        the 10,000 edges of the criterion-2 chart hold 1,340 distinct signs
-        (9,993 while each edge got a sign of its own)."""
-        assert len({id(e.sign) for e in trace_chart.edges}) == 1340
+        """Edges with equal structure and domain share one sign, so the
+        10,000 edges of the criterion-2 chart hold 175 distinct signs
+        (1,340 while only edges built from one pair of signs shared its
+        mother, 9,993 while each edge got a sign of its own)."""
+        assert len({id(e.sign) for e in trace_chart.edges}) == 175
 
     def test_licensing_mode_never_repeats_a_sign_pair(self, monkeypatch, fragment):
-        """Work count: ``run_corpus`` makes 868 schema applications (4,566,
+        """Work count: ``run_corpus`` makes 715 schema applications (868
+        while edges of equal structure and domain held distinct signs, 4,566
         as before the pair table, while the pairs whose facts fail a
-        schema's type test reached the schema): each is on a pair of signs
-        no other one had, so the table saves licensing mode nothing."""
+        schema's type test reached the schema), each on a pair of signs no
+        other one had: the shared signs let the table save licensing mode
+        work too."""
         calls = self.count_applications(monkeypatch)
         assert run_corpus(fragment, corpus_text()).passed
-        assert len(set(calls)) == len(calls) == 868
+        assert len(set(calls)) == len(calls) == 715
 
     def test_the_pair_table_lives_for_one_parse(self, fragment):
         """Two trace-mode parses through one schema memo build the pinned
@@ -484,6 +489,68 @@ class TestSlashIndex:
                     assert grammar.apply_schema(schema, b.sign, a.sign) is None
             pairs += len(sample)
         assert pairs > 2000
+
+
+class TestSignTable:
+    """A parse keeps one sign per (structure, domain), and its pair table
+    answers every pair of signs after the first, failures and verb-cluster
+    order included."""
+
+    def test_one_sign_per_structure_and_domain(self, fragment, trace_chart):
+        for result in [trace_chart] + [parse(s, fragment) for s in corpus_sentences()]:
+            signs = {id(e.sign): e.sign for e in result.edges}.values()
+            assert len(signs) == len({(sign.fs.sid, sign.dom) for sign in signs})
+
+    def test_no_pair_of_signs_reaches_a_schema_twice(self, monkeypatch, fragment):
+        """Failures included: each parse applies a (schema, first sign,
+        second sign) once, and many of those applications fail."""
+        calls, results = [], []
+        apply_schema = grammar.apply_schema
+
+        def counted(*args, **kw):
+            calls.append(args[:3])
+            results.append(apply_schema(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(grammar, "apply_schema", counted)
+        parses = [lambda: demonstrate_trace_mode(S_1A.split(), fragment)]
+        parses += [lambda s=sentence: parse(s, fragment) for sentence in corpus_sentences()]
+        failures = 0
+        for run in parses:
+            calls.clear()
+            results.clear()
+            run()
+            assert len(set(calls)) == len(calls) > 0
+            failures += results.count(None)
+        assert failures > 0
+
+    def test_no_cluster_out_of_order_reaches_a_schema(self, monkeypatch, fragment):
+        """The order of a verb cluster is judged on the pair of signs before
+        the schema runs, so the schema never sees a pair out of order; the
+        judgement does refuse some pairs of the corpus."""
+        clusters, refused = [], []
+        apply_schema, in_order = grammar.apply_schema, orderdomain.cluster_in_order
+
+        def judged(coverage, head_dom, clause_type):
+            holds = in_order(coverage, head_dom, clause_type)
+            if not holds:
+                refused.append(coverage)
+            return holds
+
+        def applied(schema, a, b, **kw):
+            if schema == SCHEMA_VERB_CLUSTER:
+                clusters.append((a, b))
+            return apply_schema(schema, a, b, **kw)
+
+        monkeypatch.setattr(orderdomain, "cluster_in_order", judged)
+        monkeypatch.setattr(grammar, "apply_schema", applied)
+        for sentence in corpus_sentences():
+            clusters.clear()
+            result = parse(sentence, fragment)
+            assert len(result.edges) == PINNED_EDGES[" ".join(sentence)]
+            for a, b in clusters:
+                assert in_order(a.dom.coverage | b.dom.coverage, a.dom, result.clause_type)
+        assert refused
 
 
 class TestSchemaMemo:
@@ -568,16 +635,17 @@ class TestSchemaMemo:
         return lookups
 
     def test_memo_lookups_pinned(self, monkeypatch, fragment):
-        """Work count: ``run_corpus`` looks 868 keys up in its memo and
-        extracts 96 times, and the criterion-2 demo looks 2,125 keys up,
-        as they did while the pairs whose facts fail a schema's type test
-        reached the schemata: those pairs never reached the memo."""
+        """Work count: ``run_corpus`` looks 715 keys up in its memo and
+        extracts 96 times, and the criterion-2 demo looks 465 keys up: one
+        per schema application, so the pair table's hits never reach the
+        memo (868 and 2,125 while the table neither shared signs between
+        equal edges nor stored failures)."""
         lookups, extracts = self.count_lookups(monkeypatch), self.count_extracts(monkeypatch)
         assert run_corpus(fragment, corpus_text()).passed
-        assert (len(lookups), len(extracts)) == (868, 96)
+        assert (len(lookups), len(extracts)) == (715, 96)
         lookups.clear()
         assert demonstrate_trace_mode(S_1A.split(), fragment).edges_built == 10000
-        assert len(lookups) == 2125
+        assert len(lookups) == 465
 
     def test_equal_structures_share_one_interned_structure(self, fragment):
         """Within one memo every chart sign's structure, lexical ones
