@@ -51,7 +51,10 @@ from .tfs import (
 # the types the grammar builds, and those the entry checks and the finite
 # form rule name; a lexicon with entries must declare them all, since
 # without them a parse would fail mid-way, or an entry check would fail
-# with a misleading message (a file without entries parses nothing)
+# with a misleading message (a file without entries parses nothing).
+# ``comp`` is read by name too but is optional: a hierarchy without it
+# loads, ``auto`` then reads every clause as verb-second, and no verb-final
+# clause can parse (vorfeld.parser.detect_clause_type)
 REQUIRED_TYPES = ("sign", "fin", "bse") + BUILT_TYPES
 
 

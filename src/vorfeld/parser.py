@@ -22,7 +22,7 @@ against the shared immutable lexicon, each with its own schema memo.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -81,7 +81,7 @@ class ParseOptions:
             raise ValueError(f"unknown clause type {self.clause_type!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Edge:
     """Chart item: a sign plus coverage and derivation bookkeeping.
 
@@ -93,6 +93,13 @@ class Edge:
     the processed edges, since no two SLASH-carrying edges are ever paired.
     Every verb cluster of the tree is in order under the parse's clause
     type: the rule is judged on each pair before a cluster is built.
+
+    An edge is frozen, compares and hashes by identity, and is slotted: it
+    has no instance ``__dict__`` and takes no weak references.  Its
+    ``__init__`` writes each slot once through the slot's descriptor
+    instead of the frozen ``__setattr__``, which halves the cost of
+    building one; its parameters are the fields, in order, with their
+    defaults, so ``dataclasses.replace`` works as on any dataclass.
     """
 
     id: int
@@ -106,10 +113,30 @@ class Edge:
     deps: int = 0
     slash1: bool = False
 
+    def __init__(self, id: int, sign: Sign, coverage: int, schema: str,
+                 daughters: tuple["Edge", ...], licenser_id: Optional[int] = None,
+                 label: str = "", heads: int = 0, deps: int = 0, slash1: bool = False):
+        _set_id(self, id)
+        _set_sign(self, sign)
+        _set_coverage(self, coverage)
+        _set_schema(self, schema)
+        _set_daughters(self, daughters)
+        _set_licenser_id(self, licenser_id)
+        _set_label(self, label)
+        _set_heads(self, heads)
+        _set_deps(self, deps)
+        _set_slash1(self, slash1)
+
     def key(self) -> str:
         if not self.daughters:
             return f"{self.schema}[{self.label}]"
         return f"{self.schema}({','.join(d.key() for d in self.daughters)})"
+
+
+# each slot's member descriptor writes the slot without the frozen __setattr__
+(_set_id, _set_sign, _set_coverage, _set_schema, _set_daughters, _set_licenser_id,
+ _set_label, _set_heads, _set_deps, _set_slash1) = (Edge.__dict__[f.name].__set__
+                                                     for f in fields(Edge))
 
 
 @dataclass(frozen=True)
@@ -197,7 +224,13 @@ class TraceModeReport:
 
 def detect_clause_type(first_signs: Iterable[Sign]) -> str:
     """The ``auto`` clause type: verb-final exactly when a sign covering
-    position 0 is a complementizer."""
+    position 0 is a complementizer.
+
+    The head type ``comp`` is optional (see
+    :data:`vorfeld.lexicon.REQUIRED_TYPES`): in a hierarchy without it no
+    sign is a complementizer, so ``auto`` reads every clause as verb-second,
+    and no verb-final clause can parse, since a verb-final root is a
+    saturated ``comp`` (:func:`vorfeld.grammar.is_complete_clause`)."""
     return VFINAL if any(sign.facts.head == "comp" for sign in first_signs) else V2
 
 

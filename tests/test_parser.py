@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -24,6 +25,7 @@ from vorfeld.cli import run_corpus
 from vorfeld.lexicon import corpus_text, load_lexicon
 from vorfeld.parser import (
     Derivation,
+    Edge,
     LexicalGapError,
     ParseOptions,
     demonstrate_trace_mode,
@@ -128,6 +130,26 @@ class TestParse:
     def test_forcing_the_wrong_clause_type_kills_the_parse(self, fragment):
         result = parse(S_2.split(), fragment, ParseOptions(clause_type="vfinal"))
         assert result.readings == 0
+
+    def test_a_fragment_without_comp_parses_no_verb_final_clause(self, fragment):
+        """``comp`` is an optional type: a fragment that does not declare it
+        loads, ``auto`` then reads every clause as verb-second, and no
+        verb-final clause parses, even under ``vfinal``; verb-second clauses
+        keep their readings."""
+        text = _fragment_source()
+        weil = text[text.index('(word "weil"'):].split("\n\n")[0]
+        assert "(type comp (head))" in text and "HEAD comp" in weil
+        lexicon = load_lexicon(text.replace(weil, "").replace("(type comp (head))", ""))
+        assert "comp" not in lexicon.hierarchy
+        clause = "er ihr ein Märchen erzählen müssen wird".split()
+        assert parse(clause, lexicon).clause_type == "v2"
+        for clause_type in ("auto", "v2", "vfinal"):
+            assert parse(clause, lexicon, ParseOptions(clause_type=clause_type)).readings == 0
+        assert parse(["weil"] + clause, fragment).readings == 1
+        with pytest.raises(LexicalGapError):
+            parse(["weil"] + clause, lexicon)
+        for sentence in (S_1A, S_2, S_7B):
+            assert parse(sentence.split(), lexicon).readings == PINNED_READINGS[sentence]
 
 
 class TestChartInvariants:
@@ -234,6 +256,56 @@ class TestSoundness:
             result = parse(list(tokens), fragment)
             for derivation in result.derivations:
                 assert derivation.sign.dom.phon() == tokens
+
+
+EDGE_FIELDS = ["id", "sign", "coverage", "schema", "daughters", "licenser_id", "label",
+               "heads", "deps", "slash1"]
+EDGE_DEFAULTS = {"licenser_id": None, "label": "", "heads": 0, "deps": 0, "slash1": False}
+
+
+class TestEdge:
+    """``Edge``'s public contract: a frozen, slotted dataclass with identity
+    equality, its fields in order and with their defaults."""
+
+    def edges(self, fragment):
+        sign = fragment.lookup(["er"], 0)[0][1]
+        by_position = Edge(7, sign, 1, "lex", (), 3, "er@0/0", 5, 6, True)
+        by_keyword = Edge(id=8, sign=sign, coverage=1, schema="lex", daughters=(by_position,))
+        return by_position, by_keyword
+
+    def test_fields_and_defaults(self, fragment):
+        assert [f.name for f in dataclasses.fields(Edge)] == EDGE_FIELDS
+        assert {f.name: f.default for f in dataclasses.fields(Edge)
+                if f.default is not dataclasses.MISSING} == EDGE_DEFAULTS
+        by_position, by_keyword = self.edges(fragment)
+        assert [getattr(by_position, name) for name in EDGE_FIELDS] == [
+            7, by_position.sign, 1, "lex", (), 3, "er@0/0", 5, 6, True]
+        assert [getattr(by_keyword, name) for name in EDGE_FIELDS] == [
+            8, by_position.sign, 1, "lex", (by_position,), None, "", 0, 0, False]
+
+    def test_frozen(self, fragment):
+        for edge in self.edges(fragment):
+            for name in EDGE_FIELDS:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(edge, name, getattr(edge, name))
+
+    def test_replace_keeps_the_other_fields(self, fragment):
+        for edge in self.edges(fragment):
+            relabelled = dataclasses.replace(edge, label="x")
+            assert relabelled is not edge and relabelled.label == "x"
+            assert all(getattr(relabelled, name) is getattr(edge, name)
+                       for name in EDGE_FIELDS if name != "label")
+
+    def test_equality_and_hash_by_identity(self, fragment):
+        edge, _ = self.edges(fragment)
+        twin = dataclasses.replace(edge)
+        assert edge == edge and edge != twin
+        assert hash(edge) == object.__hash__(edge) != hash(twin)
+        assert len({edge, twin}) == 2
+
+    def test_no_instance_dict(self, fragment):
+        for edge in self.edges(fragment):
+            assert not hasattr(edge, "__dict__")
 
 
 class TestDerivationRecord:
