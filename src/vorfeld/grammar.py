@@ -39,12 +39,13 @@ application never mutates the daughters and returns None on failure.
 
 What a schema asks of one daughter alone is stated once, in two role masks
 of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
-sign may be the first daughter of, ``deps`` the second.  So are the types a
-schema compares between its daughters before it unifies (HEAD and CASE of
-the last complement, MOD HEAD, VCOMP VFORM), in the facts' extension masks
-(:meth:`vorfeld.tfs.TypeHierarchy.extension`).  A schema tests the role
-masks, then its conditions on the pair; the parser pairs on the same role
-masks and extension masks, so no pair they rule out reaches a schema.
+sign may be the first daughter of, ``deps`` the second.  What it asks of
+the pair's facts is stated once too, in :func:`fits`: the role masks, the
+types it compares between its daughters before it unifies (HEAD and CASE
+of the last complement, MOD HEAD, VCOMP VFORM), as ands of the facts'
+extension masks (:meth:`vorfeld.tfs.TypeHierarchy.extension`), and the
+SLASH overflow.  Each step opens with ``fits``, and the parser pairs edges
+on it, so no pair it rules out reaches a schema.
 
 A schema's step runs its prechecks and gives the mother's memo key, the
 body that unifies and the domain; its ``apply_*`` function runs the step
@@ -129,17 +130,18 @@ SCHEMA_FILLER_HEAD = "filler-head"
 SCHEMATA = (SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
             SCHEMA_SLASH_INTRO, SCHEMA_FILLER_HEAD)
 SCHEMA_BIT = {schema: 1 << i for i, schema in enumerate(SCHEMATA)}
+_HC, _HA, _VC, _SI, _FH = SCHEMA_BIT.values()
+_VS = _VC | _SI  # the schemata that compare the head's VCOMP VFORM with the other's VFORM
 
 
 @dataclass(frozen=True)
 class SignFacts:
     """Cheap category summary: the schemata's daughter-local preconditions,
-    and the extension masks (``*_ext``) of the facts a schema compares with
-    the other daughter's, so a type clash is one and of two ints."""
+    and the extension masks (``*_ext``) of the facts :func:`fits` compares
+    between daughters, so a type clash is one and of two ints."""
 
     head: Optional[str]
     vform: Optional[str]
-    case: Optional[str]
     lex: Optional[str]
     comps_kind: Optional[str]
     comps_len: int
@@ -147,7 +149,6 @@ class SignFacts:
     slash: Optional[int]
     has_mod: bool
     open_lists: bool  # some list of the whole structure, DTRS included, is open
-    vcomp_vform: Optional[str] = None
     heads: int = 0  # role masks, one SCHEMA_BIT per schema: first daughter
     deps: int = 0  # ... and second daughter
     # extension masks (TypeHierarchy.extension) of the facts the schemata
@@ -230,7 +231,6 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
     return SignFacts(
         head=head,
         vform=vform,
-        case=case,
         lex=fs.type_at(P_LEX, synsem),
         comps_kind=comps_kind,
         comps_len=comps_len,
@@ -238,7 +238,6 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
         slash=slash,
         has_mod=has_mod,
         open_lists=any(node.kind in (OPEN, APPEND) for node in fs.nodes),
-        vcomp_vform=vcomp_vform,
         heads=heads,
         deps=deps,
         head_ext=_extension(hierarchy, head),
@@ -262,6 +261,30 @@ def _roles(*admitted: bool) -> int:
     return sum(1 << i for i, holds in enumerate(admitted) if holds)
 
 
+def fits(first: SignFacts, second: SignFacts) -> int:
+    """The role mask of the schemata that may combine daughters with facts
+    ``first`` and ``second``, in this order.
+
+    Each schema's conditions on the pair's facts, stated here only: the
+    role masks; the type tests, each an and of extension masks (a fact of
+    None has every bit, so an underspecified selector passes them); and
+    the SLASH overflow, two one-element sets, which head-complement,
+    head-adjunct and verb-cluster would union.  Each step opens with this
+    test, and the parser runs it on a pair before it tries any schema.
+    """
+    fit = first.heads & second.deps
+    if fit & _HC and not (first.comps_last_head_ext & second.head_ext
+                          and first.comps_last_case_ext & second.case_ext):
+        fit &= ~_HC
+    if fit & _HA and not second.mod_head_ext & first.head_ext:
+        fit &= ~_HA
+    if fit & _VS and not first.vcomp_vform_ext & second.vform_ext:
+        fit &= ~_VS
+    if first.slash == 1 and second.slash == 1:
+        fit &= ~(_HC | _HA | _VC)
+    return fit
+
+
 def make_sign(hierarchy: TypeHierarchy, synsem: FeatureStructure) -> Sign:
     """The chart sign of ``synsem``, with an empty domain."""
     return Sign(hierarchy, synsem, EMPTY_DOMAIN, _facts(hierarchy, synsem))
@@ -282,8 +305,8 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
 def _union_slash(ws: Workspace, roots: Sequence[int]) -> int:
     """SLASH set of the mother: union of the daughters'.
 
-    Callers rule out two nonempty sets first (:func:`_slash_overflow`), so
-    the union is the one nonempty set, or a new empty one.
+    Callers rule out two nonempty sets first (:func:`fits`), so the union
+    is the one nonempty set, or a new empty one.
     """
     for r in roots:
         node = _try_resolve(ws, r, P_SLASH)
@@ -297,15 +320,6 @@ def _try_resolve(ws: Workspace, root: int, path) -> Optional[int]:
         return ws.resolve(root, path)
     except PathError:
         return None
-
-
-def _admits(schema: str, first: Sign, second: Sign) -> bool:
-    """The daughters' role masks admit them to ``schema``, in this order."""
-    return bool(first.facts.heads & second.facts.deps & SCHEMA_BIT[schema])
-
-
-def _slash_overflow(a: Sign, b: Sign) -> bool:
-    return a.facts.slash == 1 and b.facts.slash == 1
 
 
 def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
@@ -483,14 +497,11 @@ def apply_head_complement(head: Sign, comp: Sign, memo: Optional[SchemaMemo] = N
 
 
 def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
-    if not _admits(SCHEMA_HEAD_COMPLEMENT, head, comp) or _slash_overflow(head, comp):
+    if not fits(head.facts, comp.facts) & _HC:
         return None
     place = lambda _mother: _insert_comp_dom(head, comp)
     if head.facts.comps_kind != CLOSED:
         return _underspecified(head, comp, False, place)
-    if not (head.facts.comps_last_head_ext & comp.facts.head_ext
-            and head.facts.comps_last_case_ext & comp.facts.case_ext):
-        return None
 
     def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
         elems = ws.elems_of(ws.resolve(h_synsem, P_COMPS))
@@ -516,9 +527,7 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[SchemaMemo] = N
 
 
 def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
-    if not _admits(SCHEMA_HEAD_ADJUNCT, head, adjunct) or _slash_overflow(head, adjunct):
-        return None
-    if not adjunct.facts.mod_head_ext & head.facts.head_ext:
+    if not fits(head.facts, adjunct.facts) & _HA:
         return None
 
     def body(ws: Workspace, h: int, h_synsem: int, a: int, a_synsem: int):
@@ -550,15 +559,13 @@ def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[SchemaMemo] = N
 
 
 def _verb_cluster(head: Sign, cluster: Sign) -> Optional[Step]:
-    if not _admits(SCHEMA_VERB_CLUSTER, head, cluster) or _slash_overflow(head, cluster):
+    if not fits(head.facts, cluster.facts) & _VC:
         return None
     place = lambda _mother: od.domain_union(head.dom, cluster.dom)
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
         return _underspecified(head, cluster, True, place)
-    if not head.facts.vcomp_vform_ext & cluster.facts.vform_ext:
-        return None
 
     def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
         if not ws.unify_nodes(ws.resolve(h_synsem, P_VCOMP), c_synsem):
@@ -588,9 +595,7 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
 
 
 def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
-    if not _admits(SCHEMA_SLASH_INTRO, head, licenser):
-        return None
-    if not head.facts.vcomp_vform_ext & licenser.facts.vform_ext:
+    if not fits(head.facts, licenser.facts) & _SI:
         return None
     if head.dom.coverage & licenser.dom.coverage:
         return None
@@ -621,7 +626,7 @@ def apply_filler_head(filler: Sign, head: Sign, memo: Optional[SchemaMemo] = Non
 
 
 def _filler_head(filler: Sign, head: Sign) -> Optional[Step]:
-    if not _admits(SCHEMA_FILLER_HEAD, filler, head):
+    if not fits(filler.facts, head.facts) & _FH:
         return None
     verb_pos = od.finite_verb_position(head.dom)
     if verb_pos is None:
@@ -656,10 +661,10 @@ def apply_schema(schema: str, first: Sign, second: Sign,
     """Apply the schema labelled ``schema`` to chart signs in derivation order.
 
     The chart's one dispatch.  It gets a mother of SYNSEM and domain only,
-    through ``memo`` if one is given.  Every schema first tests the
-    daughters' role masks (``SignFacts.heads`` and ``deps``), then its
-    conditions on the pair; the rebuild of a derivation runs the same
-    steps (:func:`rebuild`).
+    through ``memo`` if one is given.  Every schema first tests
+    :func:`fits` on the daughters' facts, then its conditions on the pair
+    that read more than the facts; the rebuild of a derivation runs the
+    same steps (:func:`rebuild`).
     """
     return globals()[_APPLY[schema][0]](first, second, memo=memo)
 

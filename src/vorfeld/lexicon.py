@@ -31,6 +31,7 @@ from .grammar import (
     P_HEAD,
     P_SUBJ,
     P_SYNSEM,
+    P_VCOMP,
     P_VFORM,
     TYPE_LEXICAL,
     Sign,
@@ -279,10 +280,15 @@ def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
         raise LexiconError(f"line {entry.line}: entry must be {TYPE_LEXICAL}[SYNSEM], "
                            f"got {root.type or root.kind}[{', '.join(feats)}]")
     sign = lexical_sign(hierarchy, entry.fs, entry.phon, 0)
+    # the schema bodies read a head daughter's HEAD and COMPS unguarded
+    for path in (P_HEAD, P_COMPS):
+        if not sign.fs.has_path(path):
+            raise LexiconError(f"line {entry.line}: entry {' '.join(entry.phon)!r} "
+                               f"has no SYNSEM {' '.join(path)}")
     if not entry.stem and not check_comps_closed(sign):
         raise LexiconError(
             f"line {entry.line}: entry {' '.join(entry.phon)!r} has an underspecified valence list")
-    vform = sign.facts.vcomp_vform
+    vform = sign.fs.type_at(P_VCOMP + P_VFORM)
     if sign.facts.head == "verb" and sign.facts.vcomp == "sel" and vform != "bse":
         raise LexiconError(
             f"line {entry.line}: verbal complement of {' '.join(entry.phon)!r} must be "

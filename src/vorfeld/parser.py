@@ -23,13 +23,17 @@ against the shared immutable lexicon, each with its own schema memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import grammar as G
 from . import orderdomain as od
 from .avm import print_fs
 from .grammar import (
+    _FH,
+    _HA,
+    _HC,
+    _SI,
+    _VC,
     SCHEMA_BIT,
     SCHEMA_FILLER_HEAD,
     SCHEMA_HEAD_ADJUNCT,
@@ -39,6 +43,7 @@ from .grammar import (
     SchemaMemo,
     Sign,
     check_comps_closed,
+    fits,
     is_complete_clause,
     make_vcomp_trace,
 )
@@ -51,8 +56,6 @@ TRACE = "trace"
 LEX_SCHEMA = "lex"
 TRACE_SCHEMA = "trace"
 
-_HC, _HA, _VC, _SI, _FH = (SCHEMA_BIT[schema] for schema in G.SCHEMATA)
-_VS = _VC | _SI  # the schemata that compare the head's VCOMP VFORM with the other's VFORM
 _UNSEEN = object()  # the pair table's default: no pair of signs maps to it
 
 
@@ -89,8 +92,9 @@ class Edge:
     itself carries no daughters.  ``coverage`` copies the coverage of the
     sign's domain, and ``heads`` and ``deps`` the sign's role masks (see
     :class:`vorfeld.grammar.SignFacts`), so the pairing loop rejects
-    overlapping and dead pairs with one bitwise and each; ``slash1`` indexes
-    the processed edges, since no two SLASH-carrying edges are ever paired.
+    overlapping and dead pairs with one bitwise and each, before it runs
+    :func:`vorfeld.grammar.fits`; ``slash1`` indexes the processed edges,
+    since no two SLASH-carrying edges are ever paired.
     Every verb cluster of the tree is in order under the parse's clause
     type: the rule is judged on each pair before a cluster is built.
 
@@ -145,9 +149,9 @@ class Derivation:
 
     root: Edge
 
-    @cached_property
+    @property
     def sign(self) -> Sign:
-        """The full root sign, ``DTRS`` included: :func:`replay`, run once and kept."""
+        """The full root sign, ``DTRS`` included: :func:`replay`, run at each read."""
         sign = replay(self)
         if sign is None:
             raise RuntimeError(f"derivation {self.canonical_key()} does not replay")
@@ -253,10 +257,11 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     included, is the memo's interned one, so a memo key never looks a
     structure up by its nodes.
 
-    The pairing loop tries a pair of edges only on the schemata that the
-    first edge's ``heads`` and the second's ``deps`` admit and whose type
-    tests, ands of the signs' extension masks, pass: the tests the schema
-    makes first, so a dropped pair is one it would refuse before any work.
+    The pairing loop tries a pair of edges only on the active schemata
+    that :func:`vorfeld.grammar.fits` admits on the two signs' facts: the
+    test each schema's step opens with, so a dropped pair is one it would
+    refuse before any work.  The loop runs ``fits`` only on pairs whose
+    edges' role masks (``heads`` and ``deps``) already meet.
 
     Above the memo, each parse keeps two tables of its own.  The sign
     table holds one sign per structure id and domain, and each new mother
@@ -385,20 +390,20 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         if mother is not None:
             add(mother, schema, (a, b), licenser_id)
 
-    def combine(a: Edge, b: Edge, fits: int) -> None:
-        """Try the schemata in ``fits`` with ``a`` as the head-like first argument."""
+    def combine(a: Edge, b: Edge, fit: int) -> None:
+        """Try the schemata in ``fit`` with ``a`` as the head-like first argument."""
         licenser_id = a.licenser_id if a.licenser_id is not None else b.licenser_id
-        if fits & _HC:
+        if fit & _HC:
             attach(SCHEMA_HEAD_COMPLEMENT, a, b, licenser_id)
-        if fits & _HA:
+        if fit & _HA:
             attach(SCHEMA_HEAD_ADJUNCT, a, b, licenser_id)
-        if fits & _VC:
+        if fit & _VC:
             attach(SCHEMA_VERB_CLUSTER, a, b, licenser_id)
-        if fits & _SI:
+        if fit & _SI:
             attach(SCHEMA_SLASH_INTRO, a, b, b.id)
         # the filler is the very edge that licensed the dependency (trace
         # mode has no licensers)
-        if fits & _FH and b.licenser_id == (None if trace_mode else a.id):
+        if fit & _FH and b.licenser_id == (None if trace_mode else a.id):
             attach(SCHEMA_FILLER_HEAD, a, b, None)
 
     # the edge list is the agenda: edges are processed in the order they are built
@@ -408,40 +413,22 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         done += 1
         if e.schema == SCHEMA_FILLER_HEAD:
             continue
-        # a pair reaches combine only when its coverages are disjoint, the
-        # role masks admit some active schema, in the direction tried, and
-        # the extension masks of the facts that schema compares intersect
+        # a pair reaches combine only when its coverages are disjoint and
+        # grammar.fits admits some active schema in the direction tried;
+        # fits runs only where the role masks, one bitwise and, meet
         heads, deps = e.heads & active, e.deps & active
         ef = e.sign.facts
         for f in unslashed if e.slash1 else processed:
             if e.coverage & f.coverage:
                 continue
-            if fits := heads & f.deps:
-                ff = f.sign.facts
-                if fits & _HC and not (ef.comps_last_head_ext & ff.head_ext
-                                       and ef.comps_last_case_ext & ff.case_ext):
-                    fits &= ~_HC
-                if fits & _HA and not ff.mod_head_ext & ef.head_ext:
-                    fits &= ~_HA
-                if fits & _VS and not ef.vcomp_vform_ext & ff.vform_ext:
-                    fits &= ~_VS
-                if fits:
-                    combine(e, f, fits)
-                    if state["limit_hit"]:
-                        break
-            if fits := f.heads & deps:
-                ff = f.sign.facts
-                if fits & _HC and not (ff.comps_last_head_ext & ef.head_ext
-                                       and ff.comps_last_case_ext & ef.case_ext):
-                    fits &= ~_HC
-                if fits & _HA and not ef.mod_head_ext & ff.head_ext:
-                    fits &= ~_HA
-                if fits & _VS and not ff.vcomp_vform_ext & ef.vform_ext:
-                    fits &= ~_VS
-                if fits:
-                    combine(f, e, fits)
-                    if state["limit_hit"]:
-                        break
+            if heads & f.deps and (fit := fits(ef, f.sign.facts) & active):
+                combine(e, f, fit)
+                if state["limit_hit"]:
+                    break
+            if deps & f.heads and (fit := fits(f.sign.facts, ef) & active):
+                combine(f, e, fit)
+                if state["limit_hit"]:
+                    break
         processed.append(e)
         if not e.slash1:
             unslashed.append(e)
@@ -464,14 +451,8 @@ def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
 
 def enumerate_readings(derivations: Sequence[Derivation]) -> list[tuple[Derivation, str]]:
     """Derivations in deterministic order, each with its root AVM text,
-    printed from its :func:`replay`."""
-    readings = []
-    for d in sorted(derivations, key=Derivation.canonical_key):
-        sign = replay(d)
-        if sign is None:
-            raise RuntimeError(f"derivation {d.canonical_key()} does not replay")
-        readings.append((d, print_fs(sign.fs)))
-    return readings
+    printed from its replayed sign (:attr:`Derivation.sign`)."""
+    return [(d, print_fs(d.sign.fs)) for d in sorted(derivations, key=Derivation.canonical_key)]
 
 
 def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from test_lexicon import UNREPRESENTABLE_ENTRIES
+from test_lexicon import ENTRIES_LACKING_HEAD_OR_COMPS, UNREPRESENTABLE_ENTRIES
 from vorfeld.avm import read_fs
 from vorfeld.cli import (
     format_report,
@@ -222,6 +222,16 @@ class TestCmdParse:
         assert main(["parse", "--sentence", "er", "--lexicon", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "entry must be lexical-sign[SYNSEM]" in err
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES_LACKING_HEAD_OR_COMPS))
+    def test_entry_lacking_head_or_comps_exits_two(self, capsys, tmp_path, name):
+        text, sentence, message = ENTRIES_LACKING_HEAD_OR_COMPS[name]
+        path = tmp_path / "entry.lex"
+        path.write_text(text, encoding="utf-8")
+        assert main(["parse", "--sentence", sentence, "--lexicon", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestCmdCorpus:
     def test_bundled_corpus_passes(self, capsys):

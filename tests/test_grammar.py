@@ -1,4 +1,4 @@
-from conftest import sign_at
+from conftest import corpus_sentences, sign_at
 from vorfeld import grammar
 from vorfeld.avm import read_fs
 from vorfeld.grammar import (
@@ -9,6 +9,7 @@ from vorfeld.grammar import (
     P_SLASH,
     P_SYNSEM,
     P_VCOMP,
+    SCHEMA_BIT,
     SCHEMA_HEAD_ADJUNCT,
     SCHEMA_HEAD_COMPLEMENT,
     SCHEMA_SLASH_INTRO,
@@ -25,7 +26,7 @@ from vorfeld.grammar import (
     make_vcomp_trace,
 )
 from vorfeld.orderdomain import mask_positions
-from vorfeld.parser import Derivation, Edge, demonstrate_trace_mode, parse
+from vorfeld.parser import TRACE, Derivation, Edge, ParseOptions, demonstrate_trace_mode, parse
 from vorfeld.tfs import fs_equal, path_get
 
 
@@ -353,3 +354,39 @@ class TestTrace:
         assert trace.dom.elements == ()
         assert trace.dom.coverage == 0
 
+
+def _role_masks_and_overflow(first, second):
+    """:func:`vorfeld.grammar.fits` without its type tests."""
+    fit = first.heads & second.deps
+    if first.slash == 1 and second.slash == 1:
+        fit &= ~(SCHEMA_BIT[SCHEMA_HEAD_COMPLEMENT] | SCHEMA_BIT[SCHEMA_HEAD_ADJUNCT]
+                 | SCHEMA_BIT[SCHEMA_VERB_CLUSTER])
+    return fit
+
+
+class TestFits:
+    def test_a_type_test_drops_only_pairs_whose_body_fails(self, fragment, monkeypatch):
+        """Each type test of ``fits`` is an and of extension masks standing
+        in for a unification the schema's body would attempt.  Over every
+        ordered pair of distinct chart signs with disjoint coverage, in the
+        corpus charts and the trace chart, each schema the tests drop is
+        applied with the tests off, and must build nothing."""
+        charts = [parse(tokens, fragment).edges for tokens in corpus_sentences()]
+        charts.append(parse(TOKENS_1A, fragment, ParseOptions(mode=TRACE, edge_limit=10000)).edges)
+        fits = grammar.fits
+        monkeypatch.setattr(grammar, "fits", _role_masks_and_overflow)
+        tried = set()
+        for edges in charts:
+            signs = list({id(e.sign): e.sign for e in edges}.values())
+            for a in signs:
+                for b in signs:
+                    if a is b or a.dom.coverage & b.dom.coverage:
+                        continue
+                    dropped = _role_masks_and_overflow(a.facts, b.facts) & ~fits(a.facts, b.facts)
+                    for schema, bit in SCHEMA_BIT.items():
+                        if dropped & bit:
+                            tried.add(schema)
+                            assert apply_schema(schema, a, b) is None, (schema, a.facts, b.facts)
+        # every type test dropped some pair
+        assert tried == {SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
+                         SCHEMA_SLASH_INTRO}

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from vorfeld.grammar import P_SYNSEM, check_comps_closed, make_sign
+from vorfeld.grammar import P_CASE, P_SYNSEM, check_comps_closed, make_sign
 from vorfeld.lexicon import (
     InapplicableError,
     LexiconError,
@@ -63,6 +63,37 @@ UNREPRESENTABLE_ENTRIES = {
     "extra-feature": (ENTRY_WITH_ANOTHER_FEATURE, "got lexical-sign[ARG-ST, SYNSEM]"),
 }
 
+_BUNDLED_TYPES = "\n".join(line for line in fragment_text().splitlines()
+                           if line.startswith(("(type ", "(def no-slash ")))
+
+
+def _lacking(words: str, sentence: str, word: str, path: str) -> tuple[str, str, str]:
+    """A fragment of the bundled hierarchy and ``words``, whose entry
+    ``word`` lacks ``path``; a sentence that would reach a schema body
+    reading that path; and the load error."""
+    text = _BUNDLED_TYPES + words
+    line = text.count("\n", 0, text.index(f'(word "{word}"')) + 1
+    return text, sentence, f"line {line}: entry {word!r} has no SYNSEM {path}"
+
+
+# entries whose cat lacks a path the schema bodies read: each is
+# appropriate, so each passes the type check
+ENTRIES_LACKING_HEAD_OR_COMPS = {
+    "headless": _lacking("""
+(word "np" (lexical-sign (SYNSEM (synsem (LEX -) (LOC (local (CAT (cat (HEAD (noun (CASE acc)))
+  (COMPS (list)) (VCOMP none))))) (NONLOC no-slash)))))
+(word "headless" (lexical-sign (SYNSEM (synsem (LEX -) (LOC (local (CAT (cat (COMPS (list (synsem)))
+  (VCOMP none))))) (NONLOC no-slash)))))
+""", "headless np", "headless", "LOC CAT HEAD"),
+    "auxiliary-without-comps": _lacking("""
+(word "gehen" (lexical-sign (SYNSEM (synsem (LEX +) (LOC (local (CAT (cat (HEAD (verb (VFORM bse)
+  (SUBJ (list)))) (COMPS (list)) (VCOMP none))))) (NONLOC no-slash)))))
+(word "wird" (lexical-sign (SYNSEM (synsem (LEX +) (LOC (local (CAT (cat (HEAD (verb (VFORM fin)
+  (SUBJ (list)))) (VCOMP (synsem (LOC (local (CAT (cat (HEAD (verb (VFORM bse)))))))))))))
+  (NONLOC no-slash)))))
+""", "gehen wird", "wird", "LOC CAT COMPS"),
+}
+
 
 class TestLoad:
     def test_fragment_inventory(self, fragment):
@@ -115,6 +146,16 @@ class TestLoad:
             load_lexicon(text)
         assert "entry must be lexical-sign[SYNSEM]" in str(exc.value)
         assert got in str(exc.value)
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES_LACKING_HEAD_OR_COMPS))
+    def test_entry_must_have_head_and_comps(self, name):
+        """The schema bodies resolve a head daughter's HEAD and COMPS
+        without a guard, so an entry without either fails to load rather
+        than in the middle of a parse."""
+        text, _sentence, message = ENTRIES_LACKING_HEAD_OR_COMPS[name]
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == message
 
     def test_error_reports_line_number(self):
         with pytest.raises(LexiconError, match="line 2"):
@@ -190,7 +231,7 @@ class TestLookup:
         matches = fragment.lookup(tokens, 0)
         assert [(span, ) for span, _ in matches] == [(2,)]
         span, sign = matches[0]
-        assert sign.facts.case == "dat"
+        assert sign.fs.type_at(P_CASE) == "dat"
         assert sign.dom.elements[0].phon == ("Seiner", "Tochter")
 
     def test_finite_auxiliary(self, fragment):
@@ -252,4 +293,4 @@ class TestLookupMidSentence:
     def test_lowercase_multiword_in_the_mittelfeld(self, fragment):
         tokens = "Erzählen wird er seiner Tochter ein Märchen".split()
         matches = fragment.lookup(tokens, 3)
-        assert [(span, s.facts.case) for span, s in matches] == [(2, "dat")]
+        assert [(span, s.fs.type_at(P_CASE)) for span, s in matches] == [(2, "dat")]

@@ -88,11 +88,11 @@ class TestHierarchy:
                 assert rebuilt.glb(s, t) == diamond.glb(s, t)
 
     def test_extension_masks_meet_exactly_when_a_glb_exists(self, diamond, fragment):
-        """The schemata's type tests (in the steps and in the pairing loop)
-        are ands of extension masks, and the closure oracle runs the same
-        steps, so this is what guards them: over every pair of types of
-        each hierarchy the tests declare, the masks share a bit exactly
-        when the glb table has an entry."""
+        """The schemata's type tests (``grammar.fits``, which the steps and
+        the pairing loop share) are ands of extension masks, and the
+        closure oracle runs the same steps, so this is what guards them:
+        over every pair of types of each hierarchy the tests declare, the
+        masks share a bit exactly when the glb table has an entry."""
         for hierarchy in (diamond, fragment.hierarchy, load_lexicon(MINI_TYPES).hierarchy):
             _assert_masks_match_glb(hierarchy)
         with pytest.raises(ConfigurationError):
