@@ -44,31 +44,28 @@ the pair's facts is stated once too, in :func:`fits`: the role masks, the
 types it compares between its daughters before it unifies (HEAD and CASE
 of the last complement, MOD HEAD, VCOMP VFORM), as ands of the facts'
 extension masks (:meth:`vorfeld.tfs.TypeHierarchy.extension`), and the
-SLASH overflow.  Each step opens with ``fits``, and the parser pairs edges
-on it, so no pair it rules out reaches a schema.
+SLASH overflow.  The parser pairs edges on ``fits``, and every
+application passes it first, so no pair it rules out reaches a schema.
 
-A schema's step runs its prechecks and gives the mother's memo key, the
-body that unifies and the domain; its ``apply_*`` function runs the step
-in the chart's one skeleton.  A mother's structure depends only on the
-schema and its daughters' structures, never on their coverage or domain.
-So the skeleton takes an optional memo (:class:`SchemaMemo`): after the
-prechecks (which may read the domains) it looks up ``(schema, first
-synsem, second synsem)``, each synsem by its id in the memo's intern
-table, unifies on a miss, and stores the mother's synsem, interned, and
-facts (a sign with an empty domain), or None; the domain is always built
-from the daughters at hand, and only for a mother that exists.
-A memo key needs nothing of the sentence, so a memo may outlive a parse:
-the parser takes one memo per parse, fresh unless its caller passes one
-(``run_corpus`` shares one between the lines of a corpus), and it also
-holds the trace-mode mothers; the rebuild of a derivation uses none, so
-it unifies every step afresh.  The memo keeps one sign, so one facts
-object, per interned structure (:meth:`SchemaMemo.sign`).  Above the memo
-the parser keeps two tables for one parse: a sign table, which gives edges
-of equal structure and domain one sign, and a pair table, keyed by the
-daughter signs themselves, which stores whole chart mothers, domain
-included, or None for a pair without one, so a pair of signs met again
-does not reach a schema at all.  Neither enters the memo, since domains
-belong to one sentence.
+Every application, in the chart and in a rebuild, goes through one gate,
+:func:`_step`: ``fits``, then the schema's step, which runs the prechecks
+that read more than the facts and gives the second structure the
+mother depends on, the body that unifies, and ``place()``, the domain.  A
+mother's structure depends only on the schema and its daughters'
+structures, never on their coverage or domain, so the chart has one memo
+path, :func:`_combine`, through the caller's memo (:class:`SchemaMemo`)
+or a fresh one.  It builds every key in one place, ``(schema, first id,
+second id or None)``, each id a synsem's in the memo's intern table,
+unifies on a miss, and stores the mother's synsem, interned, and facts (a
+sign with an empty domain), or None; the domain is always built from the
+daughters at hand, and only for a mother that exists.  A memo key needs
+nothing of the sentence, so a memo may outlive a parse: the parser takes
+one memo per parse, fresh unless its caller passes one (``run_corpus``
+shares one between the lines of a corpus), and it also holds the
+trace-mode mothers; the rebuild of a derivation uses none, so it unifies
+every step afresh.  The memo keeps one sign, so one facts object, per
+interned structure (:meth:`SchemaMemo.sign`).  The tables the parser keeps
+above the memo for one parse are described at :func:`vorfeld.parser.parse`.
 """
 from __future__ import annotations
 
@@ -269,8 +266,9 @@ def fits(first: SignFacts, second: SignFacts) -> int:
     role masks; the type tests, each an and of extension masks (a fact of
     None has every bit, so an underspecified selector passes them); and
     the SLASH overflow, two one-element sets, which head-complement,
-    head-adjunct and verb-cluster would union.  Each step opens with this
-    test, and the parser runs it on a pair before it tries any schema.
+    head-adjunct and verb-cluster would union.  Every application passes
+    this test first (:func:`_step`), and the parser runs it on a pair
+    before it tries any schema.
     """
     fit = first.heads & second.deps
     if fit & _HC and not (first.comps_last_head_ext & second.head_ext
@@ -338,12 +336,13 @@ def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
 class SchemaMemo(dict):
     """The schema memo: a memo key's mother sign, with an empty domain, or None.
 
-    A key is ``(schema, first id, second id)``, where an id is a daughter
-    synsem's in the memo's intern table: :meth:`intern` maps a canonical
-    node tuple to the one structure of that shape the memo holds, which
-    carries its id (``FeatureStructure.sid``).  So a key hashes three small
-    values, and a mother met again under another key shares its structure,
-    and its facts: :meth:`sign` keeps one sign per structure.
+    A key is ``(schema, first id, second id or None)``, built by
+    :func:`_combine` alone, where an id is a daughter synsem's in the
+    memo's intern table: :meth:`intern` maps a canonical node tuple to the
+    one structure of that shape the memo holds, which carries its id
+    (``FeatureStructure.sid``).  So a key hashes three small values, and a
+    mother met again under another key shares its structure, and its
+    facts: :meth:`sign` keeps one sign per structure.
     """
 
     def __init__(self):
@@ -373,28 +372,26 @@ class SchemaMemo(dict):
         return known
 
 
-def _memoized(memo: Optional[SchemaMemo], key: tuple,
-              build: Callable[[], Optional[Sign]]) -> Optional[Sign]:
-    """``build()``, run once per ``key`` of ``memo`` (every time without one).
+# A schema past :func:`_step`: the second structure its mother depends on
+# (None for none), which :func:`_combine` keys the memo by; its body, which
+# unifies and returns the mother's LOC, LEX (None for none) and SLASH nodes
+# and its DTRS type (None for none) and features, or None; and
+# ``place(mother)``, the mother's domain built from the daughters at hand,
+# or None.
+Step = tuple[Optional[FeatureStructure], Callable[..., Optional[tuple]],
+             Callable[[Sign], Optional[Domain]]]
 
-    A key holds the ids of the daughters' synsems, or of as much of them as
-    the mother depends on.
+
+def _step(schema: str, first: Sign, second: Sign) -> Optional[Step]:
+    """The step of ``schema`` on daughters ``first`` and ``second``, or None.
+
+    The one gate of every application, in the chart (:func:`_combine`) and
+    in a rebuild (:func:`rebuild`): :func:`fits` on the daughters' facts,
+    then the schema's own step, whose prechecks read more than the facts.
     """
-    if memo is None:
-        return build()
-    try:
-        return memo[key]
-    except KeyError:
-        mother = memo[key] = build()
-        return mother
-
-
-# A schema past its prechecks: its memo key, as a label and the structures
-# the mother depends on (the second may be None); its body, which unifies
-# and returns the mother's LOC, LEX (None for none) and SLASH nodes and its
-# DTRS type (None for none) and features, or None; and ``place(mother)``,
-# the mother's domain built from the daughters at hand, or None.
-Step = tuple[tuple, Callable[..., Optional[tuple]], Callable[[Sign], Optional[Domain]]]
+    if not fits(first.facts, second.facts) & SCHEMA_BIT[schema]:
+        return None
+    return _APPLY[schema][1](first, second)
 
 
 def _synsem(ws: Workspace, parts: tuple) -> int:
@@ -412,45 +409,51 @@ def _placed(mother: Optional[Sign], place: Callable[[Sign], Optional[Domain]]) -
     return None if dom is None else Sign(mother.hierarchy, mother.fs, dom, mother.facts)
 
 
-def _combine(step: Optional[Step], first: Sign, second: Sign,
-             memo: Optional[SchemaMemo]) -> Optional[Sign]:
-    """The chart mother of ``step`` on chart signs ``first`` and ``second``.
+_MISS = object()
 
-    On a miss of the step's key in ``memo`` it grafts both synsems into a
-    new workspace, runs the body on them, each daughter given as its synsem
-    node twice (the chart records no ``DTRS``), and extracts the mother's
-    synsem, whose sign the memo keeps one of per structure.  Only a mother
-    that exists is placed.
+
+def _combine(schema: str, first: Sign, second: Sign,
+             memo: Optional[SchemaMemo]) -> Optional[Sign]:
+    """The chart mother of ``schema`` on chart signs ``first`` and ``second``.
+
+    Past :func:`_step`, it looks up the memo key ``(schema, first id, id
+    of the second structure the step names, or None)``, each id from
+    ``memo``'s intern table; a caller without a memo gets a fresh one.  On
+    a miss it grafts both synsems into a new workspace, runs the body on
+    them, each daughter given as its synsem node twice (the chart records
+    no ``DTRS``), extracts the mother's synsem and stores its sign, one per
+    structure (:meth:`SchemaMemo.sign`), or None.  Only a mother that
+    exists is placed.
     """
+    step = _step(schema, first, second)
     if step is None:
         return None
-    (label, a_fs, b_fs), body, place = step
-    key = None
-    if memo is not None:
-        key = (label, memo.intern(a_fs).sid, None if b_fs is None else memo.intern(b_fs).sid)
-
-    def build() -> Optional[Sign]:
+    depends, body, place = step
+    if memo is None:
+        memo = SchemaMemo()
+    key = (schema, memo.intern(first.fs).sid, None if depends is None else memo.intern(depends).sid)
+    mother = memo.get(key, _MISS)
+    if mother is _MISS:
         ws = Workspace(first.hierarchy)
         a, b = ws.graft(first.fs), ws.graft(second.fs)
         parts = body(ws, a, a, b, b)
         fs = parts and ws.extract(_synsem(ws, parts))
-        return fs and (make_sign(ws.hierarchy, fs) if memo is None
-                       else memo.sign(make_sign(ws.hierarchy, fs)))
-
-    return _placed(_memoized(memo, key, build), place)
+        mother = memo[key] = fs and memo.sign(make_sign(ws.hierarchy, fs))
+    return _placed(mother, place)
 
 
-def _underspecified(head: Sign, other: Sign, as_cluster: bool,
+def _underspecified(schema: str, head: Sign, other: Sign,
                     place: Callable[[Sign], Optional[Domain]]) -> Step:
     """The step of a trace-mode combination on an underspecified head.
 
     The head imposes no constraint on the other daughter (that is the
     defect being demonstrated), so no unification is needed; the mother is
     built from the daughters' synsems alone.  The other daughter
-    contributes nothing beyond a possible SLASH element, so the memo key is
-    the kind of combination, the head's synsem and the SLASH donor's, which
-    keeps the exploding chart affordable.  The mother records no daughters:
-    rebuilt, it is ``phrasal-sign[SYNSEM]``, without ``DTRS``.
+    contributes nothing beyond a possible SLASH element, so the step names
+    the SLASH donor's synsem, or none, and the memo key holds the schema,
+    the head's synsem and that donor's, which keeps the exploding chart
+    affordable.  The mother records no daughters: rebuilt, it is
+    ``phrasal-sign[SYNSEM]``, without ``DTRS``.
     """
     from_other = head.facts.slash != 1 and other.facts.slash == 1
 
@@ -458,7 +461,7 @@ def _underspecified(head: Sign, other: Sign, as_cluster: bool,
         slash = _try_resolve(ws, other_synsem if from_other else h, P_SLASH)
         if slash is None:
             slash = ws.set_value([])
-        if as_cluster:
+        if schema == SCHEMA_VERB_CLUSTER:
             comps = ws.resolve(h, P_COMPS)
             vcomp = ws.atom("none")
             lex = ws.atom("+")
@@ -469,12 +472,12 @@ def _underspecified(head: Sign, other: Sign, as_cluster: bool,
         cat = ws.avm("cat", HEAD=ws.resolve(h, P_HEAD), COMPS=comps, VCOMP=vcomp)
         return ws.avm("local", CAT=cat), lex, slash, None, {}
 
-    return (as_cluster, head.fs, other.fs if from_other else None), body, place
+    return (other.fs if from_other else None), body, place
 
 
 # ---------------------------------------------------------------------------
-# the schemata: each ``apply_*`` runs its schema's step, which the rebuild
-# of a derivation runs too, in the chart's skeleton
+# the schemata: each ``apply_*`` runs its schema's step through the chart's
+# one memo path, ``_combine``; the rebuild of a derivation runs the same steps
 
 
 def apply_head_complement(head: Sign, comp: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
@@ -493,15 +496,13 @@ def apply_head_complement(head: Sign, comp: Sign, memo: Optional[SchemaMemo] = N
     stays open once its VCOMP is none, and in the bundled fragment only
     traces leave VCOMP underspecified, so this surfaces in trace mode alone.
     """
-    return _combine(_head_complement(head, comp), head, comp, memo)
+    return _combine(SCHEMA_HEAD_COMPLEMENT, head, comp, memo)
 
 
 def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
-    if not fits(head.facts, comp.facts) & _HC:
-        return None
     place = lambda _mother: _insert_comp_dom(head, comp)
     if head.facts.comps_kind != CLOSED:
-        return _underspecified(head, comp, False, place)
+        return _underspecified(SCHEMA_HEAD_COMPLEMENT, head, comp, place)
 
     def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
         elems = ws.elems_of(ws.resolve(h_synsem, P_COMPS))
@@ -513,7 +514,7 @@ def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
         return (ws.avm("local", CAT=cat), ws.atom("-"), slash, "head-complement-structure",
                 {"HEAD-DTR": h, "COMP-DTRS": ws.closed_list([c])})
 
-    return (SCHEMA_HEAD_COMPLEMENT, head.fs, comp.fs), body, place
+    return comp.fs, body, place
 
 
 def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
@@ -523,13 +524,10 @@ def apply_head_adjunct(head: Sign, adjunct: Sign, memo: Optional[SchemaMemo] = N
     value; the adjunct joins the domain as its own element and may end up
     separated from the head.
     """
-    return _combine(_head_adjunct(head, adjunct), head, adjunct, memo)
+    return _combine(SCHEMA_HEAD_ADJUNCT, head, adjunct, memo)
 
 
 def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
-    if not fits(head.facts, adjunct.facts) & _HA:
-        return None
-
     def body(ws: Workspace, h: int, h_synsem: int, a: int, a_synsem: int):
         if not ws.unify_nodes(ws.resolve(a_synsem, P_MOD), h_synsem):
             return None
@@ -537,8 +535,7 @@ def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
                 _union_slash(ws, (h_synsem, a_synsem)), "head-adjunct-structure",
                 {"HEAD-DTR": h, "ADJUNCT-DTR": a})
 
-    return ((SCHEMA_HEAD_ADJUNCT, head.fs, adjunct.fs), body,
-            lambda _mother: od.domain_union(head.dom, adjunct.dom))
+    return adjunct.fs, body, lambda _mother: od.domain_union(head.dom, adjunct.dom)
 
 
 def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
@@ -555,17 +552,15 @@ def apply_verb_cluster(head: Sign, cluster: Sign, memo: Optional[SchemaMemo] = N
     the trace account suffers from.  Licensing-mode signs always pin VCOMP
     to none or a synsem, so this only surfaces in trace mode.
     """
-    return _combine(_verb_cluster(head, cluster), head, cluster, memo)
+    return _combine(SCHEMA_VERB_CLUSTER, head, cluster, memo)
 
 
 def _verb_cluster(head: Sign, cluster: Sign) -> Optional[Step]:
-    if not fits(head.facts, cluster.facts) & _VC:
-        return None
     place = lambda _mother: od.domain_union(head.dom, cluster.dom)
     if head.facts.vcomp == "open":
         # an underspecified selector accepts any verbal sign and learns
         # nothing from it (its VCOMP value carries no reentrancies)
-        return _underspecified(head, cluster, True, place)
+        return _underspecified(SCHEMA_VERB_CLUSTER, head, cluster, place)
 
     def body(ws: Workspace, h: int, h_synsem: int, c: int, c_synsem: int):
         if not ws.unify_nodes(ws.resolve(h_synsem, P_VCOMP), c_synsem):
@@ -576,7 +571,7 @@ def _verb_cluster(head: Sign, cluster: Sign) -> Optional[Step]:
         return (ws.avm("local", CAT=cat), ws.atom("+"), slash, "head-cluster-structure",
                 {"HEAD-DTR": h, "CLUSTER-DTR": c, "COMP-DTRS": ws.closed_list([])})
 
-    return (SCHEMA_VERB_CLUSTER, head.fs, cluster.fs), body, place
+    return cluster.fs, body, place
 
 
 def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
@@ -591,12 +586,10 @@ def apply_pvp_slash_introduction(head: Sign, licenser: Sign,
     rejected.  The licenser contributes nothing to the mother's domain,
     so it stays out of the mother's coverage until the filler binds it.
     """
-    return _combine(_slash_introduction(head, licenser), head, licenser, memo)
+    return _combine(SCHEMA_SLASH_INTRO, head, licenser, memo)
 
 
 def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
-    if not fits(head.facts, licenser.facts) & _SI:
-        return None
     if head.dom.coverage & licenser.dom.coverage:
         return None
 
@@ -609,8 +602,7 @@ def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
         return (ws.avm("local", CAT=cat), ws.atom("+"), ws.set_value([ws.find(vcomp_loc)]),
                 "complement-slash-licencing-structure", {"HEAD-DTR": h, "VCOMP-DTR": li})
 
-    return ((SCHEMA_SLASH_INTRO, head.fs, licenser.fs), body,
-            lambda mother: head.dom if check_comps_closed(mother) else None)
+    return licenser.fs, body, lambda mother: head.dom if check_comps_closed(mother) else None
 
 
 def apply_filler_head(filler: Sign, head: Sign, memo: Optional[SchemaMemo] = None) -> Optional[Sign]:
@@ -622,12 +614,10 @@ def apply_filler_head(filler: Sign, head: Sign, memo: Optional[SchemaMemo] = Non
     The parser additionally requires the filler to be the very edge that
     licensed the dependency.
     """
-    return _combine(_filler_head(filler, head), filler, head, memo)
+    return _combine(SCHEMA_FILLER_HEAD, filler, head, memo)
 
 
 def _filler_head(filler: Sign, head: Sign) -> Optional[Step]:
-    if not fits(filler.facts, head.facts) & _FH:
-        return None
     verb_pos = od.finite_verb_position(head.dom)
     if verb_pos is None:
         return None
@@ -639,8 +629,7 @@ def _filler_head(filler: Sign, head: Sign) -> Optional[Step]:
         return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
                 "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f})
 
-    return ((SCHEMA_FILLER_HEAD, filler.fs, head.fs), body,
-            lambda _mother: od.insert_filler_domain(head.dom, filler, verb_pos))
+    return head.fs, body, lambda _mother: od.insert_filler_domain(head.dom, filler, verb_pos)
 
 
 # schema label -> the name of the function applying it, looked up in this
@@ -661,10 +650,9 @@ def apply_schema(schema: str, first: Sign, second: Sign,
     """Apply the schema labelled ``schema`` to chart signs in derivation order.
 
     The chart's one dispatch.  It gets a mother of SYNSEM and domain only,
-    through ``memo`` if one is given.  Every schema first tests
-    :func:`fits` on the daughters' facts, then its conditions on the pair
-    that read more than the facts; the rebuild of a derivation runs the
-    same steps (:func:`rebuild`).
+    through ``memo``, or a fresh memo if none is given (:func:`_combine`),
+    behind the gate :func:`_step`, which the rebuild of a derivation
+    passes too (:func:`rebuild`).
     """
     return globals()[_APPLY[schema][0]](first, second, memo=memo)
 
@@ -700,10 +688,10 @@ def rebuild(root) -> Optional[Sign]:
         else:
             (a, a_node, a_synsem), (b, b_node, b_synsem) = done[-2:]
             del done[-2:]
-            step = _APPLY[edge.schema][1](a, b)
+            step = _step(edge.schema, a, b)
             if step is None:
                 return None
-            _key, body, place = step
+            _depends, body, place = step
             parts = body(ws, a_node, a_synsem, b_node, b_synsem)
             if parts is None:
                 return None

@@ -8,7 +8,7 @@ A fragment file is a sequence of s-expression forms:
 * ``(def NAME expr)`` — a reusable template; a bare NAME in a later
   expression expands to a fresh copy;
 * ``(word "PHON" expr)`` — a lexical entry; multiword entries separate
-  tokens with spaces;
+  tokens with spaces, and PHON, like a stem's FINITE-FORM, needs at least one;
 * ``(stem "PHON" "FINITE-FORM" expr)`` — a stem entry, expanded into its
   finite form at load time (see :func:`finitivize`).
 
@@ -219,16 +219,16 @@ def load_lexicon(text: str) -> Lexicon:
         elif name == "word":
             if len(form) != 3 or not isinstance(form[1], str):
                 raise LexiconError(f'line {line}: word takes "PHON" and one expression')
-            fs = _build(form[2], hierarchy, templates, line)
-            entry = LexEntry(tuple(form[1].split()), fs, line=line)
+            phon = _tokens(form[1], "PHON", line)
+            entry = LexEntry(phon, _build(form[2], hierarchy, templates, line), line=line)
             _check_entry(entry, hierarchy)
             add_entry(entry)
         elif name == "stem":
             if len(form) != 4 or not isinstance(form[1], str) or not isinstance(form[2], str):
                 raise LexiconError(f'line {line}: stem takes "PHON" "FINITE" and one expression')
-            fs = _build(form[3], hierarchy, templates, line)
-            stem_entry = LexEntry(tuple(form[1].split()), fs, stem=True,
-                                  finite_form=tuple(form[2].split()), line=line)
+            phon, finite_form = _tokens(form[1], "PHON", line), _tokens(form[2], "FINITE-FORM", line)
+            stem_entry = LexEntry(phon, _build(form[3], hierarchy, templates, line), stem=True,
+                                  finite_form=finite_form, line=line)
             add_entry(stem_entry)
             try:
                 finite = finitivize(stem_entry, hierarchy)
@@ -239,6 +239,14 @@ def load_lexicon(text: str) -> Lexicon:
         else:
             raise LexiconError(f"line {line}: unknown form {name!r}")
     return Lexicon(hierarchy, entries, templates)
+
+
+def _tokens(text: str, what: str, line: int) -> tuple[str, ...]:
+    """The tokens of an entry's PHON or FINITE-FORM string: at least one."""
+    tokens = tuple(text.split())
+    if not tokens:
+        raise LexiconError(f"line {line}: {what} needs at least one token")
+    return tokens
 
 
 def _parse_type(form: sexpr.SList):

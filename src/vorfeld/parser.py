@@ -259,9 +259,9 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     The pairing loop tries a pair of edges only on the active schemata
     that :func:`vorfeld.grammar.fits` admits on the two signs' facts: the
-    test each schema's step opens with, so a dropped pair is one it would
-    refuse before any work.  The loop runs ``fits`` only on pairs whose
-    edges' role masks (``heads`` and ``deps``) already meet.
+    gate every schema application passes first, so a dropped pair is one
+    it would refuse before any work.  The loop runs ``fits`` only on pairs
+    whose edges' role masks (``heads`` and ``deps``) already meet.
 
     Above the memo, each parse keeps two tables of its own.  The sign
     table holds one sign per structure id and domain, and each new mother
@@ -442,9 +442,10 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
 
 def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
-    """Root filter: ``edge`` analyses the whole of ``tokens`` as a complete clause."""
-    return (edge.coverage == mask_span(0, len(tokens))
-            and is_complete_clause(edge.sign, clause_type)
+    """Root filter: ``edge`` analyses the whole of ``tokens`` as a complete
+    clause.  A domain has one token per position it covers, so an edge
+    whose phonology is ``tokens`` covers all of them."""
+    return (is_complete_clause(edge.sign, clause_type)
             and od.lp_check(edge.sign.dom, clause_type)
             and edge.sign.dom.phon() == tokens)
 

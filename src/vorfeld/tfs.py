@@ -25,6 +25,7 @@ remainder is undecidable.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -67,8 +68,10 @@ class TypeHierarchy:
     introduced by exactly one type and is inherited by its subtypes; a
     subtype may redeclare a feature only to narrow its value type.  Each
     type's extension mask, computed at load, has one bit for each of its
-    subtypes, so two types have a greatest lower bound exactly when their
-    masks share a bit: a compatibility test is one and.
+    subtypes (Aït-Kaci, Boyer, Lincoln & Nasr 1989), so distinct types have
+    distinct masks, and the order is that one table: the greatest lower
+    bound of two types is the type whose mask is the and of theirs, and
+    two types are compatible exactly when their masks share a bit.
     """
 
     def __init__(self, declarations: Sequence[tuple[str, Sequence[str], Sequence[tuple[str, str]]]]):
@@ -90,13 +93,15 @@ class TypeHierarchy:
         self._ancestors: dict[str, frozenset[str]] = {}
         for name in self._parents:
             self._ancestors_of(name, ())
-        self._subtypes: dict[str, set[str]] = {t: set() for t in self._parents}
-        for name in self._parents:
+        self._extension = dict.fromkeys(sorted(self._parents), 0)
+        for i, name in enumerate(self._extension):
             for anc in self._ancestors[name]:
-                self._subtypes[anc].add(name)
-        self._glb = self._glb_table()
-        bit = {t: 1 << i for i, t in enumerate(sorted(self._parents))}
-        self._extension = {t: sum(bit[s] for s in subs) for t, subs in self._subtypes.items()}
+                self._extension[anc] |= 1 << i
+        self._by_extension = {mask: t for t, mask in self._extension.items()}
+        for a, b in itertools.combinations(self._extension, 2):
+            meet = self._extension[a] & self._extension[b]
+            if meet and meet not in self._by_extension:
+                raise HierarchyError(f"types {a!r} and {b!r} have no unique greatest lower bound")
         self._features: dict[str, dict[str, str]] = {}
         self._check_appropriateness()
 
@@ -111,26 +116,6 @@ class TypeHierarchy:
         result = frozenset(acc)
         self._ancestors[name] = result
         return result
-
-    def _glb_table(self) -> dict[tuple[str, str], str]:
-        """The greatest lower bound of every compatible pair, in both orders.
-
-        Rejects a pair whose maximal common subtypes are not unique.
-        """
-        table: dict[tuple[str, str], str] = {}
-        types = sorted(self._parents)
-        for i, a in enumerate(types):
-            for b in types[i:]:
-                common = self._subtypes[a] & self._subtypes[b]
-                if not common:
-                    continue
-                maxima = [t for t in common if not any(t != u and t in self._subtypes[u] for u in common)]
-                if len(maxima) != 1:
-                    raise HierarchyError(
-                        f"types {a!r} and {b!r} have no unique greatest lower bound: {sorted(maxima)}"
-                    )
-                table[a, b] = table[b, a] = maxima[0]
-        return table
 
     def _check_appropriateness(self) -> None:
         intro: dict[str, str] = {}
@@ -174,15 +159,14 @@ class TypeHierarchy:
 
     def glb(self, a: str, b: str) -> Optional[str]:
         """Greatest lower bound of two types, or None if they are incompatible."""
-        result = self._glb.get((a, b))
-        if result is None:
-            self.check_type(a)
-            self.check_type(b)
-        return result
+        try:
+            return self._by_extension.get(self._extension[a] & self._extension[b])
+        except KeyError as exc:
+            raise ConfigurationError(f"unknown type symbol {exc.args[0]!r}") from None
 
     def extension(self, t: str) -> int:
         """The extension mask of ``t``: ``extension(a) & extension(b)`` is
-        non-zero exactly when ``glb(a, b)`` is not None."""
+        the mask of ``glb(a, b)``, and zero when there is none."""
         self.check_type(t)
         return self._extension[t]
 

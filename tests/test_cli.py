@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from test_lexicon import ENTRIES_LACKING_HEAD_OR_COMPS, UNREPRESENTABLE_ENTRIES
+from test_lexicon import EMPTY_FORMS, ENTRIES_LACKING_HEAD_OR_COMPS, UNREPRESENTABLE_ENTRIES
 from vorfeld.avm import read_fs
 from vorfeld.cli import (
     format_report,
@@ -231,6 +231,14 @@ class TestCmdParse:
         assert main(["parse", "--sentence", sentence, "--lexicon", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_FORMS))
+    def test_empty_phon_or_finite_form_exits_two(self, capsys, tmp_path, name):
+        text, message = EMPTY_FORMS[name]
+        path = tmp_path / "entry.lex"
+        path.write_text(text, encoding="utf-8")
+        assert main(["parse", "--sentence", "er", "--lexicon", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCmdCorpus:

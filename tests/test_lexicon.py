@@ -95,6 +95,20 @@ ENTRIES_LACKING_HEAD_OR_COMPS = {
 }
 
 
+def _appended(entry: str, what: str) -> tuple[str, str]:
+    """The bundled fragment with ``entry`` appended, and its load error."""
+    text = fragment_text().rstrip("\n") + "\n" + entry + "\n"
+    return text, f"line {text.count(chr(10))}: {what} needs at least one token"
+
+
+# entries with an empty PHON or FINITE-FORM string
+EMPTY_FORMS = {
+    "word-phon": _appended('(word "" np-nom-sign)', "PHON"),
+    "stem-phon": _appended('(stem "" "wird" v-aux-stem)', "PHON"),
+    "stem-finite-form": _appended('(stem "werden" " " v-aux-stem)', "FINITE-FORM"),
+}
+
+
 class TestLoad:
     def test_fragment_inventory(self, fragment):
         for phon in ["wird", "müssen", "erzählen", "lassen", "hat", "wollte",
@@ -153,6 +167,15 @@ class TestLoad:
         without a guard, so an entry without either fails to load rather
         than in the middle of a parse."""
         text, _sentence, message = ENTRIES_LACKING_HEAD_OR_COMPS[name]
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_FORMS))
+    def test_empty_phon_or_finite_form_rejected(self, name):
+        """A domain element covers at least one position, so an entry, or
+        the finite form of a stem, needs at least one token."""
+        text, message = EMPTY_FORMS[name]
         with pytest.raises(LexiconError) as exc:
             load_lexicon(text)
         assert str(exc.value) == message

@@ -339,7 +339,8 @@ class TestDerivationRecord:
         ``DTRS`` has its schema's type, or none for a trace-mode mother on
         an underspecified head.  Under ``DTRS`` one sign stands for each
         occurrence in the derivation and only the leaves are lexical signs,
-        so a licenser that is also the filler is there twice."""
+        so a licenser that is also the filler is there twice.  Applied with
+        no memo, the schema gives the chart's mother too."""
         results = [parse(sentence, fragment) for sentence in corpus_sentences()]
         results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=3000)))
         for result in results:
@@ -351,8 +352,9 @@ class TestDerivationRecord:
                 assert fs_equal(path_get(fs, P_SYNSEM), edge.sign.fs)
                 if edge.daughters:
                     a, b = edge.daughters
-                    chart = grammar.apply_schema(edge.schema, a.sign, b.sign, memo)
-                    assert fs_equal(chart.fs, edge.sign.fs) and chart.dom == edge.sign.dom
+                    for chart in (grammar.apply_schema(edge.schema, a.sign, b.sign, memo),
+                                  grammar.apply_schema(edge.schema, a.sign, b.sign)):
+                        assert fs_equal(chart.fs, edge.sign.fs) and chart.dom == edge.sign.dom
                     assert fs.type_at(("DTRS",)) == (
                         None if _records_no_daughters(edge) else STRUCTURE_TYPES[edge.schema])
                 # the derivation's occurrences down to the mothers that record
@@ -635,13 +637,16 @@ class TestSchemaMemo:
         times (418 while memo keys held whole signs, so that a lexical and a
         phrasal sign with equal SYNSEM had two, 447 while verb clusters out
         of order were built, 744 when every pair of edges was unified
-        afresh); a build whose unification fails extracts nothing."""
+        afresh); a build whose unification fails extracts nothing.  Each
+        key looked up is stored once."""
         extracts, keys, builds = [], set(), []
-        extract, memoized = Workspace.extract, grammar._memoized
+        extract, get, store = Workspace.extract, SchemaMemo.get, SchemaMemo.__setitem__
         monkeypatch.setattr(Workspace, "extract",
                             lambda ws, root: extracts.append(root) or extract(ws, root))
-        monkeypatch.setattr(grammar, "_memoized", lambda memo, key, build: keys.add(key) or
-                            memoized(memo, key, lambda: builds.append(key) or build()))
+        monkeypatch.setattr(SchemaMemo, "get", lambda memo, key, *default:
+                            keys.add(key) or get(memo, key, *default))
+        monkeypatch.setattr(SchemaMemo, "__setitem__", lambda memo, key, mother:
+                            builds.append(key) or store(memo, key, mother))
         for sentence in corpus_sentences():
             keys.clear()
             builds.clear()
@@ -696,14 +701,9 @@ class TestSchemaMemo:
     def count_lookups(monkeypatch) -> list:
         """Every memo key looked up from now on."""
         lookups = []
-        memoized = grammar._memoized
-
-        def counted(memo, key, build):
-            if memo is not None:
-                lookups.append(key)
-            return memoized(memo, key, build)
-
-        monkeypatch.setattr(grammar, "_memoized", counted)
+        get = SchemaMemo.get
+        monkeypatch.setattr(SchemaMemo, "get", lambda memo, key, *default:
+                            lookups.append(key) or get(memo, key, *default))
         return lookups
 
     def test_memo_lookups_pinned(self, monkeypatch, fragment):
@@ -722,8 +722,8 @@ class TestSchemaMemo:
     def test_equal_structures_share_one_interned_structure(self, fragment):
         """Within one memo every chart sign's structure, lexical ones
         included, is the memo's interned structure of its shape, and a memo
-        key is the schema (or the kind of trace-mode combination) and two
-        structure ids."""
+        key is the schema, trace-mode mothers included, a structure id and
+        a structure id or None."""
         memo = SchemaMemo()
         results = [parse(sentence, fragment, memo=memo) for sentence in corpus_sentences()]
         results.append(parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=3000),
@@ -737,7 +737,7 @@ class TestSchemaMemo:
         assert all(len(objects) == 1 for objects in shapes.values())
         assert len({fs.nodes for fs in memo.structures}) == len(memo.structures) >= len(shapes)
         for label, first, second in memo:
-            assert label in SCHEMATA or label in (True, False)
+            assert label in SCHEMATA
             assert isinstance(first, int) and (second is None or isinstance(second, int))
 
     def test_no_two_corpus_runs_share_an_intern_table(self, monkeypatch, fragment):

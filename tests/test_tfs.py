@@ -1,5 +1,7 @@
+from typing import Optional
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgen import structure_pairs
@@ -80,21 +82,24 @@ class TestHierarchy:
                 ("b", ("top",), (("F", "top"),)),
             ])
 
-    def test_declarations_round_trip(self, diamond):
-        rebuilt = TypeHierarchy(diamond.declarations())
-        assert rebuilt.types == diamond.types
-        for s in diamond.types:
-            for t in diamond.types:
-                assert rebuilt.glb(s, t) == diamond.glb(s, t)
+    def test_declarations_round_trip(self, diamond, fragment):
+        """A hierarchy rebuilt from its declarations has the same types, and
+        its glb is the reference's."""
+        for hierarchy in (diamond, fragment.hierarchy, load_lexicon(MINI_TYPES).hierarchy):
+            rebuilt = TypeHierarchy(hierarchy.declarations())
+            assert rebuilt.types == hierarchy.types
+            _assert_glb_matches_reference(rebuilt)
 
     def test_extension_masks_meet_exactly_when_a_glb_exists(self, diamond, fragment):
-        """The schemata's type tests (``grammar.fits``, which the steps and
-        the pairing loop share) are ands of extension masks, and the
-        closure oracle runs the same steps, so this is what guards them:
-        over every pair of types of each hierarchy the tests declare, the
-        masks share a bit exactly when the glb table has an entry."""
+        """The schemata's type tests (``grammar.fits``, the gate of every
+        schema application) are ands of extension masks, and ``glb`` reads
+        the same masks, so this is what guards them: over every pair of
+        types of each hierarchy the tests declare, ``glb`` is the unique
+        maximal common subtype of the reference, found from the
+        declarations alone, and the masks share a bit exactly when it
+        exists."""
         for hierarchy in (diamond, fragment.hierarchy, load_lexicon(MINI_TYPES).hierarchy):
-            _assert_masks_match_glb(hierarchy)
+            _assert_glb_matches_reference(hierarchy)
         with pytest.raises(ConfigurationError):
             diamond.extension("nope")
 
@@ -103,22 +108,53 @@ class TestHierarchy:
                             min_size=1, max_size=10))
     def test_extension_masks_meet_exactly_when_a_glb_exists_generated(self, parents):
         """The same over generated hierarchies: type ``t<i>`` has parents
-        among ``t0`` (the top) to ``t<i-1>``."""
+        among ``t0`` (the top) to ``t<i-1>``.  The loader rejects exactly
+        the hierarchies in which the reference finds a pair of types with
+        several maximal common subtypes."""
         declarations = [("t0", (), ())]
         for i, ps in enumerate(parents, 1):
             declarations.append((f"t{i}", tuple(sorted({f"t{p % i}" for p in ps})), ()))
         try:
             hierarchy = TypeHierarchy(declarations)
         except HierarchyError:
-            assume(False)
-        _assert_masks_match_glb(hierarchy)
+            assert reference_glbs(declarations) is None
+            return
+        _assert_glb_matches_reference(hierarchy)
+        _assert_glb_matches_reference(TypeHierarchy(hierarchy.declarations()))
 
 
-def _assert_masks_match_glb(hierarchy: TypeHierarchy) -> None:
+def reference_glbs(declarations) -> Optional[dict]:
+    """The greatest lower bound of every pair of declared types, as the
+    unique maximum of their common subtypes (None without one), found from
+    the declarations alone; None for the whole table when some pair has
+    several maximal common subtypes."""
+    parents = {name: ps for name, ps, _feats in declarations}
+    ancestors: dict = {}
+
+    def up(t):
+        if t not in ancestors:
+            ancestors[t] = {t}.union(*map(up, parents[t]))
+        return ancestors[t]
+
+    subtypes = {t: {s for s in parents if t in up(s)} for t in parents}
+    table = {}
+    for a in parents:
+        for b in parents:
+            common = subtypes[a] & subtypes[b]
+            maxima = [t for t in common if not any(t != u and t in subtypes[u] for u in common)]
+            if len(maxima) > 1:
+                return None
+            table[a, b] = maxima[0] if maxima else None
+    return table
+
+
+def _assert_glb_matches_reference(hierarchy: TypeHierarchy) -> None:
+    reference = reference_glbs(hierarchy.declarations())
     for a in hierarchy.types:
         for b in hierarchy.types:
             meet = hierarchy.extension(a) & hierarchy.extension(b)
-            assert bool(meet) == (hierarchy.glb(a, b) is not None), (a, b)
+            assert hierarchy.glb(a, b) == reference[a, b], (a, b)
+            assert bool(meet) == (reference[a, b] is not None), (a, b)
 
 
 # ------------------------------------------------------------- unification
