@@ -101,8 +101,9 @@ def parse_corpus_line(number: int, raw: str) -> Optional[CorpusLine]:
 
 
 def _read_text(path: str) -> str:
-    """A UTF-8 input file's text; undecodable bytes raise ValueError naming the file."""
-    with open(path, encoding="utf-8") as handle:
+    """A UTF-8 input file's text, less a leading byte-order mark; undecodable
+    bytes raise ValueError naming the file."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

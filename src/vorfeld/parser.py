@@ -94,7 +94,9 @@ class Edge:
     :class:`vorfeld.grammar.SignFacts`), so the pairing loop rejects
     overlapping and dead pairs with one bitwise and each, before it runs
     :func:`vorfeld.grammar.fits`; ``slash1`` indexes the processed edges,
-    since no two SLASH-carrying edges are ever paired.
+    since no two SLASH-carrying edges are ever paired.  All four are
+    functions of the sign, which is what lets the loop keep its partner
+    lists per chart sign rather than per edge.
     Every verb cluster of the tree is in order under the parse's clause
     type: the rule is judged on each pair before a cluster is built.
 
@@ -261,7 +263,13 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     that :func:`vorfeld.grammar.fits` admits on the two signs' facts: the
     gate every schema application passes first, so a dropped pair is one
     it would refuse before any work.  The loop runs ``fits`` only on pairs
-    whose edges' role masks (``heads`` and ``deps``) already meet.
+    whose edges' role masks (``heads`` and ``deps``) already meet.  It
+    keeps a partner list per chart sign: the earlier edges whose coverage
+    is disjoint from the sign's and that some direction fits.  An edge
+    whose sign was seen before adds only the edges processed since to the
+    list.  So ``fits`` runs once per sign and earlier edge, not once per
+    pair of edges, and the schemata receive the same pairs in the same
+    order: the same chart, edge ids included.
 
     Above the memo, each parse keeps two tables of its own.  The sign
     table holds one sign per structure id and domain, and each new mother
@@ -406,6 +414,13 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         if fit & _FH and b.licenser_id == (None if trace_mode else a.id):
             attach(SCHEMA_FILLER_HEAD, a, b, None)
 
+    # Each chart sign's partner list: how far into its pool it has looked,
+    # and, in pool order, the pool edges of disjoint coverage that fit it in
+    # either direction, with the active schemata fits admits each way.  What
+    # the loop reads of an edge is its sign's and the pools only grow, so
+    # combine gets the calls a scan per edge would make, in the same order.
+    partners: dict[Sign, list] = {}
+
     # the edge list is the agenda: edges are processed in the order they are built
     done = 0
     while done < len(edges) and not state["limit_hit"]:
@@ -413,20 +428,30 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         done += 1
         if e.schema == SCHEMA_FILLER_HEAD:
             continue
-        # a pair reaches combine only when its coverages are disjoint and
-        # grammar.fits admits some active schema in the direction tried;
-        # fits runs only where the role masks, one bitwise and, meet
-        heads, deps = e.heads & active, e.deps & active
-        ef = e.sign.facts
-        for f in unslashed if e.slash1 else processed:
-            if e.coverage & f.coverage:
-                continue
-            if heads & f.deps and (fit := fits(ef, f.sign.facts) & active):
-                combine(e, f, fit)
+        pool = unslashed if e.slash1 else processed
+        entry = partners.get(e.sign)
+        if entry is None:
+            entry = partners[e.sign] = [0, []]
+        seen, found = entry
+        if seen < len(pool):
+            # fits runs only where the role masks, one bitwise and, meet
+            coverage, heads, deps = e.coverage, e.heads & active, e.deps & active
+            ef = e.sign.facts
+            for f in pool[seen:]:
+                if coverage & f.coverage:
+                    continue
+                first = fits(ef, f.sign.facts) & active if heads & f.deps else 0
+                second = fits(f.sign.facts, ef) & active if deps & f.heads else 0
+                if first or second:
+                    found.append((f, first, second))
+            entry[0] = len(pool)
+        for f, first, second in found:
+            if first:
+                combine(e, f, first)
                 if state["limit_hit"]:
                     break
-            if deps & f.heads and (fit := fits(f.sign.facts, ef) & active):
-                combine(f, e, fit)
+            if second:
+                combine(f, e, second)
                 if state["limit_hit"]:
                     break
         processed.append(e)

@@ -198,6 +198,17 @@ class TestCmdParse:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "latin1.lex: not UTF-8" in err
 
+    def test_bom_prefixed_lexicon_loads(self, capsys, tmp_path):
+        """A UTF-8 file may start with a byte-order mark, as some editors write it."""
+        path = tmp_path / "bom.lex"
+        path.write_text(fragment_text(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        rc = main(["parse", "--lexicon", str(path), "--sentence",
+                   "Erzählen wird er seiner Tochter ein Märchen"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert re.search(r"readings: [1-9]", captured.out)
+
 
     @pytest.mark.parametrize("text, missing", [
         ('(type top ()) (type a (top)) (word "x" (a))', "sign"),
@@ -294,6 +305,14 @@ class TestCmdCorpus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "corpus.tsv: not UTF-8" in captured.err
+
+    def test_bom_prefixed_corpus_passes(self, tmp_path, capsys):
+        path = tmp_path / "bom.tsv"
+        path.write_text(corpus_text(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["corpus", "--corpus", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "12/12 lines pass" in captured.out
 
     def test_unwritable_report_path_exits_two(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.tsv"

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import corpus_sentences
 from oracle import closure
-from vorfeld import cli, grammar, orderdomain
+from vorfeld import cli, grammar, orderdomain, parser
 from vorfeld.avm import print_fs
 from vorfeld.grammar import (
     P_SYNSEM,
@@ -485,7 +485,8 @@ def _chart_digest(edges) -> str:
 
 
 class TestSlashIndex:
-    """Pairing skips every pair of SLASH-carrying edges; nothing else moves."""
+    """Pairing skips every pair of SLASH-carrying edges and tests a chart
+    sign against each pool edge once; nothing else moves."""
 
     def test_trace_chart_digest_pinned(self, trace_chart):
         assert trace_chart.limit_hit
@@ -515,6 +516,21 @@ class TestSlashIndex:
         report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000)
         assert report.edges_built == 10000
         assert len(calls) == 465
+
+    def test_pairing_work_pinned(self, monkeypatch, fragment):
+        """Work count: the pairing loop's ``fits`` calls.  Each chart sign
+        keeps a partner list, so it is tested against a pool edge once,
+        however many edges hold it: 819 calls in the criterion-2 demo and
+        3,398 in ``run_corpus`` (13,280 and 4,780 while every edge scanned
+        its pool afresh)."""
+        calls = []
+        fits = parser.fits
+        monkeypatch.setattr(parser, "fits", lambda *args: calls.append(args) or fits(*args))
+        assert demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000).edges_built == 10000
+        assert len(calls) == 819
+        calls.clear()
+        assert run_corpus(fragment, corpus_text()).passed
+        assert len(calls) == 3398
 
     def test_trace_edges_share_their_mothers(self, trace_chart):
         """Edges with equal structure and domain share one sign, so the
@@ -563,6 +579,17 @@ class TestSlashIndex:
                     assert grammar.apply_schema(schema, b.sign, a.sign) is None
             pairs += len(sample)
         assert pairs > 2000
+
+    def test_pairing_reads_only_the_sign(self, fragment, trace_chart):
+        """The invariant the partner lists rest on: what the pairing loop
+        reads of an edge, its coverage, role masks and SLASH, is its sign's."""
+        charts = [trace_chart.edges]
+        charts += [parse(sentence, fragment).edges for sentence in corpus_sentences()]
+        for edges in charts:
+            for e in edges:
+                facts = e.sign.facts
+                assert ((e.coverage, e.heads, e.deps, e.slash1)
+                        == (e.sign.dom.coverage, facts.heads, facts.deps, facts.slash == 1))
 
 
 class TestSignTable:
