@@ -58,14 +58,15 @@ or a fresh one.  It builds every key in one place, ``(schema, first id,
 second id or None)``, each id a synsem's in the memo's intern table,
 unifies on a miss, and stores the mother's synsem, interned, and facts (a
 sign with an empty domain), or None; the domain is always built from the
-daughters at hand, and only for a mother that exists.  A memo key needs
+daughters at hand, and only for a mother that exists.  Of the facts, the
+domain keeps only the word order class (``SignFacts.order``), so equal
+domains are equal values, whichever signs built them.  A memo key needs
 nothing of the sentence, so a memo may outlive a parse: the parser takes
 one memo per parse, fresh unless its caller passes one (``run_corpus``
 shares one between the lines of a corpus), and it also holds the
 trace-mode mothers; the rebuild of a derivation uses none, so it unifies
-every step afresh.  The memo keeps one sign, so one facts object, per
-interned structure (:meth:`SchemaMemo.sign`).  The tables the parser keeps
-above the memo for one parse are described at :func:`vorfeld.parser.parse`.
+every step afresh.  The tables the parser keeps above the memo for one
+parse are described at :func:`vorfeld.parser.parse`.
 """
 from __future__ import annotations
 
@@ -134,11 +135,11 @@ _VS = _VC | _SI  # the schemata that compare the head's VCOMP VFORM with the oth
 @dataclass(frozen=True)
 class SignFacts:
     """Cheap category summary: the schemata's daughter-local preconditions,
-    and the extension masks (``*_ext``) of the facts :func:`fits` compares
+    the word order class (``order``, see :mod:`vorfeld.orderdomain`), and
+    the extension masks (``*_ext``) of the facts :func:`fits` compares
     between daughters, so a type clash is one and of two ints."""
 
-    head: Optional[str]
-    vform: Optional[str]
+    order: Optional[str]
     lex: Optional[str]
     comps_kind: Optional[str]
     comps_len: int
@@ -207,6 +208,9 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
     head, vform = fs.type_at(P_HEAD, synsem), fs.type_at(P_VFORM, synsem)
     case, mod_head = fs.type_at(P_CASE, synsem), fs.type_at(P_MOD + P_HEAD, synsem)
     has_mod = fs.type_at(P_MOD, synsem) is not None
+    # the word order class, the one reading of the head types word order needs
+    order = ((od.FINITE if vform == "fin" else od.VERBAL) if head == "verb"
+             else od.COMPLEMENTIZER if head == "comp" else None)
     # the schemata's daughter-local preconditions, stated here only
     heads = _roles(
         # head-complement: a closed COMPS list once the cluster is formed, or
@@ -223,11 +227,9 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
         head == "verb",  # verb-cluster
         head == "verb" and slash == 0,  # slash introduction: the licenser
         # filler-head: a saturated finite clause with one SLASH element
-        slash == 1 and head == "verb" and vform == "fin" and comps_kind == CLOSED
-        and comps_len == 0)
+        slash == 1 and order == od.FINITE and comps_kind == CLOSED and comps_len == 0)
     return SignFacts(
-        head=head,
-        vform=vform,
+        order=order,
         lex=fs.type_at(P_LEX, synsem),
         comps_kind=comps_kind,
         comps_len=comps_len,
@@ -292,7 +294,7 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
                  tokens: Sequence[str], start: int) -> Sign:
     """The chart sign of lexical entry ``fs``, covering ``tokens`` at ``start``."""
     sign = make_sign(hierarchy, path_get(fs, P_SYNSEM))
-    element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.facts)
+    element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.facts.order)
     return Sign(hierarchy, sign.fs, Domain((element,), element.coverage), sign.facts)
 
 
@@ -323,11 +325,11 @@ def _try_resolve(ws: Workspace, root: int, path) -> Optional[int]:
 def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
     """Complements compact into one element; complementizer heads stay
     transparent; phonologically empty complements contribute nothing."""
-    if head.facts.head == "comp":
+    if head.facts.order == od.COMPLEMENTIZER:
         return od.domain_union(head.dom, comp.dom)
     if not comp.dom.elements:
         return head.dom
-    element = od.compact(comp.dom.elements, comp.facts)
+    element = od.compact(comp.dom.elements, comp.facts.order)
     if element is None:
         return None
     return od.domain_union(head.dom, Domain((element,), element.coverage))
@@ -341,15 +343,13 @@ class SchemaMemo(dict):
     memo's intern table: :meth:`intern` maps a canonical node tuple to the
     one structure of that shape the memo holds, which carries its id
     (``FeatureStructure.sid``).  So a key hashes three small values, and a
-    mother met again under another key shares its structure, and its
-    facts: :meth:`sign` keeps one sign per structure.
+    mother met again under another key shares its structure.
     """
 
     def __init__(self):
         super().__init__()
         self.structures: list[FeatureStructure] = []  # by id
         self._ids: dict[tuple, int] = {}  # node tuple -> id
-        self._signs: dict[int, Sign] = {}  # id -> sign with an empty domain
 
     def intern(self, fs: FeatureStructure) -> FeatureStructure:
         """The memo's structure equal to ``fs``, interned on first sight."""
@@ -360,16 +360,6 @@ class SchemaMemo(dict):
             sid = self._ids[fs.nodes] = len(self.structures)
             self.structures.append(FeatureStructure(fs.nodes, sid))
         return self.structures[sid]
-
-    def sign(self, sign: Sign) -> Sign:
-        """The chart sign of ``sign``'s structure, interned, with an empty
-        domain: one per structure, so equal structures share one facts
-        object.  On first sight of the structure it takes ``sign``'s facts."""
-        fs = self.intern(sign.fs)
-        known = self._signs.get(fs.sid)
-        if known is None:
-            known = self._signs[fs.sid] = Sign(sign.hierarchy, fs, EMPTY_DOMAIN, sign.facts)
-        return known
 
 
 # A schema past :func:`_step`: the second structure its mother depends on
@@ -421,9 +411,8 @@ def _combine(schema: str, first: Sign, second: Sign,
     ``memo``'s intern table; a caller without a memo gets a fresh one.  On
     a miss it grafts both synsems into a new workspace, runs the body on
     them, each daughter given as its synsem node twice (the chart records
-    no ``DTRS``), extracts the mother's synsem and stores its sign, one per
-    structure (:meth:`SchemaMemo.sign`), or None.  Only a mother that
-    exists is placed.
+    no ``DTRS``), extracts the mother's synsem and stores its sign, on the
+    interned structure, or None.  Only a mother that exists is placed.
     """
     step = _step(schema, first, second)
     if step is None:
@@ -438,7 +427,7 @@ def _combine(schema: str, first: Sign, second: Sign,
         a, b = ws.graft(first.fs), ws.graft(second.fs)
         parts = body(ws, a, a, b, b)
         fs = parts and ws.extract(_synsem(ws, parts))
-        mother = memo[key] = fs and memo.sign(make_sign(ws.hierarchy, fs))
+        mother = memo[key] = fs and make_sign(ws.hierarchy, memo.intern(fs))
     return _placed(mother, place)
 
 
@@ -736,8 +725,8 @@ def is_complete_clause(sign: Sign, clause_type: str) -> bool:
     if f.slash != 0 or f.comps_kind != CLOSED or f.comps_len != 0:
         return False
     if clause_type == od.V2:
-        return f.head == "verb" and f.vform == "fin" and f.vcomp == "none"
-    return f.head == "comp"
+        return f.order == od.FINITE and f.vcomp == "none"
+    return f.order == od.COMPLEMENTIZER
 
 
 # ---------------------------------------------------------------------------

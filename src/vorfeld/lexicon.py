@@ -38,6 +38,7 @@ from .grammar import (
     check_comps_closed,
     lexical_sign,
 )
+from .orderdomain import FINITE, VERBAL
 from .tfs import (
     ConfigurationError,
     FeatureStructure,
@@ -297,7 +298,7 @@ def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
         raise LexiconError(
             f"line {entry.line}: entry {' '.join(entry.phon)!r} has an underspecified valence list")
     vform = sign.fs.type_at(P_VCOMP + P_VFORM)
-    if sign.facts.head == "verb" and sign.facts.vcomp == "sel" and vform != "bse":
+    if sign.facts.order in (FINITE, VERBAL) and sign.facts.vcomp == "sel" and vform != "bse":
         raise LexiconError(
             f"line {entry.line}: verbal complement of {' '.join(entry.phon)!r} must be "
             + ("restricted to bse form" if vform is None else f"bse, got {vform!r}"))

@@ -1,8 +1,11 @@
 """Word order domains: an ordered level of representation beside the tree.
 
 A domain is a sequence of elements, each covering a set of input positions
-(bitmask), carrying its surface tokens and the contributing sign's
-:class:`vorfeld.grammar.SignFacts`, all that word order reads of a sign.
+(bitmask), carrying its surface tokens and the word order class of the
+contributing sign (:data:`FINITE`, :data:`VERBAL`, :data:`COMPLEMENTIZER`
+or None), all that word order reads of a sign.  The grammar reads the class
+off the sign's types (``SignFacts.order``), so no type name of a fragment
+occurs here, and a domain is a value: equal elements mean equal order.
 Constituency and linear order are decoupled: a constituent may be
 discontinuous, i.e. its domain elements need not cover adjacent positions.
 
@@ -35,10 +38,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .grammar import Sign, SignFacts
+    from .grammar import Sign
 
 V2 = "v2"
 VFINAL = "vfinal"
+
+# the word order classes of an element: a finite verb, any other verb, and a
+# complementizer; an element of any other sign has None
+FINITE = "finite"
+VERBAL = "verbal"
+COMPLEMENTIZER = "complementizer"
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +98,15 @@ class DomainElement:
     """One entry of a word order domain.
 
     ``phon`` holds the input tokens at the covered positions in ascending
-    order; ``facts`` are those of the sign that contributed the element,
-    shared with it.  ``field`` is stored only on the Vorfeld block of a
+    order; ``order`` is the word order class of the sign that contributed
+    the element.  ``field`` is stored only on the Vorfeld block of a
     bound filler ("VF", set at insertion); every other element's field is
     computed, never stored, by :func:`fields`.
     """
 
     phon: tuple[str, ...]
     coverage: int
-    facts: "SignFacts"
+    order: Optional[str]
     field: Optional[str] = None
 
     def __post_init__(self):
@@ -141,9 +150,9 @@ def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
     return Domain(tuple(elements), d1.coverage | d2.coverage)
 
 
-def compact(elems: Sequence[DomainElement], facts: "SignFacts",
+def compact(elems: Sequence[DomainElement], order: Optional[str],
             field: Optional[str] = None) -> Optional[DomainElement]:
-    """Collapse elements covering a contiguous range into one element of ``facts``.
+    """Collapse elements covering a contiguous range into one element of ``order``.
 
     Non-contiguous coverage signals an unlicensed discontinuity and fails.
     """
@@ -157,9 +166,9 @@ def compact(elems: Sequence[DomainElement], facts: "SignFacts",
     if not mask_is_contiguous(mask):
         return None
     if len(elems) == 1:  # one element's tokens are in position order already
-        return DomainElement(elems[0].phon, mask, facts, field)
+        return DomainElement(elems[0].phon, mask, order, field)
     pairs = sorted(pair for e in elems for pair in zip(mask_positions(e.coverage), e.phon))
-    return DomainElement(tuple(p for _, p in pairs), mask, facts, field)
+    return DomainElement(tuple(p for _, p in pairs), mask, order, field)
 
 
 def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -> Optional[Domain]:
@@ -173,7 +182,7 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
     """
     pre = [e for e in filler.dom.elements if mask_max(e.coverage) < finite_verb_pos]
     post = [e for e in filler.dom.elements if mask_max(e.coverage) >= finite_verb_pos]
-    block = compact(pre, filler.facts, field="VF")
+    block = compact(pre, filler.facts.order, field="VF")
     if block is None:
         return None
     return domain_union(clause, Domain((block, *post), filler.dom.coverage))
@@ -181,14 +190,6 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
 
 # ---------------------------------------------------------------------------
 # linearization checks
-
-
-def _is_finite_verb(e: DomainElement) -> bool:
-    return e.facts.head == "verb" and e.facts.vform == "fin"
-
-
-def _is_cluster_verb(e: DomainElement) -> bool:
-    return e.facts.head == "verb" and e.facts.vform != "fin"
 
 
 def _non_interleaving(elements: Sequence[DomainElement]) -> bool:
@@ -202,7 +203,7 @@ def _non_interleaving(elements: Sequence[DomainElement]) -> bool:
 
 def finite_verb_position(dom: Domain) -> Optional[int]:
     """Position of the unique finite-verb element of ``dom``; None unless there is one."""
-    positions = [mask_min(e.coverage) for e in dom.elements if _is_finite_verb(e)]
+    positions = [mask_min(e.coverage) for e in dom.elements if e.order == FINITE]
     return positions[0] if len(positions) == 1 else None
 
 
@@ -215,7 +216,7 @@ def cluster_in_order(coverage: int, head_dom: Domain, clause_type: str) -> bool:
     """
     head = head_dom.elements
     embedded = coverage & ~head_dom.coverage
-    if clause_type == V2 and len(head) == 1 and _is_finite_verb(head[0]):
+    if clause_type == V2 and len(head) == 1 and head[0].order == FINITE:
         return mask_is_contiguous(embedded)
     return mask_is_contiguous(coverage) and (
         not (embedded and head) or mask_max(embedded) < mask_min(head_dom.coverage))
@@ -230,19 +231,19 @@ def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
     if not elements or not _non_interleaving(elements):
         return None
     if clause_type == V2:
-        if [i for i, e in enumerate(elements) if _is_finite_verb(e)] != [1]:
+        if [i for i, e in enumerate(elements) if e.order == FINITE] != [1]:
             return None  # exactly one element precedes the one finite verb
-        if elements[0].field != "VF" and _is_cluster_verb(elements[0]):
+        if elements[0].field != "VF" and elements[0].order == VERBAL:
             return None  # only a bound filler may front verbal material
         brackets = ("VF", "LB")
-        rb = [i for i, e in enumerate(elements) if i > 1 and _is_cluster_verb(e)]
+        rb = [i for i, e in enumerate(elements) if i > 1 and e.order == VERBAL]
     elif clause_type == VFINAL:
-        if elements[0].facts.head != "comp":
+        if elements[0].order != COMPLEMENTIZER:
             return None
         if any(e.field == "VF" for e in elements):
             return None  # no Vorfeld in verb-final clauses
         brackets = ("LB",)
-        rb = [i for i, e in enumerate(elements) if e.facts.head == "verb"]
+        rb = [i for i, e in enumerate(elements) if e.order in (FINITE, VERBAL)]
     else:
         raise ValueError(f"unknown clause type {clause_type!r}")
     rb_start = rb[0] if rb else len(elements)

@@ -48,7 +48,7 @@ from .grammar import (
     make_vcomp_trace,
 )
 from .lexicon import Lexicon
-from .orderdomain import V2, VFINAL, Domain, DomainElement, mask_positions, mask_span
+from .orderdomain import V2, VFINAL, mask_positions, mask_span
 
 LICENSING = "licensing"
 TRACE = "trace"
@@ -237,7 +237,7 @@ def detect_clause_type(first_signs: Iterable[Sign]) -> str:
     sign is a complementizer, so ``auto`` reads every clause as verb-second,
     and no verb-final clause can parse, since a verb-final root is a
     saturated ``comp`` (:func:`vorfeld.grammar.is_complete_clause`)."""
-    return VFINAL if any(sign.facts.head == "comp" for sign in first_signs) else V2
+    return VFINAL if any(sign.facts.order == od.COMPLEMENTIZER for sign in first_signs) else V2
 
 
 def parse(tokens: Sequence[str], lexicon: Lexicon,
@@ -274,7 +274,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     Above the memo, each parse keeps two tables of its own.  The sign
     table holds one sign per structure id and domain, and each new mother
     is swapped for it, so edges of equal structure and domain share one
-    sign (the criterion-2 chart's 10,000 edges hold 175).  The pair table
+    sign (the criterion-2 chart's 10,000 edges hold 114).  The pair table
     maps (schema, first sign, second sign) to that mother, or to None for a
     pair without one: a mother depends on nothing else, so a pair of signs
     goes through ``apply_schema`` once however many pairs of edges hold it,
@@ -301,13 +301,9 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         memo = SchemaMemo()
 
     def leaf(sign: Sign) -> Sign:
-        """``sign`` on the memo's interned structure and facts, as every
-        mother is, its domain's elements included: no memo key has to look
-        its structure up by its nodes, and equal structures share facts."""
-        base = memo.sign(sign)
-        elements = tuple(DomainElement(el.phon, el.coverage, base.facts, el.field)
-                         for el in sign.dom.elements)
-        return Sign(sign.hierarchy, base.fs, Domain(elements, sign.dom.coverage), base.facts)
+        """``sign`` on the memo's interned structure, as every mother is:
+        no memo key has to look its structure up by its nodes."""
+        return Sign(sign.hierarchy, memo.intern(sign.fs), sign.dom, sign.facts)
 
     def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
             licenser_id: Optional[int] = None, label: str = "") -> None:
@@ -366,9 +362,8 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         active &= ~_FH
     # The parse's two tables.  ``signs`` holds its one sign per structure id
     # and domain.  A domain keys as its coverage and, per element, coverage,
-    # field and facts object, of which the memo keeps one per structure:
-    # within one sentence coverage fixes phonology, so equal keys mean equal
-    # domains, and no domain or facts is hashed by value.  ``pairs`` maps
+    # field and word order class: within one sentence coverage fixes
+    # phonology, so equal keys mean equal domains.  ``pairs`` maps
     # (schema, first sign, second sign), signs by identity, to the mother
     # from ``signs``, or to None for a pair without one, a verb cluster out
     # of order included.  Edges built from equal pairs share one sign, so a
@@ -387,7 +382,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
             return None
         dom = mother.dom
         key = (mother.fs.sid, dom.coverage,
-               *[(el.coverage, el.field, id(el.facts)) for el in dom.elements])
+               *[(el.coverage, el.field, el.order) for el in dom.elements])
         return signs.setdefault(key, mother)
 
     def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:

@@ -86,13 +86,26 @@ class TypeHierarchy:
         if len(roots) != 1:
             raise HierarchyError(f"expected exactly one top type, found {roots}")
         self.top = roots[0]
+        children: dict[str, list[str]] = {t: [] for t in self._parents}
         for name, parents in self._parents.items():
             for p in parents:
                 if p not in self._parents:
                     raise HierarchyError(f"type {name!r} has unknown parent {p!r}")
+                children[p].append(name)
+        # each type's ancestors, itself included, in an order that puts every
+        # type after its parents: no recursion, so no chain is too deep
         self._ancestors: dict[str, frozenset[str]] = {}
-        for name in self._parents:
-            self._ancestors_of(name, ())
+        waiting = {t: len(ps) for t, ps in self._parents.items()}
+        ready = [self.top]
+        for name in ready:
+            self._ancestors[name] = frozenset({name}.union(*map(self._ancestors.get, self._parents[name])))
+            for child in children[name]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+        if len(ready) < len(self._parents):
+            unplaced = min(set(self._parents) - set(ready))
+            raise HierarchyError(f"cycle in hierarchy through or above {unplaced!r}")
         self._extension = dict.fromkeys(sorted(self._parents), 0)
         for i, name in enumerate(self._extension):
             for anc in self._ancestors[name]:
@@ -105,22 +118,15 @@ class TypeHierarchy:
         self._features: dict[str, dict[str, str]] = {}
         self._check_appropriateness()
 
-    def _ancestors_of(self, name: str, below: tuple[str, ...]) -> frozenset[str]:
-        if name in below:
-            raise HierarchyError(f"cycle in hierarchy through {name!r}")
-        if name in self._ancestors:
-            return self._ancestors[name]
-        acc = {name}
-        for p in self._parents[name]:
-            acc |= self._ancestors_of(p, below + (name,))
-        result = frozenset(acc)
-        self._ancestors[name] = result
-        return result
-
     def _check_appropriateness(self) -> None:
+        """A value type is a declared type, ``*list*`` or ``*set*``, and a
+        redeclaration keeps its kind: a type only narrows to a subtype."""
         intro: dict[str, str] = {}
         for t in self._parents:
-            for f in self._own_feats[t]:
+            for f, vt in self._own_feats[t].items():
+                if vt not in self._parents and vt not in (LIST_TYPE, SET_TYPE):
+                    raise HierarchyError(f"type {t!r} declares feature {f!r} "
+                                         f"with unknown value type {vt!r}")
                 inherited = any(f in self._own_feats[a] for a in self._ancestors[t] if a != t)
                 if not inherited:
                     if f in intro and intro[f] != t and t not in self._ancestors[intro[f]] and intro[f] not in self._ancestors[t]:
@@ -128,10 +134,12 @@ class TypeHierarchy:
                     intro.setdefault(f, t)
         for t in sorted(self._parents):
             feats: dict[str, str] = {}
-            for a in sorted(self._ancestors[t], key=lambda x: len(self._ancestors[x])):
+            declaring = (a for a in self._ancestors[t] if self._own_feats[a])
+            for a in sorted(declaring, key=lambda x: len(self._ancestors[x])):
                 for f, vt in self._own_feats[a].items():
                     if f in feats and vt != feats[f]:
-                        if vt not in (LIST_TYPE, SET_TYPE) and not self.subsumes_type(feats[f], vt):
+                        if ({vt, feats[f]} & {LIST_TYPE, SET_TYPE}
+                                or not self.subsumes_type(feats[f], vt)):
                             raise HierarchyError(
                                 f"type {t!r} narrows feature {f!r} to incompatible value type {vt!r}"
                             )

@@ -15,11 +15,12 @@ from typing import TYPE_CHECKING
 
 from vorfeld.grammar import SCHEMA_VERB_CLUSTER
 from vorfeld.orderdomain import (
+    COMPLEMENTIZER,
+    FINITE,
     V2,
+    VERBAL,
     VFINAL,
     DomainElement,
-    _is_cluster_verb,
-    _is_finite_verb,
     _non_interleaving,
     mask_is_contiguous,
     mask_max,
@@ -29,6 +30,18 @@ from vorfeld.orderdomain import (
 if TYPE_CHECKING:  # pragma: no cover
     from vorfeld.grammar import Sign
     from vorfeld.parser import Edge
+
+
+def _is_finite_verb(e: DomainElement) -> bool:
+    return e.order == FINITE
+
+
+def _is_cluster_verb(e: DomainElement) -> bool:
+    return e.order == VERBAL
+
+
+def _is_verb(e: DomainElement) -> bool:
+    return e.order in (FINITE, VERBAL)
 
 
 def _cluster_nodes(root: "Edge"):
@@ -80,11 +93,11 @@ def lp_check(root: "Edge", clause_type: str) -> bool:
             return False  # right bracket must be a contiguous suffix
         return _cluster_constraints(root, V2, elements[lb].coverage)
     if clause_type == VFINAL:
-        if elements[0].facts.head != "comp":
+        if elements[0].order != COMPLEMENTIZER:
             return False
         if any(e.field == "VF" for e in elements):
             return False  # no Vorfeld in verb-final clauses
-        verb_idx = [i for i, e in enumerate(elements) if e.facts.head == "verb"]
+        verb_idx = [i for i, e in enumerate(elements) if _is_verb(e)]
         if verb_idx and verb_idx != list(range(min(verb_idx), len(elements))):
             return False  # verb block must be contiguous and clause-final
         return _cluster_constraints(root, VFINAL, 0)
@@ -111,7 +124,7 @@ def assign_fields(root: "Sign", clause_type: str) -> tuple[tuple[DomainElement, 
             else:
                 out.append((e, "MF"))
     else:
-        verb_idx = [i for i, e in enumerate(elements) if e.facts.head == "verb"]
+        verb_idx = [i for i, e in enumerate(elements) if _is_verb(e)]
         rb_start = min(verb_idx) if verb_idx else len(elements)
         for i, e in enumerate(elements):
             if i == 0:

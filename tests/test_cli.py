@@ -198,6 +198,29 @@ class TestCmdParse:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "latin1.lex: not UTF-8" in err
 
+    def test_a_deep_chain_of_subtypes_loads(self, capsys, tmp_path):
+        """1,500 subtypes declared child first, once a recursion error."""
+        chain = "\n".join(f"(type d{i} (d{i - 1}))" for i in range(1500, 1, -1))
+        path = tmp_path / "deep.lex"
+        path.write_text(f"{chain}\n(type d1 (top))\n{fragment_text()}", encoding="utf-8")
+        rc = main(["parse", "--lexicon", str(path), "--sentence", "Vortragen wird er es morgen"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+
+    @pytest.mark.parametrize("declarations", [
+        "(type lsta (top) (LF *list*)) (type lstb (lsta) (LF top))",
+        "(type lsta (top) (LF *list*)) (type lstb (lsta) (LF *set*))",
+        "(type lsta (top) (LF top)) (type lstb (lsta) (LF *list*))",
+        "(type odd (top) (ODD nosuchtype))",
+    ])
+    def test_an_ill_declared_value_type_exits_two(self, capsys, tmp_path, declarations):
+        """A value type is a declared type, *list* or *set*, and a
+        redeclaration keeps its kind: anything else is a load error."""
+        path = tmp_path / "values.lex"
+        path.write_text(f"{fragment_text()}\n{declarations}\n", encoding="utf-8")
+        rc = main(["parse", "--lexicon", str(path), "--sentence", "Vortragen wird er es morgen"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "value type" in err
+
     def test_bom_prefixed_lexicon_loads(self, capsys, tmp_path):
         """A UTF-8 file may start with a byte-order mark, as some editors write it."""
         path = tmp_path / "bom.lex"

@@ -11,6 +11,7 @@ from vorfeld.lexicon import (
     load_fragment,
     load_lexicon,
 )
+from vorfeld.orderdomain import FINITE
 from vorfeld.tfs import Workspace, path_get
 
 P_COMPS = ("SYNSEM", "LOC", "CAT", "COMPS")
@@ -262,7 +263,8 @@ class TestLookup:
         matches = fragment.lookup(tokens, 0)
         assert len(matches) == 1
         _, sign = matches[0]
-        assert sign.facts.vform == "fin" and sign.facts.vcomp == "sel"
+        assert sign.fs.type_at(P_VFORM[1:]) == "fin" and sign.facts.vcomp == "sel"
+        assert sign.facts.order == FINITE
 
     def test_unknown_token_is_empty(self, fragment):
         assert fragment.lookup(["Quark"], 0) == []

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -8,6 +10,7 @@ import field_oracle
 from conftest import corpus_sentences, sign_at
 from oracle import closure
 from test_cli import ADJUNCT_PRINTED_DIGESTS
+from vorfeld import orderdomain
 from vorfeld.grammar import apply_head_adjunct, apply_head_complement
 from vorfeld.orderdomain import (
     EMPTY_DOMAIN,
@@ -88,7 +91,7 @@ class TestCompact:
         st = _element(fragment, "Seiner Tochter", tokens, 0)
         em = _element(fragment, "ein Märchen", tokens, 2)
         erz = _element(fragment, "erzählen", tokens, 4, arity=2)
-        block = compact([erz, st, em], erz.facts, field="VF")
+        block = compact([erz, st, em], erz.order, field="VF")
         assert block is not None
         assert block.phon == ("Seiner", "Tochter", "ein", "Märchen", "erzählen")
         assert mask_positions(block.coverage) == (0, 1, 2, 3, 4)
@@ -98,19 +101,19 @@ class TestCompact:
         tokens = "Vortragen wird er es morgen".split()
         v = _element(fragment, "Vortragen", tokens, 0)
         m = _element(fragment, "morgen", tokens, 4)
-        assert compact([v, m], v.facts) is None
+        assert compact([v, m], v.order) is None
 
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def _elements_of(owners, facts):
+def _elements_of(owners, order):
     """One element per owner, covering the positions that owner holds."""
     positions: dict[int, list[int]] = {}
     for p, owner in enumerate(owners):
         if owner is not None:
             positions.setdefault(owner, []).append(p)
-    return {owner: DomainElement(tuple(f"w{p}" for p in ps), mask_from(ps), facts)
+    return {owner: DomainElement(tuple(f"w{p}" for p in ps), mask_from(ps), order)
             for owner, ps in positions.items()}
 
 
@@ -122,7 +125,7 @@ class TestFastPaths:
     @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=14),
            st.lists(st.booleans(), min_size=6, max_size=6))
     def test_union_of_disjoint_domains_is_make_domain(self, fragment, owners, sides):
-        elements = _elements_of(owners, sign_at(fragment, "er", ["er"], 0).facts)
+        elements = _elements_of(owners, sign_at(fragment, "er", ["er"], 0).facts.order)
         d1 = make_domain([e for k, e in elements.items() if sides[k]])
         d2 = make_domain([e for k, e in elements.items() if not sides[k]])
         assert domain_union(d1, d2) == make_domain(d1.elements + d2.elements)
@@ -135,11 +138,11 @@ class TestFastPaths:
            st.sampled_from([None, "VF"]))
     def test_compact_of_one_element_is_the_general_path(self, fragment, owners, field):
         """One element compacts as the same material split in two does."""
-        facts = sign_at(fragment, "er", ["er"], 0).facts
-        halves = list(_elements_of(owners, facts).values())
-        (one,) = _elements_of([None if o is None else 0 for o in owners], facts).values()
+        order = sign_at(fragment, "er", ["er"], 0).facts.order
+        halves = list(_elements_of(owners, order).values())
+        (one,) = _elements_of([None if o is None else 0 for o in owners], order).values()
         assert len(halves) == 2
-        assert compact([one], facts, field) == compact(halves, facts, field)
+        assert compact([one], order, field) == compact(halves, order, field)
 
 
 def _filler_with_adjunct(fragment):
@@ -288,8 +291,19 @@ class TestElementInvariants:
     def test_empty_coverage_rejected(self, fragment):
         e = _element(fragment, "er", ["er"], 0)
         with pytest.raises(ValueError):
-            DomainElement((), 0, e.facts)
+            DomainElement((), 0, e.order)
 
     def test_make_domain_rejects_overlap(self, fragment):
         e = _element(fragment, "er", ["er"], 0)
         assert make_domain([e, e]) is None
+
+
+def test_no_type_of_the_fragment_is_named_here(fragment):
+    """Word order reads a sign's word order class, which the grammar reads
+    off its types: no string in ``orderdomain`` names a type of the
+    bundled hierarchy."""
+    tree = ast.parse(Path(orderdomain.__file__).read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert strings
+    assert not strings & set(fragment.hierarchy.types)

@@ -508,36 +508,41 @@ class TestSlashIndex:
         The parse's pair table applies each (schema, first sign, second
         sign) once, failures included, its sign table gives edges built
         from equal pairs one sign, and the pairing loop drops the pairs
-        whose facts fail a schema's type test: 465 applications, each of
-        them a memo lookup (2,125 while the table held one sign per pair
-        of signs and no failures, 4,401 while those pairs reached the
-        schema, 13,055 when every pair of edges was applied afresh)."""
+        whose facts fail a schema's type test: 354 applications, each of
+        them a memo lookup (465 while domain elements carried their sign's
+        facts, so that the sign table told apart domains of equal order,
+        2,125 while the table held one sign per pair of signs and no
+        failures, 4,401 while those pairs reached the schema, 13,055 when
+        every pair of edges was applied afresh)."""
         calls = self.count_applications(monkeypatch)
         report = demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000)
         assert report.edges_built == 10000
-        assert len(calls) == 465
+        assert len(calls) == 354
 
     def test_pairing_work_pinned(self, monkeypatch, fragment):
         """Work count: the pairing loop's ``fits`` calls.  Each chart sign
         keeps a partner list, so it is tested against a pool edge once,
-        however many edges hold it: 819 calls in the criterion-2 demo and
-        3,398 in ``run_corpus`` (13,280 and 4,780 while every edge scanned
-        its pool afresh)."""
+        however many edges hold it: 694 calls in the criterion-2 demo and
+        3,398 in ``run_corpus`` (819 in the demo while domain elements
+        carried their sign's facts, 13,280 and 4,780 while every edge
+        scanned its pool afresh)."""
         calls = []
         fits = parser.fits
         monkeypatch.setattr(parser, "fits", lambda *args: calls.append(args) or fits(*args))
         assert demonstrate_trace_mode(S_1A.split(), fragment, edge_limit=10000).edges_built == 10000
-        assert len(calls) == 819
+        assert len(calls) == 694
         calls.clear()
         assert run_corpus(fragment, corpus_text()).passed
         assert len(calls) == 3398
 
     def test_trace_edges_share_their_mothers(self, trace_chart):
         """Edges with equal structure and domain share one sign, so the
-        10,000 edges of the criterion-2 chart hold 175 distinct signs
-        (1,340 while only edges built from one pair of signs shared its
+        10,000 edges of the criterion-2 chart hold 114 distinct signs
+        (175 while domain elements carried their sign's facts, so that
+        domains of equal order built from distinct structures differed,
+        1,340 while only edges built from one pair of signs shared its
         mother, 9,993 while each edge got a sign of its own)."""
-        assert len({id(e.sign) for e in trace_chart.edges}) == 175
+        assert len({id(e.sign) for e in trace_chart.edges}) == 114
 
     def test_licensing_mode_never_repeats_a_sign_pair(self, monkeypatch, fragment):
         """Work count: ``run_corpus`` makes 715 schema applications (868
@@ -654,6 +659,24 @@ class TestSignTable:
         assert refused
 
 
+    def test_the_order_class_is_read_off_head_and_vform(self, fragment, trace_chart):
+        """Every chart sign's word order class agrees with the HEAD and VFORM
+        of its structure, over the corpus charts and the trace chart."""
+        classes = set()
+        for result in [trace_chart] + [parse(s, fragment) for s in corpus_sentences()]:
+            for sign in {id(e.sign): e.sign for e in result.edges}.values():
+                head, vform = sign.fs.type_at(grammar.P_HEAD), sign.fs.type_at(grammar.P_VFORM)
+                expected = None
+                if head == "verb":
+                    expected = orderdomain.FINITE if vform == "fin" else orderdomain.VERBAL
+                elif head == "comp":
+                    expected = orderdomain.COMPLEMENTIZER
+                assert sign.facts.order == expected, (head, vform)
+                classes.add(expected)
+        assert classes == {orderdomain.FINITE, orderdomain.VERBAL,
+                           orderdomain.COMPLEMENTIZER, None}
+
+
 class TestSchemaMemo:
     """A parse unifies each (schema, daughter structures) key once; a
     rebuild shares nothing with the chart."""
@@ -735,16 +758,17 @@ class TestSchemaMemo:
 
     def test_memo_lookups_pinned(self, monkeypatch, fragment):
         """Work count: ``run_corpus`` looks 715 keys up in its memo and
-        extracts 96 times, and the criterion-2 demo looks 465 keys up: one
+        extracts 96 times, and the criterion-2 demo looks 354 keys up: one
         per schema application, so the pair table's hits never reach the
-        memo (868 and 2,125 while the table neither shared signs between
+        memo (465 in the demo while domain elements carried their sign's
+        facts, 868 and 2,125 while the table neither shared signs between
         equal edges nor stored failures)."""
         lookups, extracts = self.count_lookups(monkeypatch), self.count_extracts(monkeypatch)
         assert run_corpus(fragment, corpus_text()).passed
         assert (len(lookups), len(extracts)) == (715, 96)
         lookups.clear()
         assert demonstrate_trace_mode(S_1A.split(), fragment).edges_built == 10000
-        assert len(lookups) == 465
+        assert len(lookups) == 354
 
     def test_equal_structures_share_one_interned_structure(self, fragment):
         """Within one memo every chart sign's structure, lexical ones

@@ -27,6 +27,8 @@ from vorfeld.tfs import (
 
 # ---------------------------------------------------------------- hierarchy
 
+DEEP = 1500  # a chain of subtypes deeper than Python's default recursion limit
+
 
 class TestHierarchy:
     def test_glb_idempotent(self, diamond):
@@ -69,6 +71,44 @@ class TestHierarchy:
                 ("a", ("top", "b"), ()),
                 ("b", ("a",), ()),
             ])
+
+    @pytest.mark.parametrize("child_first", [False, True])
+    def test_a_deep_chain_of_subtypes_loads(self, child_first):
+        """Ancestors are found without recursion, so a chain of 1,500
+        subtypes loads whichever end is declared first."""
+        chain = [(f"d{i}", (f"d{i - 1}" if i > 1 else "top",), ()) for i in range(1, DEEP + 1)]
+        hierarchy = TypeHierarchy([("top", (), ())] + (chain[::-1] if child_first else chain))
+        assert hierarchy.subsumes_type("top", f"d{DEEP}")
+        assert hierarchy.glb("d1", f"d{DEEP}") == f"d{DEEP}"
+        assert not hierarchy.subsumes_type(f"d{DEEP}", "d1")
+
+    @pytest.mark.parametrize("cycle", [1, DEEP])
+    def test_a_cycle_of_any_length_rejected(self, cycle):
+        ring = [(f"c{i}", (f"c{(i + 1) % cycle}",), ()) for i in range(cycle)]
+        with pytest.raises(HierarchyError, match="cycle"):
+            TypeHierarchy([("top", (), ()), ("a", ("top", "c0"), ())] + ring)
+
+    @pytest.mark.parametrize("feats", [
+        (("LF", "*list*"), ("LF", "top")),  # a list narrowed to a type
+        (("LF", "*list*"), ("LF", "*set*")),  # a list narrowed to a set
+        (("LF", "*set*"), ("LF", "*list*")),  # a set narrowed to a list
+        (("LF", "top"), ("LF", "*list*")),  # a type narrowed to a list
+        (("LF", "a"), ("LF", "b")),  # a type to one it does not subsume
+        (("ODD", "nosuchtype"), ("EVEN", "top")),  # an undeclared value type
+    ])
+    def test_a_value_type_is_declared_and_keeps_its_kind(self, feats):
+        (f1, v1), (f2, v2) = feats
+        with pytest.raises(HierarchyError):
+            TypeHierarchy([("top", (), ()), ("a", ("top",), ()), ("b", ("top",), ()),
+                           ("lsta", ("top",), ((f1, v1),)), ("lstb", ("lsta",), ((f2, v2),))])
+
+    @pytest.mark.parametrize("value", ["*list*", "*set*", "a"])
+    def test_a_redeclaration_may_keep_or_narrow_its_value_type(self, value):
+        narrower = {"a": "b"}.get(value, value)
+        hierarchy = TypeHierarchy([("top", (), ()), ("a", ("top",), ()), ("b", ("a",), ()),
+                                   ("lsta", ("top",), (("LF", value),)),
+                                   ("lstb", ("lsta",), (("LF", narrower),))])
+        assert hierarchy.features_for("lstb")["LF"] == narrower
 
     def test_two_tops_rejected(self):
         with pytest.raises(HierarchyError):
