@@ -143,7 +143,9 @@ class SignFacts:
     lex: Optional[str]
     comps_kind: Optional[str]
     comps_len: int
-    vcomp: str  # 'none' | 'sel' | 'open' | 'missing'
+    # VCOMP is of type none or synsem, a subtype included, or of neither: an
+    # underspecified selection ('open', a trace and what is built on one)
+    vcomp: str  # 'none' | 'sel' | 'open'
     slash: Optional[int]
     has_mod: bool
     open_lists: bool  # some list of the whole structure, DTRS included, is open
@@ -189,28 +191,23 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
             comps_last_case = fs.type_at(P_CASE, comps.elems[-1])
     except PathError:
         pass
-    vcomp_type = fs.type_at(P_VCOMP, synsem)
-    vcomp_vform = None
-    if vcomp_type is None:
-        vcomp = "missing"
-    elif vcomp_type == "none":
-        vcomp = "none"
-    elif vcomp_type == "synsem":
-        vcomp = "sel"
-        vcomp_vform = fs.type_at(P_VCOMP + P_VFORM, synsem)
-    else:
-        vcomp = "open"
+    vcomp_ext = _extension(hierarchy, fs.type_at(P_VCOMP, synsem))
+    vcomp = ("none" if _subsumed(hierarchy, vcomp_ext, "none")
+             else "sel" if _subsumed(hierarchy, vcomp_ext, "synsem") else "open")
+    vcomp_vform = fs.type_at(P_VCOMP + P_VFORM, synsem) if vcomp == "sel" else None
     slash: Optional[int] = None
     try:
         slash = len(fs.nodes[fs.resolve(P_SLASH, synsem)].elems)
     except PathError:
         pass
-    head, vform = fs.type_at(P_HEAD, synsem), fs.type_at(P_VFORM, synsem)
+    head_ext = _extension(hierarchy, fs.type_at(P_HEAD, synsem))
+    vform_ext = _extension(hierarchy, fs.type_at(P_VFORM, synsem))
     case, mod_head = fs.type_at(P_CASE, synsem), fs.type_at(P_MOD + P_HEAD, synsem)
     has_mod = fs.type_at(P_MOD, synsem) is not None
     # the word order class, the one reading of the head types word order needs
-    order = ((od.FINITE if vform == "fin" else od.VERBAL) if head == "verb"
-             else od.COMPLEMENTIZER if head == "comp" else None)
+    order = ((od.FINITE if _subsumed(hierarchy, vform_ext, "fin") else od.VERBAL)
+             if _subsumed(hierarchy, head_ext, "verb")
+             else od.COMPLEMENTIZER if _subsumed(hierarchy, head_ext, "comp") else None)
     # the schemata's daughter-local preconditions, stated here only
     heads = _roles(
         # head-complement: a closed COMPS list once the cluster is formed, or
@@ -224,8 +221,8 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
     deps = _roles(
         True,  # head-complement
         has_mod,  # head-adjunct
-        head == "verb",  # verb-cluster
-        head == "verb" and slash == 0,  # slash introduction: the licenser
+        order in (od.FINITE, od.VERBAL),  # verb-cluster: a verb
+        order in (od.FINITE, od.VERBAL) and slash == 0,  # slash introduction: the licenser
         # filler-head: a saturated finite clause with one SLASH element
         slash == 1 and order == od.FINITE and comps_kind == CLOSED and comps_len == 0)
     return SignFacts(
@@ -239,9 +236,9 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
         open_lists=any(node.kind in (OPEN, APPEND) for node in fs.nodes),
         heads=heads,
         deps=deps,
-        head_ext=_extension(hierarchy, head),
+        head_ext=head_ext,
         case_ext=_extension(hierarchy, case),
-        vform_ext=_extension(hierarchy, vform),
+        vform_ext=vform_ext,
         comps_last_head_ext=_extension(hierarchy, comps_last_head),
         comps_last_case_ext=_extension(hierarchy, comps_last_case),
         vcomp_vform_ext=_extension(hierarchy, vcomp_vform),
@@ -253,6 +250,13 @@ def _extension(hierarchy: TypeHierarchy, fact: Optional[str]) -> int:
     """The extension mask of ``fact``; every bit for a fact the hierarchy
     cannot rule out: none, or a list or set value."""
     return hierarchy.extension(fact) if fact in hierarchy else -1
+
+
+def _subsumed(hierarchy: TypeHierarchy, ext: int, name: str) -> bool:
+    """Whether the fact of extension mask ``ext`` is type ``name`` or one of
+    its subtypes: never for a fact of None, nor for a type the hierarchy
+    does not declare (``comp`` is optional)."""
+    return name in hierarchy and not ext & ~hierarchy.extension(name)
 
 
 def _roles(*admitted: bool) -> int:
@@ -705,9 +709,10 @@ def rebuild(root) -> Optional[Sign]:
 def check_comps_closed(sign: Sign) -> bool:
     """No underspecified valence list survives in a discharged sign.
 
-    A sign still selecting its verbal complement defers the check: its
-    valence is tagged to the embedded verb's lists and becomes instantiated
-    the moment the complement (or its licenser) is found.  Once VCOMP is
+    A sign whose VCOMP is not ``none``, one still selecting its verbal
+    complement or leaving it underspecified, defers the check: its valence
+    is tagged to the embedded verb's lists and becomes instantiated the
+    moment the complement (or its licenser) is found.  Once VCOMP is
     discharged, every list in the sign's structure must have determinate
     length; a trace in the verbal-complement slot leaves the attracted
     COMPS list open, which is precisely the defect this predicate detects.
@@ -716,7 +721,7 @@ def check_comps_closed(sign: Sign) -> bool:
     are checked too.  The lists were read once, when the sign's facts were
     (``SignFacts.open_lists``).
     """
-    return sign.facts.vcomp in ("sel", "open", "missing") or not sign.facts.open_lists
+    return sign.facts.vcomp != "none" or not sign.facts.open_lists
 
 
 def is_complete_clause(sign: Sign, clause_type: str) -> bool:

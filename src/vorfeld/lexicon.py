@@ -54,7 +54,7 @@ from .tfs import (
 # form rule name; a lexicon with entries must declare them all, since
 # without them a parse would fail mid-way, or an entry check would fail
 # with a misleading message (a file without entries parses nothing).
-# ``comp`` is read by name too but is optional: a hierarchy without it
+# ``comp`` is named too but is optional: a hierarchy without it
 # loads, ``auto`` then reads every clause as verb-second, and no verb-final
 # clause can parse (vorfeld.parser.detect_clause_type)
 REQUIRED_TYPES = ("sign", "fin", "bse") + BUILT_TYPES
@@ -140,7 +140,7 @@ def finitivize(stem: LexEntry, hierarchy: TypeHierarchy) -> LexEntry:
         comps = ws.resolve(synsem, P_COMPS)
     except PathError as exc:
         raise InapplicableError(f"{' '.join(stem.phon)!r} is not a verb stem: {exc}") from exc
-    if ws.type_of(head) != "verb":
+    if not hierarchy.subsumes_type("verb", ws.type_of(head)):
         raise InapplicableError(f"{' '.join(stem.phon)!r} is not a verb stem")
     ws.set_feat(cat, "COMPS", ws.append_list([subj, comps]))
     ws.set_feat(head, "SUBJ", ws.closed_list([]))
@@ -273,7 +273,8 @@ def _build(form, hierarchy: TypeHierarchy, templates, line: int) -> FeatureStruc
     try:
         return build_fs(form, hierarchy, templates)
     except (AvmSyntaxError, ConfigurationError) as exc:
-        raise LexiconError(f"line {line}: {exc}") from exc
+        # most AVM errors name the line of the value at fault; the rest get the form's
+        raise LexiconError(str(exc) if str(exc).startswith("line ") else f"line {line}: {exc}") from exc
 
 
 def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
@@ -289,8 +290,8 @@ def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
         raise LexiconError(f"line {entry.line}: entry must be {TYPE_LEXICAL}[SYNSEM], "
                            f"got {root.type or root.kind}[{', '.join(feats)}]")
     sign = lexical_sign(hierarchy, entry.fs, entry.phon, 0)
-    # the schema bodies read a head daughter's HEAD and COMPS unguarded
-    for path in (P_HEAD, P_COMPS):
+    # the schema bodies read a head daughter's HEAD, COMPS and VCOMP unguarded
+    for path in (P_HEAD, P_COMPS, P_VCOMP):
         if not sign.fs.has_path(path):
             raise LexiconError(f"line {entry.line}: entry {' '.join(entry.phon)!r} "
                                f"has no SYNSEM {' '.join(path)}")
@@ -298,7 +299,8 @@ def _check_entry(entry: LexEntry, hierarchy: TypeHierarchy) -> None:
         raise LexiconError(
             f"line {entry.line}: entry {' '.join(entry.phon)!r} has an underspecified valence list")
     vform = sign.fs.type_at(P_VCOMP + P_VFORM)
-    if sign.facts.order in (FINITE, VERBAL) and sign.facts.vcomp == "sel" and vform != "bse":
+    if (sign.facts.order in (FINITE, VERBAL) and sign.facts.vcomp == "sel"
+            and (vform is None or not hierarchy.subsumes_type("bse", vform))):
         raise LexiconError(
             f"line {entry.line}: verbal complement of {' '.join(entry.phon)!r} must be "
             + ("restricted to bse form" if vform is None else f"bse, got {vform!r}"))

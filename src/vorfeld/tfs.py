@@ -66,12 +66,15 @@ class TypeHierarchy:
     hierarchy also carries the appropriateness table: which features a type
     licenses and the required value type of each.  A feature may be
     introduced by exactly one type and is inherited by its subtypes; a
+    type with several parents takes each feature's most specific value
+    type among theirs, and it is an error when two are incomparable; a
     subtype may redeclare a feature only to narrow its value type.  Each
     type's extension mask, computed at load, has one bit for each of its
     subtypes (Aït-Kaci, Boyer, Lincoln & Nasr 1989), so distinct types have
-    distinct masks, and the order is that one table: the greatest lower
-    bound of two types is the type whose mask is the and of theirs, and
-    two types are compatible exactly when their masks share a bit.
+    distinct masks, and the order is that one table: ``a`` subsumes ``b``
+    when the mask of ``b`` has no bit outside that of ``a``, the greatest
+    lower bound of two types is the type whose mask is the and of theirs,
+    and two types are compatible exactly when their masks share a bit.
     """
 
     def __init__(self, declarations: Sequence[tuple[str, Sequence[str], Sequence[tuple[str, str]]]]):
@@ -92,13 +95,10 @@ class TypeHierarchy:
                 if p not in self._parents:
                     raise HierarchyError(f"type {name!r} has unknown parent {p!r}")
                 children[p].append(name)
-        # each type's ancestors, itself included, in an order that puts every
-        # type after its parents: no recursion, so no chain is too deep
-        self._ancestors: dict[str, frozenset[str]] = {}
+        # every type after its parents: no recursion, so no chain is too deep
         waiting = {t: len(ps) for t, ps in self._parents.items()}
         ready = [self.top]
         for name in ready:
-            self._ancestors[name] = frozenset({name}.union(*map(self._ancestors.get, self._parents[name])))
             for child in children[name]:
                 waiting[child] -= 1
                 if not waiting[child]:
@@ -106,45 +106,53 @@ class TypeHierarchy:
         if len(ready) < len(self._parents):
             unplaced = min(set(self._parents) - set(ready))
             raise HierarchyError(f"cycle in hierarchy through or above {unplaced!r}")
-        self._extension = dict.fromkeys(sorted(self._parents), 0)
-        for i, name in enumerate(self._extension):
-            for anc in self._ancestors[name]:
-                self._extension[anc] |= 1 << i
+        self._parents_first = tuple(ready)
+        # bit i is the i-th type by name; a mask is the type's own bit and
+        # its children's masks, each built before its parents'
+        self._extension = {t: 1 << i for i, t in enumerate(sorted(self._parents))}
+        for name in reversed(ready):
+            for child in children[name]:
+                self._extension[name] |= self._extension[child]
         self._by_extension = {mask: t for t, mask in self._extension.items()}
         for a, b in itertools.combinations(self._extension, 2):
             meet = self._extension[a] & self._extension[b]
             if meet and meet not in self._by_extension:
                 raise HierarchyError(f"types {a!r} and {b!r} have no unique greatest lower bound")
         self._features: dict[str, dict[str, str]] = {}
-        self._check_appropriateness()
-
-    def _check_appropriateness(self) -> None:
-        """A value type is a declared type, ``*list*`` or ``*set*``, and a
-        redeclaration keeps its kind: a type only narrows to a subtype."""
-        intro: dict[str, str] = {}
-        for t in self._parents:
+        introduced: dict[str, str] = {}
+        for t in ready:
+            feats: dict[str, str] = {}
+            for p in self._parents[t]:
+                for f, vt in self._features[p].items():
+                    most = self._narrower(feats.get(f, vt), vt)
+                    if most is None:
+                        raise HierarchyError(f"type {t!r} inherits feature {f!r} with incomparable "
+                                             f"value types {feats[f]!r} and {vt!r}")
+                    feats[f] = most
             for f, vt in self._own_feats[t].items():
                 if vt not in self._parents and vt not in (LIST_TYPE, SET_TYPE):
                     raise HierarchyError(f"type {t!r} declares feature {f!r} "
                                          f"with unknown value type {vt!r}")
-                inherited = any(f in self._own_feats[a] for a in self._ancestors[t] if a != t)
-                if not inherited:
-                    if f in intro and intro[f] != t and t not in self._ancestors[intro[f]] and intro[f] not in self._ancestors[t]:
-                        raise HierarchyError(f"feature {f!r} introduced by both {intro[f]!r} and {t!r}")
-                    intro.setdefault(f, t)
-        for t in sorted(self._parents):
-            feats: dict[str, str] = {}
-            declaring = (a for a in self._ancestors[t] if self._own_feats[a])
-            for a in sorted(declaring, key=lambda x: len(self._ancestors[x])):
-                for f, vt in self._own_feats[a].items():
-                    if f in feats and vt != feats[f]:
-                        if ({vt, feats[f]} & {LIST_TYPE, SET_TYPE}
-                                or not self.subsumes_type(feats[f], vt)):
-                            raise HierarchyError(
-                                f"type {t!r} narrows feature {f!r} to incompatible value type {vt!r}"
-                            )
-                    feats[f] = vt
+                if f not in feats:
+                    if f in introduced:
+                        raise HierarchyError(f"feature {f!r} introduced by both {introduced[f]!r} and {t!r}")
+                    introduced[f] = t
+                elif self._narrower(feats[f], vt) != vt:
+                    raise HierarchyError(
+                        f"type {t!r} narrows feature {f!r} to incompatible value type {vt!r}")
+                feats[f] = vt
             self._features[t] = feats
+
+    def _narrower(self, a: str, b: str) -> Optional[str]:
+        """The more specific of value types ``a`` and ``b``; None when
+        neither subsumes the other, as for a list and a set."""
+        if a == b:
+            return a
+        if {a, b} & {LIST_TYPE, SET_TYPE}:
+            return None
+        if self.subsumes_type(a, b):
+            return b
+        return a if self.subsumes_type(b, a) else None
 
     # -- queries ------------------------------------------------------
 
@@ -161,9 +169,7 @@ class TypeHierarchy:
 
     def subsumes_type(self, a: str, b: str) -> bool:
         """True iff ``b`` is ``a`` or a subtype of ``a``."""
-        self.check_type(a)
-        self.check_type(b)
-        return a in self._ancestors[b]
+        return not self.extension(b) & ~self.extension(a)
 
     def glb(self, a: str, b: str) -> Optional[str]:
         """Greatest lower bound of two types, or None if they are incompatible."""
@@ -183,10 +189,11 @@ class TypeHierarchy:
         return self._features[t]
 
     def declarations(self) -> list[tuple[str, tuple[str, ...], tuple[tuple[str, str], ...]]]:
-        """The hierarchy as declaration triples (round-trips through the loader)."""
+        """The hierarchy as declaration triples, each type after its parents
+        (round-trips through the loader)."""
         return [
             (t, self._parents[t], tuple(sorted(self._own_feats[t].items())))
-            for t in sorted(self._parents, key=lambda x: (len(self._ancestors[x]), x))
+            for t in self._parents_first
         ]
 
 

@@ -59,6 +59,30 @@ ADJUNCT_PRINTED_DIGESTS = {
 }
 
 
+# malformed forms, each appended to the bundled fragment, and the load error
+# (``{line}`` is the form's line; a hierarchy error names none)
+MALFORMED_FORMS = {
+    "def-without-value": ("(def x)", "line {line}: def takes a name and one expression"),
+    "template-defined-twice": ("(def np-nom np-acc)", "line {line}: template 'np-nom' defined twice"),
+    "template-shadowing-a-type": ("(def top np-acc)", "line {line}: template 'top' shadows a type"),
+    "stem-without-finite-form": ('(stem "a" np-nom-sign)',
+                                 'line {line}: stem takes "PHON" "FINITE" and one expression'),
+    "unknown-form": ("(foo 1)", "line {line}: unknown form 'foo'"),
+    "string-parent": ('(type zz ("top"))', "line {line}: parents of 'zz' must be symbols"),
+    "bare-parent": ("(type zz top)", "line {line}: type takes a name, a parent list and features"),
+    "type-declared-twice": ("(type verb (top))", "type 'verb' declared twice"),
+    "unknown-parent": ("(type zz (nosuch))", "type 'zz' has unknown parent 'nosuch'"),
+}
+
+# malformed corpus lines and their error
+MALFORMED_CORPUS_LINES = {
+    "non-numeric-count": ("OK=x\tEr wird.", "bad verdict 'OK=x'"),
+    "empty-count": ("OK=\tEr wird.", "bad verdict 'OK='"),
+    "zero-count": ("OK=0\tEr wird.", "OK=n requires n >= 1"),
+    "empty-sentence": ("OK\t.", "empty sentence"),
+}
+
+
 class TestTokenizer:
     def test_strips_final_punctuation(self):
         assert tokenize_sentence("Erzählen wird er seiner Tochter ein Märchen.") == [
@@ -266,6 +290,17 @@ class TestCmdParse:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FORMS))
+    def test_malformed_form_exits_two(self, capsys, tmp_path, name):
+        form, message = MALFORMED_FORMS[name]
+        text = fragment_text().rstrip("\n") + "\n" + form + "\n"
+        path = tmp_path / "form.lex"
+        path.write_text(text, encoding="utf-8")
+        assert main(["parse", "--sentence", "er", "--lexicon", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(line=text.count(chr(10)))}\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", sorted(EMPTY_FORMS))
     def test_empty_phon_or_finite_form_exits_two(self, capsys, tmp_path, name):
         text, message = EMPTY_FORMS[name]
@@ -313,6 +348,16 @@ class TestCmdCorpus:
         err = capsys.readouterr().err
         assert rc == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CORPUS_LINES))
+    def test_malformed_verdict_or_sentence_exits_two(self, tmp_path, capsys, name):
+        line, message = MALFORMED_CORPUS_LINES[name]
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"# a comment\n{line}\n", encoding="utf-8")
+        assert main(["corpus", "--corpus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: corpus line 2: {message}\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_nonpositive_edge_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "corpus.tsv"

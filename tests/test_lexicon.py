@@ -1,9 +1,14 @@
+import ast
+import inspect
 import re
 
 import pytest
 
-from vorfeld.grammar import P_CASE, P_SYNSEM, check_comps_closed, make_sign
+from conftest import corpus_sentences
+from vorfeld import grammar, lexicon
+from vorfeld.grammar import BUILT_TYPES, P_CASE, P_SYNSEM, check_comps_closed, make_sign
 from vorfeld.lexicon import (
+    REQUIRED_TYPES,
     InapplicableError,
     LexiconError,
     finitivize,
@@ -12,6 +17,7 @@ from vorfeld.lexicon import (
     load_lexicon,
 )
 from vorfeld.orderdomain import FINITE
+from vorfeld.parser import parse
 from vorfeld.tfs import Workspace, path_get
 
 P_COMPS = ("SYNSEM", "LOC", "CAT", "COMPS")
@@ -78,7 +84,8 @@ def _lacking(words: str, sentence: str, word: str, path: str) -> tuple[str, str,
 
 
 # entries whose cat lacks a path the schema bodies read: each is
-# appropriate, so each passes the type check
+# appropriate, so each passes the type check.  Without VCOMP, an entry's
+# open COMPS list would also pass the valence check and reach the chart.
 ENTRIES_LACKING_HEAD_OR_COMPS = {
     "headless": _lacking("""
 (word "np" (lexical-sign (SYNSEM (synsem (LEX -) (LOC (local (CAT (cat (HEAD (noun (CASE acc)))
@@ -93,20 +100,41 @@ ENTRIES_LACKING_HEAD_OR_COMPS = {
   (SUBJ (list)))) (VCOMP (synsem (LOC (local (CAT (cat (HEAD (verb (VFORM bse)))))))))))))
   (NONLOC no-slash)))))
 """, "gehen wird", "wird", "LOC CAT COMPS"),
+    "vcompless-open-comps": _lacking("""
+(word "np" (lexical-sign (SYNSEM (synsem (LEX -) (LOC (local (CAT (cat (HEAD (noun (CASE acc)))
+  (COMPS (list)) (VCOMP none))))) (NONLOC no-slash)))))
+(word "offen" (lexical-sign (SYNSEM (synsem (LEX -) (LOC (local (CAT (cat (HEAD (verb (VFORM fin)
+  (SUBJ (list)))) (COMPS (openlist)))))) (NONLOC no-slash)))))
+""", "offen np", "offen", "LOC CAT VCOMP"),
 }
 
 
-def _appended(entry: str, what: str) -> tuple[str, str]:
-    """The bundled fragment with ``entry`` appended, and its load error."""
+def _appended(entry: str, message: str) -> tuple[str, str]:
+    """The bundled fragment with ``entry`` appended, and its load error,
+    ``message`` at the entry's last line."""
     text = fragment_text().rstrip("\n") + "\n" + entry + "\n"
-    return text, f"line {text.count(chr(10))}: {what} needs at least one token"
+    return text, f"line {text.count(chr(10))}: {message}"
 
 
 # entries with an empty PHON or FINITE-FORM string
 EMPTY_FORMS = {
-    "word-phon": _appended('(word "" np-nom-sign)', "PHON"),
-    "stem-phon": _appended('(stem "" "wird" v-aux-stem)', "PHON"),
-    "stem-finite-form": _appended('(stem "werden" " " v-aux-stem)', "FINITE-FORM"),
+    "word-phon": _appended('(word "" np-nom-sign)', "PHON needs at least one token"),
+    "stem-phon": _appended('(stem "" "wird" v-aux-stem)', "PHON needs at least one token"),
+    "stem-finite-form": _appended('(stem "werden" " " v-aux-stem)',
+                                  "FINITE-FORM needs at least one token"),
+}
+
+# entries with an ill-formed AVM: the error names the line of the value at
+# fault, once (the empty value sits on the entry's second line)
+AVM_ERRORS = {
+    "empty-value": _appended('(word "x"\n  ())', "empty value"),
+    "tag-arity": _appended('(word "x" (#1= top top))', "#1= must tag exactly one value"),
+    "forward-reference": _appended('(word "x" #1#)', "reference #1# precedes its definition"),
+    "duplicate-feature": _appended('(word "x" (lexical-sign (SYNSEM top) (SYNSEM top)))',
+                                   "duplicate feature 'SYNSEM'"),
+    "append-arity": _appended('(word "x" (append (list)))', "append needs at least two parts"),
+    "template-with-features": _appended('(word "x" (np-nom-sign (SYNSEM top)))',
+                                        "template 'np-nom-sign' takes no features"),
 }
 
 
@@ -164,8 +192,8 @@ class TestLoad:
 
     @pytest.mark.parametrize("name", sorted(ENTRIES_LACKING_HEAD_OR_COMPS))
     def test_entry_must_have_head_and_comps(self, name):
-        """The schema bodies resolve a head daughter's HEAD and COMPS
-        without a guard, so an entry without either fails to load rather
+        """The schema bodies resolve a head daughter's HEAD, COMPS and
+        VCOMP without a guard, so an entry without one fails to load rather
         than in the middle of a parse."""
         text, _sentence, message = ENTRIES_LACKING_HEAD_OR_COMPS[name]
         with pytest.raises(LexiconError) as exc:
@@ -177,6 +205,13 @@ class TestLoad:
         """A domain element covers at least one position, so an entry, or
         the finite form of a stem, needs at least one token."""
         text, message = EMPTY_FORMS[name]
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", sorted(AVM_ERRORS))
+    def test_an_avm_error_names_its_line_once(self, name):
+        text, message = AVM_ERRORS[name]
         with pytest.raises(LexiconError) as exc:
             load_lexicon(text)
         assert str(exc.value) == message
@@ -319,3 +354,63 @@ class TestLookupMidSentence:
         tokens = "Erzählen wird er seiner Tochter ein Märchen".split()
         matches = fragment.lookup(tokens, 3)
         assert [(span, s.fs.type_at(P_CASE)) for span, s in matches] == [(2, "dat")]
+
+
+# the types the code reads by name; ``comp`` is optional
+NAMED_TYPES = ("verb", "fin", "bse", "comp", "synsem", "none")
+
+
+def _named_in(module) -> tuple[set, set]:
+    """The type names ``module``'s source builds (``Workspace.avm`` and
+    ``atom``, and the DTRS type a schema body returns, which the rebuild
+    builds from ``parts[3]``) and those it tests by subsumption."""
+    def name_of(arg):
+        if isinstance(arg, ast.Constant):
+            return arg.value
+        return getattr(module, arg.id) if isinstance(arg, ast.Name) else ast.unparse(arg)
+
+    built, tested = set(), set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.FunctionDef) and node.name == "body":
+            # a body returns LOC, LEX, SLASH, the DTRS type and its features
+            built.update(name_of(ret.value.elts[3]) for ret in ast.walk(node)
+                         if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple))
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if called in ("avm", "atom"):
+                built.add(name_of(node.args[0]))
+            elif called == "subsumes_type":
+                tested.add(name_of(node.args[0]))
+            elif called == "_subsumed":
+                tested.add(name_of(node.args[2]))
+    return built - {None, "parts[3]"}, tested
+
+
+class TestNamedTypes:
+    @pytest.mark.parametrize("name", NAMED_TYPES)
+    def test_a_subtype_acts_as_its_named_type(self, fragment, name):
+        """The code tests the types it names by subsumption, so the bundled
+        fragment with every use of ``name`` in its templates and entries
+        retyped to a new subtype of it reads the corpus as the bundled one."""
+        text = fragment_text()
+        cut = text.index("\n(def ")
+        uses = rf"(?<=[\s(]){re.escape(name)}(?=[\s)])"
+        retyped = (text[:cut] + f"\n(type {name}-sub ({name}))"
+                   + re.sub(uses, f"{name}-sub", text[cut:]))
+        assert re.search(uses, text[cut:])
+        sentences = corpus_sentences()
+        retyped_lexicon = load_lexicon(retyped)
+        assert ([parse(s, retyped_lexicon).readings for s in sentences]
+                == [parse(s, fragment).readings for s in sentences])
+
+    def test_every_type_the_code_names_is_required(self):
+        """A scan of ``grammar`` and ``lexicon``: every type they build or
+        test by subsumption is in ``REQUIRED_TYPES``, but for the optional
+        ``comp``, and ``BUILT_TYPES`` is what ``grammar`` builds."""
+        grammar_built, grammar_tested = _named_in(grammar)
+        lexicon_built, lexicon_tested = _named_in(lexicon)
+        assert grammar_built == set(BUILT_TYPES)
+        named = grammar_built | grammar_tested | lexicon_built | lexicon_tested
+        assert set(NAMED_TYPES) <= named
+        assert named - {"comp"} <= set(REQUIRED_TYPES)
+        assert "comp" not in REQUIRED_TYPES

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from fsgen import structure_pairs
 from test_lexicon import MINI_TYPES
 from vorfeld.avm import read_fs
+import vorfeld
 from vorfeld.lexicon import load_lexicon
 from vorfeld.tfs import (
     AVM,
@@ -28,6 +33,13 @@ from vorfeld.tfs import (
 # ---------------------------------------------------------------- hierarchy
 
 DEEP = 1500  # a chain of subtypes deeper than Python's default recursion limit
+
+# ``t`` inherits F from two parents that narrow it differently, the value
+# of one subsuming the other's
+MULTI_INHERITANCE = """
+(type fval (top)) (type fsub (fval)) (type u (top) (F fval))
+(type p1 (u) (F fval)) (type p2 (u) (F fsub)) (type t (p1 p2))
+"""
 
 
 class TestHierarchy:
@@ -74,8 +86,8 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("child_first", [False, True])
     def test_a_deep_chain_of_subtypes_loads(self, child_first):
-        """Ancestors are found without recursion, so a chain of 1,500
-        subtypes loads whichever end is declared first."""
+        """The masks and features are built without recursion, so a chain
+        of 1,500 subtypes loads whichever end is declared first."""
         chain = [(f"d{i}", (f"d{i - 1}" if i > 1 else "top",), ()) for i in range(1, DEEP + 1)]
         hierarchy = TypeHierarchy([("top", (), ())] + (chain[::-1] if child_first else chain))
         assert hierarchy.subsumes_type("top", f"d{DEEP}")
@@ -122,13 +134,45 @@ class TestHierarchy:
                 ("b", ("top",), (("F", "top"),)),
             ])
 
+    @pytest.mark.parametrize("parents", [("p1", "p2"), ("p2", "p1")])
+    def test_several_parents_give_a_feature_its_most_specific_value_type(self, parents):
+        hierarchy = TypeHierarchy(_several_parents("fval", parents))
+        assert dict(hierarchy.features_for("t")) == {"F": "fsub"}
+
+    def test_several_parents_with_incomparable_value_types_rejected(self):
+        with pytest.raises(HierarchyError, match="type 't' inherits feature 'F' with "
+                                                 "incomparable value types 'fother' and 'fsub'"):
+            TypeHierarchy(_several_parents("fother", ("p1", "p2")))
+
+    def test_a_type_with_several_parents_loads_alike_under_every_hash_seed(self):
+        """Features are merged in declaration order, not in an order that
+        ``PYTHONHASHSEED`` varies, so it cannot decide whether a fragment
+        loads: the bundled fragment with ``MULTI_INHERITANCE``, loaded in
+        a fresh interpreter per seed."""
+        script = ("import sys; from vorfeld.lexicon import fragment_text, load_lexicon; "
+                  "print(dict(load_lexicon(fragment_text() + sys.argv[1]).hierarchy.features_for('t')))")
+        src = str(Path(vorfeld.__file__).parents[1])
+        outcomes = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script, MULTI_INHERITANCE], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            outcomes.add((run.returncode, run.stdout, run.stderr))
+        assert outcomes == {(0, "{'F': 'fsub'}\n", "")}
+
     def test_declarations_round_trip(self, diamond, fragment):
         """A hierarchy rebuilt from its declarations has the same types, and
-        its glb is the reference's."""
+        its glb is the reference's; each type is declared after its parents."""
         for hierarchy in (diamond, fragment.hierarchy, load_lexicon(MINI_TYPES).hierarchy):
-            rebuilt = TypeHierarchy(hierarchy.declarations())
+            declarations = hierarchy.declarations()
+            rebuilt = TypeHierarchy(declarations)
             assert rebuilt.types == hierarchy.types
             _assert_glb_matches_reference(rebuilt)
+            seen = set()
+            for name, parents, _feats in declarations:
+                assert set(parents) <= seen, name
+                seen.add(name)
 
     def test_extension_masks_meet_exactly_when_a_glb_exists(self, diamond, fragment):
         """The schemata's type tests (``grammar.fits``, the gate of every
@@ -161,6 +205,14 @@ class TestHierarchy:
             return
         _assert_glb_matches_reference(hierarchy)
         _assert_glb_matches_reference(TypeHierarchy(hierarchy.declarations()))
+
+
+def _several_parents(p1_value: str, t_parents: tuple[str, ...]) -> list:
+    """``MULTI_INHERITANCE`` with a top, ``fother`` beside ``fsub``, p1's
+    value type of F and t's parents as given."""
+    return [("top", (), ()), ("fval", ("top",), ()), ("fsub", ("fval",), ()), ("fother", ("fval",), ()),
+            ("u", ("top",), (("F", "fval"),)), ("p1", ("u",), (("F", p1_value),)),
+            ("p2", ("u",), (("F", "fsub"),)), ("t", t_parents, ())]
 
 
 def reference_glbs(declarations) -> Optional[dict]:
@@ -278,6 +330,26 @@ class TestUnify:
         lhs = read_fs("(b (H (append (openlist) (openlist))))", diamond, check=False)
         rhs = read_fs("(b (H (list x y)))", diamond)
         assert unify(lhs, rhs, diamond) is None
+
+    @pytest.mark.parametrize("rhs, expected", [
+        # part by part: x and z meet at z, the open part closes, and the
+        # append seals on extraction
+        ("(b (H (append (list z) (list y))))", "(b (H (list z y)))"),
+        # the parts meet but stay open, so the result is still an append
+        ("(b (H (append (list top) (openlist y))))", "(b (H (append (list x) (openlist y))))"),
+        ("(b (H (append (list x) (openlist) (openlist))))", None),  # another number of parts
+        ("(b (H (append (list y) (openlist))))", None),  # a part that clashes
+        ("(b (H (openlist)))", "(b (H (append (list x) (openlist))))"),  # adds nothing
+        ("(b (H (openlist x)))", None),  # a known prefix is beyond the solver
+    ])
+    def test_append_against_an_append_or_an_open_list(self, diamond, rhs, expected):
+        lhs = read_fs("(b (H (append (list x) (openlist))))", diamond, check=False)
+        rhs = read_fs(rhs, diamond, check=False)
+        for result in (unify(lhs, rhs, diamond), unify(rhs, lhs, diamond)):
+            if expected is None:
+                assert result is None
+            else:
+                assert fs_equal(result, read_fs(expected, diamond, check=False))
 
 
 # -------------------------------------------------------------- extraction
@@ -401,6 +473,21 @@ class TestSubsumes:
         result = unify(lhs, rhs, diamond)
         assert subsumes(lhs, result, diamond)
         assert subsumes(rhs, result, diamond)
+
+    @pytest.mark.parametrize("general, specific, holds", [
+        # an append subsumes only an append of as many parts, part by part
+        ("(append (list top) (openlist))", "(append (list x) (openlist))", True),
+        ("(append (list x) (openlist))", "(append (list top) (openlist))", False),
+        ("(append (list x) (openlist))", "(append (list x) (openlist) (openlist))", False),
+        ("(append (list x) (openlist))", "(list x)", False),
+        # an open list subsumes an append only with an empty prefix
+        ("(openlist)", "(append (list x) (openlist))", True),
+        ("(openlist x)", "(append (list x) (openlist))", False),
+    ])
+    def test_append_values(self, diamond, general, specific, holds):
+        general, specific = (read_fs(f"(b (H {text}))", diamond, check=False)
+                             for text in (general, specific))
+        assert subsumes(general, specific, diamond) is holds
 
 
 # ------------------------------------------------------------------- paths
