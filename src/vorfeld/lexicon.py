@@ -57,7 +57,7 @@ from .tfs import (
 # ``comp`` is named too but is optional: a hierarchy without it
 # loads, ``auto`` then reads every clause as verb-second, and no verb-final
 # clause can parse (vorfeld.parser.detect_clause_type)
-REQUIRED_TYPES = ("sign", "fin", "bse") + BUILT_TYPES
+REQUIRED_TYPES = ("fin", "bse") + BUILT_TYPES
 
 
 class LexiconError(Exception):
@@ -172,6 +172,7 @@ def load_lexicon(text: str) -> Lexicon:
         return Lexicon(TypeHierarchy([("top", (), ())]), ())
 
     decls = []
+    decl_lines: dict[str, list[int]] = {}
     others = []
     for form in forms:
         if not isinstance(form, sexpr.SList) or len(form) == 0 or not isinstance(form[0], sexpr.Symbol):
@@ -179,6 +180,7 @@ def load_lexicon(text: str) -> Lexicon:
             raise LexiconError(f"line {line}: expected a (type|def|word|stem ...) form")
         if form[0].name == "type":
             decls.append(_parse_type(form))
+            decl_lines.setdefault(decls[-1][0], []).append(form.line)
         else:
             others.append(form)
     if not decls:
@@ -186,7 +188,9 @@ def load_lexicon(text: str) -> Lexicon:
     try:
         hierarchy = TypeHierarchy(decls)
     except HierarchyError as exc:
-        raise LexiconError(str(exc)) from exc
+        # the declaration at fault: a type's only one, or its second
+        lines = decl_lines.get(exc.type)
+        raise LexiconError(f"line {lines[:2][-1]}: {exc}" if lines else str(exc)) from exc
     entry_lines = [form.line for form in others if form[0].name in ("word", "stem")]
     missing = [t for t in REQUIRED_TYPES if t not in hierarchy]
     if entry_lines and missing:

@@ -30,16 +30,12 @@ from . import orderdomain as od
 from .avm import print_fs
 from .grammar import (
     _FH,
-    _HA,
-    _HC,
     _SI,
-    _VC,
     SCHEMA_BIT,
     SCHEMA_FILLER_HEAD,
-    SCHEMA_HEAD_ADJUNCT,
-    SCHEMA_HEAD_COMPLEMENT,
     SCHEMA_SLASH_INTRO,
     SCHEMA_VERB_CLUSTER,
+    SCHEMATA,
     SchemaMemo,
     Sign,
     check_comps_closed,
@@ -56,7 +52,11 @@ TRACE = "trace"
 LEX_SCHEMA = "lex"
 TRACE_SCHEMA = "trace"
 
-_UNSEEN = object()  # the pair table's default: no pair of signs maps to it
+# for each role mask, its schemata resolved per pair of signs, in the order the
+# parser tries them: all but filler-head, whose filler is a fact of the edges
+_PAIRED = [tuple(schema for schema in SCHEMATA
+                 if fit & SCHEMA_BIT[schema] and schema != SCHEMA_FILLER_HEAD)
+           for fit in range(1 << len(SCHEMATA))]
 
 
 class LexicalGapError(Exception):
@@ -96,7 +96,8 @@ class Edge:
     :func:`vorfeld.grammar.fits`; ``slash1`` indexes the processed edges,
     since no two SLASH-carrying edges are ever paired.  All four are
     functions of the sign, which is what lets the loop keep its partner
-    lists per chart sign rather than per edge.
+    lists per chart sign rather than per edge, and build an edge from a
+    record of them that the parse keeps per pair of signs.
     Every verb cluster of the tree is in order under the parse's clause
     type: the rule is judged on each pair before a cluster is built.
 
@@ -275,16 +276,21 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     table holds one sign per structure id and domain, and each new mother
     is swapped for it, so edges of equal structure and domain share one
     sign (the criterion-2 chart's 10,000 edges hold 114).  The pair table
-    maps (schema, first sign, second sign) to that mother, or to None for a
-    pair without one: a mother depends on nothing else, so a pair of signs
-    goes through ``apply_schema`` once however many pairs of edges hold it,
-    failures included.  A verb cluster's order reads only the two signs'
-    domains, so it is judged on a miss of the pair table, before the
-    schema, and stored with the answer.  Domains belong to the sentence, so
-    neither table outlives the parse.  Filler identity and the licenser id
-    are facts of the edges: they are judged on every pair of edges and
-    never stored.  The root filter tests an edge's coverage before
-    :func:`is_reading`.
+    maps (schema, first sign, second sign) to that mother's record, the
+    edge fields it fixes, or to no record for a pair without one: a mother
+    depends on nothing else, so a pair of signs goes through
+    ``apply_schema`` once however many pairs of edges hold it, failures
+    included.  A verb cluster's order reads only the two signs' domains, so
+    it is judged on a miss of the pair table, before the schema, and stored
+    with the answer.  Domains belong to the sentence, so neither table
+    outlives the parse.  Each partner list entry asks the pair table once
+    per direction, the first time it is used, and keeps the records it
+    gets; a later edge with the same sign builds its edges straight from
+    them.  Filler identity and the licenser id are facts of the edges: they
+    are judged on every pair of edges and never stored, so filler-head
+    asks the pair table per pair of edges.  The root filter
+    (:func:`is_reading`) reads only the sign, so it runs once per sign of
+    full coverage.
     """
     if not tokens:
         raise ValueError("cannot parse an empty token sequence")
@@ -294,7 +300,9 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     full = mask_span(0, n)
 
     edges: list[Edge] = []
-    state = {"limit_hit": False, "rejected": 0}
+    limit_hit = False
+    rejected = 0
+    trace_mode = options.mode == TRACE
     # each (schema, daughter structures) triple is unified once per memo,
     # whatever the coverages
     if memo is None:
@@ -305,29 +313,41 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         no memo key has to look its structure up by its nodes."""
         return Sign(sign.hierarchy, memo.intern(sign.fs), sign.dom, sign.facts)
 
-    def add(sign: Sign, schema: str, daughters: tuple[Edge, ...],
-            licenser_id: Optional[int] = None, label: str = "") -> None:
-        if state["limit_hit"]:
-            return
-        if options.mode == LICENSING and not check_comps_closed(sign):
-            # well-formedness assertion: licensing mode never retains
-            # underspecified valence (the suites pin this counter at zero)
-            state["rejected"] += 1
-            return
-        if len(edges) >= options.edge_limit:
-            state["limit_hit"] = True
-            return
+    def records_of(schema: str, sign: Sign) -> tuple[tuple, ...]:
+        """The one record of an edge of ``sign`` built by ``schema``: what
+        the edge holds besides its derivation, the edge fields copied from
+        the sign, and whether the parse keeps it (licensing mode keeps no
+        open valence)."""
         f = sign.facts
-        edge = Edge(len(edges), sign, sign.dom.coverage, schema, daughters, licenser_id,
-                    label, f.heads, f.deps, f.slash == 1)
-        edges.append(edge)
+        return ((schema, sign, sign.dom.coverage, f.heads, f.deps, f.slash == 1,
+                 trace_mode or check_comps_closed(sign)),)
+
+    def grow(records: tuple[tuple, ...], daughters: tuple[Edge, ...],
+             licenser_id: Optional[int], label: str = "") -> None:
+        """One edge per record over ``daughters``, in order, up to the edge
+        limit; slash introduction's edge is licensed by its second daughter.
+        A record the parse does not keep is counted instead: a
+        well-formedness assertion, which the suites pin at zero."""
+        nonlocal limit_hit, rejected
+        if limit_hit:
+            return
+        for schema, sign, coverage, heads, deps, slash1, closed in records:
+            if not closed:
+                rejected += 1
+            elif len(edges) < options.edge_limit:
+                edges.append(Edge(len(edges), sign, coverage, schema, daughters,
+                                  daughters[1].id if schema == SCHEMA_SLASH_INTRO else licenser_id,
+                                  label, heads, deps, slash1))
+            else:
+                limit_hit = True
+                return
 
     # lexical layer
     covered = 0
     for pos in range(n):
         for k, (span, sign) in enumerate(lexicon.lookup(tokens, pos)):
             covered |= mask_span(pos, span)
-            add(leaf(sign), LEX_SCHEMA, (), label=f"{tokens[pos]}@{pos}/{k}")
+            grow(records_of(LEX_SCHEMA, leaf(sign)), (), None, f"{tokens[pos]}@{pos}/{k}")
 
     if covered != full:
         missing = [tokens[p] for p in mask_positions(full & ~covered)]
@@ -336,10 +356,10 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     if clause_type == "auto":
         clause_type = detect_clause_type(e.sign for e in edges if e.coverage & 1)
 
-    if options.mode == TRACE:
-        trace = leaf(make_vcomp_trace(lexicon.hierarchy))
+    if trace_mode:
+        trace = records_of(TRACE_SCHEMA, leaf(make_vcomp_trace(lexicon.hierarchy)))
         for boundary in range(n + 1):
-            add(trace, TRACE_SCHEMA, (), label=f"@{boundary}")
+            grow(trace, (), None, f"@{boundary}")
 
     # Processed edges in id order, and the subsequence of those without a
     # SLASH element.  No schema combines two SLASH-carrying daughters
@@ -352,7 +372,6 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     processed: list[Edge] = []
     unslashed: list[Edge] = []
 
-    trace_mode = options.mode == TRACE
     # The schemata this parse may apply: traces stand in for slash
     # introduction, and only a verb-second clause has a Vorfeld to fill.
     active = sum(SCHEMA_BIT.values())
@@ -364,61 +383,63 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     # and domain.  A domain keys as its coverage and, per element, coverage,
     # field and word order class: within one sentence coverage fixes
     # phonology, so equal keys mean equal domains.  ``pairs`` maps
-    # (schema, first sign, second sign), signs by identity, to the mother
-    # from ``signs``, or to None for a pair without one, a verb cluster out
-    # of order included.  Edges built from equal pairs share one sign, so a
-    # pair of signs reaches a schema once.
+    # (schema, first sign, second sign), signs by identity, to the records
+    # of the mother from ``signs``: one, or none for a pair without one, a
+    # verb cluster out of order included.  Edges built from equal pairs
+    # share one sign, so a pair of signs reaches a schema once.
     signs: dict[tuple, Sign] = {}
-    pairs: dict[tuple[str, Sign, Sign], Optional[Sign]] = {}
+    pairs: dict[tuple[str, Sign, Sign], tuple[tuple, ...]] = {}
 
-    def mother_of(schema: str, a: Sign, b: Sign) -> Optional[Sign]:
+    def paired(schema: str, a: Sign, b: Sign) -> tuple[tuple, ...]:
+        """The records of the mother of first sign ``a`` and second sign
+        ``b`` under ``schema``: one, or none."""
+        key = (schema, a, b)
+        hit = pairs.get(key)
+        if hit is not None:
+            return hit
         # a cluster's domain is the union of its daughters' domains, and its
         # order reads only theirs
-        if schema == SCHEMA_VERB_CLUSTER and not od.cluster_in_order(
+        mother = None
+        if schema != SCHEMA_VERB_CLUSTER or od.cluster_in_order(
                 a.dom.coverage | b.dom.coverage, a.dom, clause_type):
-            return None
-        mother = G.apply_schema(schema, a, b, memo=memo)
+            mother = G.apply_schema(schema, a, b, memo=memo)
         if mother is None:
-            return None
-        dom = mother.dom
-        key = (mother.fs.sid, dom.coverage,
-               *[(el.coverage, el.field, el.order) for el in dom.elements])
-        return signs.setdefault(key, mother)
+            hit = ()
+        else:
+            dom = mother.dom
+            hit = records_of(schema, signs.setdefault(
+                (mother.fs.sid, dom.coverage,
+                 *[(el.coverage, el.field, el.order) for el in dom.elements]), mother))
+        pairs[key] = hit
+        return hit
 
-    def attach(schema: str, a: Edge, b: Edge, licenser_id: Optional[int]) -> None:
-        key = (schema, a.sign, b.sign)
-        mother = pairs.get(key, _UNSEEN)
-        if mother is _UNSEEN:
-            mother = pairs[key] = mother_of(schema, a.sign, b.sign)
-        if mother is not None:
-            add(mother, schema, (a, b), licenser_id)
+    def resolve(a: Sign, b: Sign, fit: int) -> tuple[tuple, ...]:
+        """The records of the mothers of first sign ``a`` and second sign
+        ``b`` under the schemata of ``fit`` but filler-head, in their order."""
+        records = ()
+        for schema in _PAIRED[fit]:
+            records += paired(schema, a, b)
+        return records
 
-    def combine(a: Edge, b: Edge, fit: int) -> None:
-        """Try the schemata in ``fit`` with ``a`` as the head-like first argument."""
-        licenser_id = a.licenser_id if a.licenser_id is not None else b.licenser_id
-        if fit & _HC:
-            attach(SCHEMA_HEAD_COMPLEMENT, a, b, licenser_id)
-        if fit & _HA:
-            attach(SCHEMA_HEAD_ADJUNCT, a, b, licenser_id)
-        if fit & _VC:
-            attach(SCHEMA_VERB_CLUSTER, a, b, licenser_id)
-        if fit & _SI:
-            attach(SCHEMA_SLASH_INTRO, a, b, b.id)
-        # the filler is the very edge that licensed the dependency (trace
-        # mode has no licensers)
-        if fit & _FH and b.licenser_id == (None if trace_mode else a.id):
-            attach(SCHEMA_FILLER_HEAD, a, b, None)
+    def fill(a: Edge, b: Edge) -> None:
+        """Filler-head's edge over ``a`` and ``b``, if ``b`` is the very edge
+        that licensed ``a``'s dependency (trace mode has no licensers)."""
+        if b.licenser_id == (None if trace_mode else a.id):
+            grow(paired(SCHEMA_FILLER_HEAD, a.sign, b.sign), (a, b), None)
 
     # Each chart sign's partner list: how far into its pool it has looked,
-    # and, in pool order, the pool edges of disjoint coverage that fit it in
-    # either direction, with the active schemata fits admits each way.  What
-    # the loop reads of an edge is its sign's and the pools only grow, so
-    # combine gets the calls a scan per edge would make, in the same order.
+    # and, in pool order, an entry per pool edge of disjoint coverage that
+    # fits it in either direction: the edge, the active schemata fits
+    # admits each way, and each way's mother records, resolved the first
+    # time the entry is used.  What the loop reads of an edge is its sign's
+    # and the pools only grow, so the schemata get the calls a scan per edge
+    # would make, in the same order, and each edge after the first with a
+    # sign builds its edges from the stored records.
     partners: dict[Sign, list] = {}
 
     # the edge list is the agenda: edges are processed in the order they are built
     done = 0
-    while done < len(edges) and not state["limit_hit"]:
+    while done < len(edges) and not limit_hit:
         e = edges[done]
         done += 1
         if e.schema == SCHEMA_FILLER_HEAD:
@@ -438,27 +459,40 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
                 first = fits(ef, f.sign.facts) & active if heads & f.deps else 0
                 second = fits(f.sign.facts, ef) & active if deps & f.heads else 0
                 if first or second:
-                    found.append((f, first, second))
+                    found.append([f, first, second, None, None])
             entry[0] = len(pool)
-        for f, first, second in found:
+        for partner in found:
+            f, first, second, there, back = partner
             if first:
-                combine(e, f, first)
-                if state["limit_hit"]:
+                if there is None:
+                    there = partner[3] = resolve(e.sign, f.sign, first)
+                if there:
+                    grow(there, (e, f), e.licenser_id if e.licenser_id is not None else f.licenser_id)
+                if first & _FH:
+                    fill(e, f)
+                if limit_hit:
                     break
             if second:
-                combine(f, e, second)
-                if state["limit_hit"]:
+                if back is None:
+                    back = partner[4] = resolve(f.sign, e.sign, second)
+                if back:
+                    grow(back, (f, e), f.licenser_id if f.licenser_id is not None else e.licenser_id)
+                if second & _FH:
+                    fill(f, e)
+                if limit_hit:
                     break
         processed.append(e)
         if not e.slash1:
             unslashed.append(e)
 
-    derivations = sorted((Derivation(e) for e in edges
-                          if e.coverage == full and is_reading(e, tokens, clause_type)),
+    # the root filter reads only the sign: once per sign of full coverage
+    roots = [e for e in edges if e.coverage == full]
+    verdicts = {sign: is_reading(e, tokens, clause_type)
+                for sign, e in {e.sign: e for e in roots}.items()}
+    derivations = sorted((Derivation(e) for e in roots if verdicts[e.sign]),
                          key=Derivation.canonical_key)
     return ParseResult(tokens, options.mode, clause_type, tuple(derivations),
-                       tuple(edges), options.edge_limit, state["limit_hit"],
-                       state["rejected"])
+                       tuple(edges), options.edge_limit, limit_hit, rejected)
 
 
 def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
@@ -488,7 +522,10 @@ def demonstrate_trace_mode(tokens: Sequence[str], lexicon: Lexicon,
     """
     result = parse(tokens, lexicon,
                    ParseOptions(mode=TRACE, edge_limit=edge_limit))
-    offending = [e for e in result.edges if not check_comps_closed(e.sign)]
+    # open valence is a fact of the sign: tested once per chart sign
+    open_signs = {sign for sign in {e.sign for e in result.edges}
+                  if not check_comps_closed(sign)}
+    offending = [e for e in result.edges if e.sign in open_signs]
     sample = print_fs(offending[0].sign.fs) if offending else None
     return TraceModeReport(
         tokens=result.tokens,

@@ -47,7 +47,15 @@ class ConfigurationError(Exception):
 
 
 class HierarchyError(ConfigurationError):
-    """The declared type hierarchy violates a well-formedness condition."""
+    """The declared type hierarchy violates a well-formedness condition.
+
+    ``type`` names the type whose declaration is at fault, or is None when
+    no one declaration is (two tops, a pair of types without a unique
+    greatest lower bound)."""
+
+    def __init__(self, message: str, type: Optional[str] = None):
+        super().__init__(message)
+        self.type = type
 
 
 class PathError(Exception):
@@ -82,7 +90,7 @@ class TypeHierarchy:
         self._own_feats: dict[str, dict[str, str]] = {}
         for name, parents, feats in declarations:
             if name in self._parents:
-                raise HierarchyError(f"type {name!r} declared twice")
+                raise HierarchyError(f"type {name!r} declared twice", name)
             self._parents[name] = tuple(parents)
             self._own_feats[name] = dict(feats)
         roots = [t for t, ps in self._parents.items() if not ps]
@@ -93,7 +101,7 @@ class TypeHierarchy:
         for name, parents in self._parents.items():
             for p in parents:
                 if p not in self._parents:
-                    raise HierarchyError(f"type {name!r} has unknown parent {p!r}")
+                    raise HierarchyError(f"type {name!r} has unknown parent {p!r}", name)
                 children[p].append(name)
         # every type after its parents: no recursion, so no chain is too deep
         waiting = {t: len(ps) for t, ps in self._parents.items()}
@@ -105,7 +113,7 @@ class TypeHierarchy:
                     ready.append(child)
         if len(ready) < len(self._parents):
             unplaced = min(set(self._parents) - set(ready))
-            raise HierarchyError(f"cycle in hierarchy through or above {unplaced!r}")
+            raise HierarchyError(f"cycle in hierarchy through or above {unplaced!r}", unplaced)
         self._parents_first = tuple(ready)
         # bit i is the i-th type by name; a mask is the type's own bit and
         # its children's masks, each built before its parents'
@@ -127,19 +135,20 @@ class TypeHierarchy:
                     most = self._narrower(feats.get(f, vt), vt)
                     if most is None:
                         raise HierarchyError(f"type {t!r} inherits feature {f!r} with incomparable "
-                                             f"value types {feats[f]!r} and {vt!r}")
+                                             f"value types {feats[f]!r} and {vt!r}", t)
                     feats[f] = most
             for f, vt in self._own_feats[t].items():
                 if vt not in self._parents and vt not in (LIST_TYPE, SET_TYPE):
                     raise HierarchyError(f"type {t!r} declares feature {f!r} "
-                                         f"with unknown value type {vt!r}")
+                                         f"with unknown value type {vt!r}", t)
                 if f not in feats:
                     if f in introduced:
-                        raise HierarchyError(f"feature {f!r} introduced by both {introduced[f]!r} and {t!r}")
+                        raise HierarchyError(
+                            f"feature {f!r} introduced by both {introduced[f]!r} and {t!r}", t)
                     introduced[f] = t
                 elif self._narrower(feats[f], vt) != vt:
                     raise HierarchyError(
-                        f"type {t!r} narrows feature {f!r} to incompatible value type {vt!r}")
+                        f"type {t!r} narrows feature {f!r} to incompatible value type {vt!r}", t)
                 feats[f] = vt
             self._features[t] = feats
 

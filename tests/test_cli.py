@@ -70,8 +70,8 @@ MALFORMED_FORMS = {
     "unknown-form": ("(foo 1)", "line {line}: unknown form 'foo'"),
     "string-parent": ('(type zz ("top"))', "line {line}: parents of 'zz' must be symbols"),
     "bare-parent": ("(type zz top)", "line {line}: type takes a name, a parent list and features"),
-    "type-declared-twice": ("(type verb (top))", "type 'verb' declared twice"),
-    "unknown-parent": ("(type zz (nosuch))", "type 'zz' has unknown parent 'nosuch'"),
+    "type-declared-twice": ("(type verb (top))", "line {line}: type 'verb' declared twice"),
+    "unknown-parent": ("(type zz (nosuch))", "line {line}: type 'zz' has unknown parent 'nosuch'"),
 }
 
 # malformed corpus lines and their error
@@ -258,7 +258,7 @@ class TestCmdParse:
 
 
     @pytest.mark.parametrize("text, missing", [
-        ('(type top ()) (type a (top)) (word "x" (a))', "sign"),
+        ('(type top ()) (type a (top)) (word "x" (a))', "fin"),
         ("\n".join(line for line in fragment_text().splitlines()
                    if not line.startswith("(type phrasal-sign ")), "phrasal-sign"),
     ], ids=["bare-hierarchy", "fragment-without-phrasal-sign"])

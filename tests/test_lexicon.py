@@ -404,13 +404,22 @@ class TestNamedTypes:
                 == [parse(s, fragment).readings for s in sentences])
 
     def test_every_type_the_code_names_is_required(self):
-        """A scan of ``grammar`` and ``lexicon``: every type they build or
-        test by subsumption is in ``REQUIRED_TYPES``, but for the optional
+        """A scan of ``grammar`` and ``lexicon``: the types they build or
+        test by subsumption are ``REQUIRED_TYPES``, but for the optional
         ``comp``, and ``BUILT_TYPES`` is what ``grammar`` builds."""
         grammar_built, grammar_tested = _named_in(grammar)
         lexicon_built, lexicon_tested = _named_in(lexicon)
         assert grammar_built == set(BUILT_TYPES)
         named = grammar_built | grammar_tested | lexicon_built | lexicon_tested
         assert set(NAMED_TYPES) <= named
-        assert named - {"comp"} <= set(REQUIRED_TYPES)
+        assert named - {"comp"} == set(REQUIRED_TYPES)
         assert "comp" not in REQUIRED_TYPES
+
+    def test_the_sign_supertype_may_have_any_name(self):
+        """No code builds or tests ``sign``, so the bundled fragment with it
+        renamed everywhere loads and reads the corpus as the bundled one."""
+        renamed = re.sub(r"(?<![\w-])sign(?![\w-])", "zeichen", fragment_text())
+        assert "(type zeichen (top) (SYNSEM synsem))" in renamed
+        renamed_lexicon = load_lexicon(renamed)
+        assert ([parse(s, renamed_lexicon).readings for s in corpus_sentences()]
+                == [3, 3, 1, 1, 2, 2, 1, 5, 0, 1, 1, 10])

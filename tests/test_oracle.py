@@ -51,6 +51,20 @@ def test_trace_chart_is_the_closure_up_to_the_limit(fragment):
     assert _in_order(chart) == _in_order(reference)
 
 
+@pytest.mark.parametrize("limit", [18, 19])
+def test_trace_chart_is_the_closure_when_the_limit_cuts_a_pair(fragment, limit):
+    """Edges 18 and 19 of the criterion-2 trace chart are two mothers of
+    one pair of edges: the limit falls on the first of them, or between
+    them, and the chart keeps what the closure keeps, ids included."""
+    tokens = "Erzählen wird er seiner Tochter ein Märchen".split()
+    longer = parse(tokens, fragment, ParseOptions(mode=TRACE, edge_limit=20)).edges
+    assert longer[18].daughters == longer[19].daughters
+    chart = parse(tokens, fragment, ParseOptions(mode=TRACE, edge_limit=limit)).edges
+    reference = closure(tokens, fragment, mode=TRACE, edge_limit=limit)
+    assert len(chart) == len(reference) == limit
+    assert _in_order(chart) == _in_order(reference)
+
+
 LEXICON = load_fragment()
 
 

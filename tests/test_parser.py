@@ -833,6 +833,49 @@ class TestSchemaMemo:
         assert (min(counts), max(counts)) == (6, 8)
 
 
+class TestPartnerRecords:
+    """Each partner list entry resolves its mothers once per direction and
+    keeps their records; later edges with its sign build from them."""
+
+    @pytest.mark.parametrize("limit, applications", [(18, 6), (800, 172), (5000, 330)])
+    def test_work_up_to_the_limit_pinned(self, monkeypatch, fragment, limit, applications):
+        """Work count: the schema applications and memo lookups of the
+        criterion-2 trace parse cut at an edge limit, as when every pair of
+        edges went through the pair table schema by schema.  At limit 18
+        the first of one pair's two mothers hits the limit, and its second
+        schema is still applied, as the pair's other schemata always were."""
+        calls = TestSlashIndex.count_applications(monkeypatch)
+        lookups = TestSchemaMemo.count_lookups(monkeypatch)
+        result = parse(S_1A.split(), fragment, ParseOptions(mode="trace", edge_limit=limit))
+        assert result.limit_hit and len(result.edges) == limit
+        assert len(calls) == len(lookups) == applications
+
+    @pytest.mark.parametrize("limit, signs", [(5000, 4), (10000, 9)])
+    def test_the_root_filter_runs_once_per_sign(self, monkeypatch, fragment, limit, signs):
+        """The root filter reads only the sign: the criterion-2 trace parse
+        tests as many complete clauses as it has signs of full coverage
+        (281 and 4,113 while it tested every edge of full coverage)."""
+        calls = []
+        is_complete_clause = parser.is_complete_clause
+        monkeypatch.setattr(parser, "is_complete_clause",
+                            lambda *args: calls.append(args) or is_complete_clause(*args))
+        tokens = S_1A.split()
+        result = parse(tokens, fragment, ParseOptions(mode="trace", edge_limit=limit))
+        full = (1 << len(tokens)) - 1
+        assert len(calls) == len({id(e.sign) for e in result.edges if e.coverage == full}) == signs
+
+    def test_open_valence_is_tested_once_per_sign(self, monkeypatch, fragment, trace_chart):
+        """The trace-mode report counts the edges with open valence, but
+        tests each of the chart's 114 signs once."""
+        calls = []
+        check = parser.check_comps_closed
+        monkeypatch.setattr(parser, "check_comps_closed", lambda sign: calls.append(sign) or check(sign))
+        report = demonstrate_trace_mode(S_1A.split(), fragment)
+        assert len(calls) == len({id(e.sign) for e in trace_chart.edges}) == 114
+        assert report.open_comps_edges == sum(
+            not check_comps_closed(e.sign) for e in trace_chart.edges) == 4803
+
+
 class TestLexiconVariants:
     def test_an_entry_synsem_subtype_is_a_chart_sign(self, fragment):
         """Entries whose SYNSEM has a declared subtype of ``synsem`` give

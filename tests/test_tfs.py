@@ -122,6 +122,18 @@ class TestHierarchy:
                                    ("lstb", ("lsta",), (("LF", narrower),))])
         assert hierarchy.features_for("lstb")["LF"] == narrower
 
+    @pytest.mark.parametrize("declarations, at_fault", [
+        ([("top", (), ()), ("a", ("top",), ()), ("a", ("top",), ())], "a"),
+        ([("top", (), ()), ("a", ("nosuch",), ())], "a"),
+        ([("top", (), ()), ("a", ("top",), (("F", "nosuch"),))], "a"),
+        ([("top", (), ()), ("other", (), ())], None),
+    ], ids=["declared-twice", "unknown-parent", "unknown-value-type", "two-tops"])
+    def test_the_error_names_the_type_at_fault(self, declarations, at_fault):
+        """A loader finds the declaration to report by the error's type."""
+        with pytest.raises(HierarchyError) as exc:
+            TypeHierarchy(declarations)
+        assert exc.value.type == at_fault
+
     def test_two_tops_rejected(self):
         with pytest.raises(HierarchyError):
             TypeHierarchy([("top", (), ()), ("other", (), ())])
