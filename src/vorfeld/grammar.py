@@ -106,6 +106,17 @@ P_VCOMP = ("LOC", "CAT", "VCOMP")
 P_LEX = ("LEX",)
 P_SLASH = ("NONLOC", "INHER", "SLASH")
 
+
+def _after(prefix: tuple[str, ...], path: tuple[str, ...]) -> tuple[str, ...]:
+    """The rest of ``path`` after ``prefix``, which must begin it."""
+    assert path[:len(prefix)] == prefix, (prefix, path)
+    return path[len(prefix):]
+
+
+# the paths ``_facts`` follows from a CAT or a HEAD it has resolved
+_CAT_HEAD, _CAT_COMPS, _CAT_VCOMP = (_after(P_CAT, p) for p in (P_HEAD, P_COMPS, P_VCOMP))
+_HEAD_VFORM, _HEAD_CASE, _HEAD_MOD = (_after(P_HEAD, p) for p in (P_VFORM, P_CASE, P_MOD))
+
 TYPE_LEXICAL = "lexical-sign"
 TYPE_PHRASAL = "phrasal-sign"
 
@@ -179,31 +190,37 @@ class Sign:
 
 def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> SignFacts:
     """The facts of the synsem at node ``synsem`` of ``fs``; ``open_lists``
-    is read off the whole of ``fs``."""
+    is read off the whole of ``fs``.
+
+    One descent: CAT and HEAD are resolved once, and every other fact is
+    read from the nearest node already resolved.  A path that is undefined
+    gives a fact of None (no COMPS: kind None and length 0)."""
+    node_at, type_at = fs.node_at, fs.type_at
+    cat = node_at(P_CAT, synsem)
+    head = node_at(_CAT_HEAD, cat)
     comps_kind = comps_last_head = comps_last_case = None
     comps_len = 0
-    try:
-        comps = fs.nodes[fs.resolve(P_COMPS, synsem)]
-        comps_kind = comps.kind
-        comps_len = len(comps.elems)
-        if comps.kind == CLOSED and comps.elems:
-            comps_last_head = fs.type_at(P_HEAD, comps.elems[-1])
-            comps_last_case = fs.type_at(P_CASE, comps.elems[-1])
-    except PathError:
-        pass
-    vcomp_ext = _extension(hierarchy, fs.type_at(P_VCOMP, synsem))
+    comps = node_at(_CAT_COMPS, cat)
+    if comps is not None:
+        comps_kind, _, _, elems = fs.nodes[comps]
+        comps_len = len(elems)
+        if comps_kind == CLOSED and elems:
+            last_head = node_at(P_HEAD, elems[-1])
+            comps_last_head = type_at((), last_head)
+            comps_last_case = type_at(_HEAD_CASE, last_head)
+    vcomp_node = node_at(_CAT_VCOMP, cat)
+    vcomp_ext = _extension(hierarchy, type_at((), vcomp_node))
     vcomp = ("none" if _subsumed(hierarchy, vcomp_ext, "none")
              else "sel" if _subsumed(hierarchy, vcomp_ext, "synsem") else "open")
-    vcomp_vform = fs.type_at(P_VCOMP + P_VFORM, synsem) if vcomp == "sel" else None
-    slash: Optional[int] = None
-    try:
-        slash = len(fs.nodes[fs.resolve(P_SLASH, synsem)].elems)
-    except PathError:
-        pass
-    head_ext = _extension(hierarchy, fs.type_at(P_HEAD, synsem))
-    vform_ext = _extension(hierarchy, fs.type_at(P_VFORM, synsem))
-    case, mod_head = fs.type_at(P_CASE, synsem), fs.type_at(P_MOD + P_HEAD, synsem)
-    has_mod = fs.type_at(P_MOD, synsem) is not None
+    vcomp_vform = type_at(P_VFORM, vcomp_node) if vcomp == "sel" else None
+    slash_node = node_at(P_SLASH, synsem)
+    slash = None if slash_node is None else len(fs.nodes[slash_node].elems)
+    head_ext = _extension(hierarchy, type_at((), head))
+    vform_ext = _extension(hierarchy, type_at(_HEAD_VFORM, head))
+    case = type_at(_HEAD_CASE, head)
+    mod = node_at(_HEAD_MOD, head)
+    mod_head = type_at(P_HEAD, mod)
+    has_mod = mod is not None
     # the word order class, the one reading of the head types word order needs
     order = ((od.FINITE if _subsumed(hierarchy, vform_ext, "fin") else od.VERBAL)
              if _subsumed(hierarchy, head_ext, "verb")
@@ -227,7 +244,7 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
         slash == 1 and order == od.FINITE and comps_kind == CLOSED and comps_len == 0)
     return SignFacts(
         order=order,
-        lex=fs.type_at(P_LEX, synsem),
+        lex=type_at(P_LEX, synsem),
         comps_kind=comps_kind,
         comps_len=comps_len,
         vcomp=vcomp,

@@ -236,39 +236,39 @@ class FeatureStructure:
     def root(self) -> int:
         return 0
 
-    def resolve(self, path: Iterable[str], start: int = 0) -> int:
-        """Node index reached by following ``path`` from node ``start``.
-
-        Raises PathError when a feature is undefined or the path steps
-        through a non-AVM node.
-        """
-        cur = start
+    def node_at(self, path: Iterable[str], start: Optional[int] = 0) -> Optional[int]:
+        """Node index reached by following ``path`` from node ``start``;
+        None when ``start`` is None, a feature is undefined or the path
+        steps through a list or set, which has no features."""
+        if start is None:
+            return None
+        nodes, cur = self.nodes, start
         for feat in path:
-            node = self.nodes[cur]
-            if node.kind != AVM:
-                raise PathError(f"feature {feat!r} requested on a {node.kind} value")
-            for name, child in node.feats:
+            for name, child in nodes[cur].feats:
                 if name == feat:
                     cur = child
                     break
             else:
-                raise PathError(f"feature {feat!r} undefined on type {node.type!r}")
+                return None
+        return cur
+
+    def resolve(self, path: Sequence[str], start: int = 0) -> int:
+        """:meth:`node_at`, raising PathError where it gives None."""
+        cur = self.node_at(path, start)
+        if cur is None:
+            raise PathError(f"path {' '.join(path)!r} undefined at node {start}")
         return cur
 
     def has_path(self, path: Iterable[str]) -> bool:
-        try:
-            self.resolve(path)
-            return True
-        except PathError:
-            return False
+        return self.node_at(path) is not None
 
-    def type_at(self, path: Iterable[str], start: int = 0) -> Optional[str]:
+    def type_at(self, path: Iterable[str], start: Optional[int] = 0) -> Optional[str]:
         """Type (or list/set kind) at ``path`` from node ``start``; None if undefined."""
-        try:
-            node = self.nodes[self.resolve(path, start)]
-        except PathError:
+        cur = self.node_at(path, start)
+        if cur is None:
             return None
-        return node.type if node.kind == AVM else node.kind
+        kind, type_, _, _ = self.nodes[cur]
+        return type_ if kind == AVM else kind
 
 
 def path_get(fs: FeatureStructure, path: Sequence[str]) -> FeatureStructure:
@@ -296,6 +296,8 @@ def _canonicalize(root: int, nodes: Sequence[Node]) -> Optional[FeatureStructure
     stack marks leaving it.
     """
     order: dict[int, int] = {}
+    out: list[Optional[Node]] = []
+    pending: list[tuple] = []
     path: set[int] = set()
     stack = [root]
     while stack:
@@ -303,26 +305,37 @@ def _canonicalize(root: int, nodes: Sequence[Node]) -> Optional[FeatureStructure
         if cur < 0:
             path.discard(~cur)
         elif cur not in order:
-            order[cur] = len(order)
-            kind, _, feats, elems = nodes[cur]
-            children = [c for _, c in feats] if kind == AVM else elems
-            if children:
-                path.add(cur)
-                stack.append(~cur)
-                stack.extend(reversed(children))
+            order[cur] = len(out)
+            node = nodes[cur]
+            kind, type_, feats, children = node
+            if kind == AVM and feats:
+                names, children = zip(*feats)
+            elif not children:
+                out.append(node)
+                continue
+            else:
+                names = None
+            pending.append((len(out), kind, type_, names, children))
+            out.append(None)
+            path.add(cur)
+            stack.append(~cur)
+            stack.extend(reversed(children))
         elif cur in path:
             return None
-    return _renumbered(order, [nodes[n] for n in order])
+    return _renumbered(order, out, pending)
 
 
-def _renumbered(order: Mapping[int, int], nodes: Iterable[Node]) -> FeatureStructure:
-    """``nodes``, in canonical order, with each child ``c`` renamed ``order[c]``."""
-    out = []
-    for kind, type_, feats, elems in nodes:
-        if kind == AVM:
-            out.append(Node(AVM, type_, tuple([(f, order[c]) for f, c in feats])))
+def _renumbered(order: Mapping[int, int], out: list, pending: Iterable[tuple]) -> FeatureStructure:
+    """The structure of nodes ``out``, in canonical order, where each
+    ``(position, kind, type, names, children)`` of ``pending`` fills its
+    position, child ``c`` renamed ``order[c]``: an AVM node's features are
+    ``names`` (None for a list or set) paired with its children."""
+    new, get = tuple.__new__, order.__getitem__
+    for i, kind, type_, names, children in pending:
+        if names is None:
+            out[i] = new(Node, (kind, "", (), tuple(map(get, children))))
         else:
-            out.append(Node(kind, "", (), tuple([order[c] for c in elems])))
+            out[i] = new(Node, (AVM, type_, tuple(zip(names, map(get, children))), ()))
     return FeatureStructure(tuple(out))
 
 
@@ -588,17 +601,19 @@ class Workspace:
         work on a node's first visit: it numbers the node in canonical
         order (see :func:`_canonicalize`), maps its children to their
         union-find representatives, seals an append node whose parts are
-        all closed as a closed list, and runs the occurs check.  A linear
-        pass then writes the nodes.  Seals stay in the workspace, so later
-        unifications see closed lists.  Returns None, leaving no seal
-        behind, if a unification failed earlier or the merge made a cycle.
+        all closed as a closed list, runs the occurs check, and writes a
+        node without children outright.  A linear pass then writes the
+        others.  Seals stay in the workspace, so later unifications see
+        closed lists.  Returns None, leaving no seal behind, if a
+        unification failed earlier or the merge made a cycle.
         """
         if self.failed:
             return None
         kinds, types, feats, elems, parent = self._kind, self._type, self._feats, self._elems, self._parent
-        find = self.find
+        find, new = self.find, tuple.__new__
         order: dict[int, int] = {}
-        reached: list[tuple] = []  # the nodes in canonical order, children as representatives
+        out: list[Optional[Node]] = []  # the nodes in canonical order, None while pending
+        pending: list[tuple] = []  # the entries of _renumbered, children as representatives
         sealed: list[tuple[int, list[int]]] = []
         path: set[int] = set()
         stack = [find(root)]
@@ -607,27 +622,35 @@ class Workspace:
             if cur < 0:
                 path.discard(~cur)
             elif cur not in order:
-                order[cur] = len(reached)
+                order[cur] = len(out)
                 kind = kinds[cur]
                 if kind == AVM:
-                    pairs = [(f, c if parent[c] == c else find(c)) for f, c in sorted(feats[cur].items())]
-                    reached.append((AVM, types[cur], pairs, ()))
-                    children = [c for _, c in pairs]
+                    fd = feats[cur]
+                    if not fd:
+                        out.append(new(Node, (AVM, types[cur], (), ())))
+                        continue
+                    names = sorted(fd)
+                    children = [c if parent[c] == c else find(c) for c in map(fd.__getitem__, names)]
+                    pending.append((len(out), AVM, types[cur], names, children))
                 else:
                     if kind == APPEND:
                         self._seal(cur, sealed)
                         kind = kinds[cur]
-                    children = [c if parent[c] == c else find(c) for c in elems[cur]]
-                    reached.append((kind, "", (), children))
-                if children:
-                    path.add(cur)
-                    stack.append(~cur)
-                    stack.extend(reversed(children))
+                    children = elems[cur]
+                    if not children:
+                        out.append(new(Node, (kind, "", (), ())))
+                        continue
+                    children = [c if parent[c] == c else find(c) for c in children]
+                    pending.append((len(out), kind, "", None, children))
+                out.append(None)
+                path.add(cur)
+                stack.append(~cur)
+                stack.extend(reversed(children))
             elif cur in path:
                 for nid, parts in sealed:
                     kinds[nid], elems[nid] = APPEND, parts
                 return None
-        return _renumbered(order, reached)
+        return _renumbered(order, out, pending)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """``Workspace.extract`` as it was before it made one depth-first walk: the
-reference for the one-walk extract.
+reference for the one-walk extract; and a node-by-node reference for
+``Workspace.graft``.
 
 It makes three passes over a workspace's stores.  :func:`postorder` lists
 the nodes reachable from the root, each after its children, storing every
@@ -9,12 +10,33 @@ sorts each AVM node's features and seals each append node whose parts are
 all closed; its parts come earlier, so they are already final.  Last,
 :func:`canonicalize` numbers the nodes in preorder, features by name.  The
 differential test holds the workspace to exactly these results.
+
+:func:`graft` copies a structure in through the workspace's own
+constructors, one node at a time, where ``Workspace.graft`` appends to
+its stores directly.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from vorfeld.tfs import APPEND, AVM, CLOSED, FeatureStructure, Node, Workspace
+from vorfeld.tfs import APPEND, AVM, CLOSED, OPEN, SET, FeatureStructure, Node, Workspace
+
+
+def graft(ws: Workspace, fs: FeatureStructure) -> int:
+    """Copy ``fs`` into ``ws`` one node at a time; returns the new root id.
+
+    Each constructor gives its node the next id, so node ``n`` of ``fs``
+    becomes ``offset + n``, and a child's id is known before it is built.
+    """
+    offset = len(ws._parent)
+    lists = {CLOSED: ws.closed_list, OPEN: ws.open_list, APPEND: ws.append_list, SET: ws.set_value}
+    for n, node in enumerate(fs.nodes):
+        if node.kind == AVM:
+            nid = ws.avm(node.type, **{f: offset + c for f, c in node.feats})
+        else:
+            nid = lists[node.kind]([offset + c for c in node.elems])
+        assert nid == offset + n
+    return offset
 
 
 def extract(ws: Workspace, root: int) -> Optional[FeatureStructure]:

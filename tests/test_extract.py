@@ -1,10 +1,14 @@
-"""``Workspace.extract`` against its multi-pass reference (extract_oracle).
+"""``Workspace.extract`` and ``Workspace.graft`` against their references
+(extract_oracle).
 
 One random sequence of operations is applied to two workspaces, and each
 extract is taken by ``Workspace.extract`` on the one and by the reference
-on the other.  Unlike ``fsgen``, the operations build append lists and,
-through ``set_feat`` and ``unify_nodes``, cycles; several extracts run on
-one workspace, so seals made by one extract meet the next unification.
+on the other; each graft goes through ``Workspace.graft`` on the one and
+the node-by-node reference on the other.  Unlike ``fsgen``, the operations
+build append lists and, through ``set_feat`` and ``unify_nodes``, cycles;
+several extracts run on one workspace, so seals made by one extract meet
+the next unification.  A restart begins two fresh workspaces with a graft
+at offset 0.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import extract_oracle
-from vorfeld.tfs import AVM, Workspace
+from vorfeld.tfs import AVM, CLOSED, SET, FeatureStructure, Node, Workspace
 
 TYPES = ["top", "a", "b", "c", "d", "x", "y", "z"]
 FEATS = ["F", "G", "H", "S"]
@@ -33,21 +37,36 @@ OPS = st.one_of(
     st.tuples(st.just("unify"), REF, REF),
     st.tuples(st.just("extract"), REF),
     st.tuples(st.just("graft"), REF),
+    st.tuples(st.just("restart"), REF),
+)
+
+# grafted before anything is extracted: an atom, an empty list, and
+# b[H <a[F #1 x, G #1], #1>, S {#1}]
+SEEDS = (
+    FeatureStructure((Node(AVM, "d"),)),
+    FeatureStructure((Node(CLOSED),)),
+    FeatureStructure((Node(AVM, "b", (("H", 1), ("S", 4))), Node(CLOSED, "", (), (2, 3)),
+                      Node(AVM, "a", (("F", 3), ("G", 3))), Node(AVM, "x"), Node(SET, "", (), (3,)))),
 )
 
 
 class Pair:
-    """The same workspace twice, one extracted by each implementation.
+    """The same workspace twice, one extracted and grafted into by each
+    implementation.
 
-    Each starts with an atom and an empty closed list, so that every
-    operation finds a node and every append a list.
+    Each starts with ``first`` grafted at offset 0, if given, then an atom
+    and an empty closed list, so that every operation finds a node and
+    every append a list.  ``extracted`` holds the structures a graft may
+    copy, the seeds first.
     """
 
-    def __init__(self, hierarchy):
+    def __init__(self, hierarchy, first=None, extracted=SEEDS):
         self.ws = [Workspace(hierarchy), Workspace(hierarchy)]
         self.nodes: list[int] = []  # node ids, equal in both workspaces
         self.lists: list[int] = []
-        self.extracted = []
+        self.extracted = list(extracted)
+        if first is not None:
+            self.graft(first)
         self.build(lambda ws: ws.atom("top"))
         self.build(lambda ws: ws.closed_list(), self.lists)
 
@@ -55,12 +74,15 @@ class Pair:
         pool = pool or self.nodes
         return pool[-1 - ref % len(pool)]
 
-    def build(self, make, pool=None) -> None:
-        new = [make(ws) for ws in self.ws]
+    def build(self, make, pool=None, reference=None) -> None:
+        new = [make(self.ws[0]), (reference or make)(self.ws[1])]
         assert new[0] == new[1]
         self.nodes.append(new[0])
         if pool is not None:
             pool.append(new[0])
+
+    def graft(self, fs) -> None:
+        self.build(lambda ws: ws.graft(fs), reference=lambda ws: extract_oracle.graft(ws, fs))
 
     def extract(self, root: int):
         got = self.ws[0].extract(root)
@@ -98,9 +120,11 @@ def run(hierarchy, ops) -> None:
                 pair = Pair(hierarchy)
         elif op == "extract":
             pair.extract(pair.node(args[0]))
-        elif pair.extracted:  # graft
-            fs = pair.extracted[-1 - args[0] % len(pair.extracted)]
-            pair.build(lambda ws: ws.graft(fs))
+        elif op == "graft":
+            pair.graft(pair.extracted[-1 - args[0] % len(pair.extracted)])
+        else:  # restart
+            first = pair.extracted[-1 - args[0] % len(pair.extracted)]
+            pair = Pair(hierarchy, first, pair.extracted)
     for ref in range(3):
         pair.extract(pair.node(ref))
 
@@ -115,10 +139,15 @@ def _examples(n: int):
 REJECTED_SEAL = [("closed", [1]), ("append", [0, 1]), ("avm", "b", [("H", 0)]),
                  ("set_feat", 0, "S", 0), ("extract", 0), ("open", [4]), ("unify", 2, 0)]
 
+# A one-node structure grafted at offset 0, unified and extracted, and the
+# result grafted at offset 0 in turn and again at the end.
+GRAFTED_FIRST = [("restart", 2), ("unify", 1, 2), ("extract", 0), ("restart", 0), ("graft", 0)]
+
 
 @_examples(150)
 @given(ops=st.lists(OPS, max_size=40))
 @example(ops=REJECTED_SEAL)
+@example(ops=GRAFTED_FIRST)
 def test_extract_equals_the_multi_pass_reference(diamond, ops):
     run(diamond, ops)
 

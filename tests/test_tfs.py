@@ -421,6 +421,37 @@ class TestCanonicalize:
         assert fs.nodes == (Node(CLOSED, "", (), (1, 2)), Node(AVM, "a", (("F", 2), ("G", 2))), Node(AVM, "x"))
 
 
+# every kind of node, shared ones included
+EVERY_KIND = "(b (H (append (list #1=(a (F #2=x) (G #2#)) z) (openlist #1#))) (S (set (a (F y)))))"
+
+
+class TestNodes:
+    """The walkers build nodes with ``tuple.__new__``: each must still be a
+    ``Node``, with its fields and ``_replace``."""
+
+    def _assert_nodes(self, fs):
+        assert {n.kind for n in fs.nodes} >= {AVM, CLOSED, "open", "append", "set"}
+        for n in fs.nodes:
+            assert type(n) is Node
+            kind, type_, feats, elems = n
+            assert (n.kind, n.type, n.feats, n.elems) == (kind, type_, feats, elems)
+            assert n._replace(type="z") == Node(kind, "z", feats, elems)
+            assert type(n._replace()) is Node and n._replace() == n
+
+    def test_read_fs(self, diamond):
+        self._assert_nodes(read_fs(EVERY_KIND, diamond))
+
+    def test_extract(self, diamond):
+        fs = read_fs(EVERY_KIND, diamond)
+        ws = Workspace(diamond)
+        ws.graft(fs)  # the second copy sits at a non-zero offset
+        self._assert_nodes(ws.extract(ws.graft(fs)))
+
+    def test_path_get(self, diamond):
+        fs = read_fs(f"(b (H (list {EVERY_KIND})))", diamond)
+        self._assert_nodes(path_get(fs, ("H",)))
+
+
 def _naive_merge(a, b, hierarchy):
     """Fixpoint partition merger, independent of the workspace machinery."""
     nodes = {}
@@ -539,6 +570,21 @@ class TestPaths:
         assert entry.fs.has_path(("SYNSEM", "LEX"))
         with pytest.raises(PathError):
             entry.fs.resolve(("SYNSEM", "LOC", "LEX"))
+
+    def test_node_at_is_the_one_walk(self, diamond):
+        """``resolve``, ``type_at`` and ``has_path`` agree with ``node_at``,
+        which gives None where a feature is missing, the path steps through
+        a list, or it starts from None."""
+        x = read_fs("(a (F (b (H (list x)))) (G y))", diamond)
+        h = x.node_at(("F", "H"))
+        assert x.nodes[h].kind == CLOSED and x.type_at(("F", "H")) == CLOSED
+        assert x.node_at(("F",), 0) == x.resolve(("F",)) and x.type_at((), x.node_at(("G",))) == "y"
+        for path, start in [(("F", "G"), 0), (("F", "H", "F"), 0), (("H",), h), (("F",), None), ((), None)]:
+            assert x.node_at(path, start) is None and x.type_at(path, start) is None
+            if start is not None:
+                with pytest.raises(PathError):
+                    x.resolve(path, start)
+        assert x.has_path(("F", "H")) and not x.has_path(("F", "H", "F"))
 
 
 # ---------------------------------------------------------------- equality
