@@ -6,7 +6,8 @@ Syntax (documented in the README):
   written as the bare type symbol, e.g. ``fin`` or ``none``.
 * closed list:    ``(list v1 v2 ...)``
 * open list:      ``(openlist v1 v2 ...)`` — known prefix, unconstrained tail
-* append:         ``(append l1 l2 ...)`` — list concatenation
+* append:         ``(append l1 l2 ...)`` — list concatenation; one whose
+  parts are all closed lists reads as the closed list it stands for
 * set:            ``(set)`` or ``(set v)``
 * reentrancy:     ``#1=value`` tags a node at its first occurrence,
   ``#1#`` refers back to it.
@@ -14,8 +15,9 @@ Syntax (documented in the README):
 Printing produces canonical text: features sorted by name, tags numbered
 in depth-first discovery order, so ``read(print(x))`` is structure-equal to
 ``x`` (the round-trip invariant tested in the suite).  Reading goes through
-the s-expression reader (:mod:`vorfeld.sexpr`); printing writes the text
-straight from the structure's nodes.
+the s-expression reader (:mod:`vorfeld.sexpr`) and builds in a
+:class:`~vorfeld.tfs.Workspace`, as every structure is built; printing
+writes the text straight from the structure's nodes.
 """
 from __future__ import annotations
 
@@ -32,17 +34,18 @@ from .tfs import (
     SET,
     ConfigurationError,
     FeatureStructure,
-    Node,
     TypeHierarchy,
-    _canonicalize,
+    Workspace,
     validate,
 )
 
 _TAG_DEF = re.compile(r"^#(\d+)=$")
 _TAG_REF = re.compile(r"^#(\d+)#$")
+_TAG_ATOM = re.compile(r"^#(\d+)=(.+)$")
 
-_LIST_HEADS = {"list": CLOSED, "openlist": OPEN, "append": APPEND, "set": SET}
-_LIST_NAMES = {kind: name for name, kind in _LIST_HEADS.items()}
+_LIST_BUILDERS = {"list": Workspace.closed_list, "openlist": Workspace.open_list,
+                  "append": Workspace.append_list, "set": Workspace.set_value}
+_LIST_NAMES = {CLOSED: "list", OPEN: "openlist", APPEND: "append", SET: "set"}
 
 #: the columns an indented AVM may fill; :func:`print_fs` reads it at every call
 WIDTH = 78
@@ -200,99 +203,8 @@ def build_fs(form, hierarchy: TypeHierarchy,
              templates: Optional[dict[str, FeatureStructure]] = None,
              check: bool = True) -> FeatureStructure:
     """Like :func:`read_fs` but starting from an already-parsed form."""
-    templates = templates or {}
-    store: list[Optional[Node]] = []  # node id -> node, None until built
-    tags: dict[str, int] = {}
-
-    def fresh() -> int:
-        store.append(None)
-        return len(store) - 1
-
-    def graft_template(fs: FeatureStructure) -> int:
-        offset = len(store)
-        for node in fs.nodes:
-            if node.kind == AVM:
-                store.append(Node(AVM, node.type, tuple((f, c + offset) for f, c in node.feats)))
-            else:
-                store.append(Node(node.kind, "", (), tuple(c + offset for c in node.elems)))
-        return offset
-
-    def build(expr, depth: int) -> int:
-        if isinstance(expr, sexpr.Symbol):
-            name = expr.name
-            ref = _TAG_REF.match(name)
-            if ref:
-                if ref.group(1) not in tags:
-                    raise AvmSyntaxError(
-                        f"line {expr.line}: reference #{ref.group(1)}# precedes its definition")
-                return tags[ref.group(1)]
-            m = re.match(r"^#(\d+)=(.+)$", name)
-            if m:
-                nid = build(sexpr.Symbol(m.group(2), expr.line, expr.col), depth)
-                tags[m.group(1)] = nid
-                return nid
-            if name in templates:
-                return graft_template(templates[name])
-            if name not in hierarchy:
-                raise AvmSyntaxError(f"line {expr.line}: unknown type or template {name!r}")
-            nid = fresh()
-            store[nid] = Node(AVM, name)
-            return nid
-        if isinstance(expr, str):
-            raise AvmSyntaxError("string literal where a value was expected")
-        if not isinstance(expr, sexpr.SList) or len(expr) == 0:
-            raise AvmSyntaxError(f"line {getattr(expr, 'line', '?')}: empty value")
-        if depth > MAX_DEPTH:
-            raise AvmSyntaxError(
-                f"line {expr.line}, column {expr.col}: value nested deeper than {MAX_DEPTH} levels")
-        head = expr.items[0]
-        if isinstance(head, sexpr.Symbol):
-            m = _TAG_DEF.match(head.name)
-            if m:
-                tag = m.group(1)
-                if len(expr.items) != 2:
-                    raise AvmSyntaxError(f"line {head.line}: #{tag}= must tag exactly one value")
-                # references only resolve after the tagged value is built, so
-                # cyclic text cannot be expressed (self-references error out)
-                inner = build(expr.items[1], depth + 1)
-                tags[tag] = inner
-                return inner
-        if not isinstance(head, sexpr.Symbol):
-            raise AvmSyntaxError(f"line {expr.line}: value must start with a symbol")
-        items = [head] + _fuse_tags(expr.items[1:])
-        if head.name in _LIST_HEADS:
-            kind = _LIST_HEADS[head.name]
-            elems = tuple(build(x, depth + 1) for x in items[1:])
-            if kind == SET and len(elems) > 1:
-                raise AvmSyntaxError(f"line {head.line}: sets hold at most one element")
-            if kind == APPEND and len(elems) < 2:
-                raise AvmSyntaxError(f"line {head.line}: append needs at least two parts")
-            nid = fresh()
-            store[nid] = Node(kind, "", (), elems)
-            return nid
-        if head.name in templates:
-            if len(items) > 1:
-                raise AvmSyntaxError(f"line {head.line}: template {head.name!r} takes no features")
-            return graft_template(templates[head.name])
-        if head.name not in hierarchy:
-            raise AvmSyntaxError(f"line {head.line}: unknown type or template {head.name!r}")
-        nid = fresh()
-        feats = []
-        for item in items[1:]:
-            pair = _fuse_tags(item.items) if isinstance(item, sexpr.SList) else None
-            if pair is None or len(pair) != 2 or not isinstance(pair[0], sexpr.Symbol):
-                raise AvmSyntaxError(f"line {head.line}: features of {head.name!r} must be (NAME value) pairs")
-            feats.append((pair[0].name, pair[1]))
-        names = set()
-        for f, _ in feats:
-            if f in names:
-                raise AvmSyntaxError(f"line {head.line}: duplicate feature {f!r}")
-            names.add(f)
-        built = tuple(sorted((f, build(v, depth + 2)) for f, v in feats))
-        store[nid] = Node(AVM, head.name, built)
-        return nid
-
-    fs = _canonicalize(build(form, 1), store)
+    ws = Workspace(hierarchy)
+    fs = ws.extract(_build(ws, form, templates or {}, {}, 1))
     if fs is None:
         raise AvmSyntaxError("cyclic structure in AVM text")
     if check:
@@ -302,3 +214,75 @@ def build_fs(form, hierarchy: TypeHierarchy,
             raise AvmSyntaxError(str(exc)) from exc
     return fs
 
+
+def _build(ws: Workspace, expr, templates: dict[str, FeatureStructure],
+           tags: dict[str, int], depth: int) -> int:
+    """Build ``expr`` in ``ws`` and return its node.
+
+    ``tags`` maps each tag defined so far to its node.  Values are built in
+    text order, so a tag is defined where it first appears in the text.
+    """
+    if isinstance(expr, sexpr.Symbol):
+        name = expr.name
+        ref = _TAG_REF.match(name)
+        if ref:
+            if ref.group(1) not in tags:
+                raise AvmSyntaxError(
+                    f"line {expr.line}: reference #{ref.group(1)}# precedes its definition")
+            return tags[ref.group(1)]
+        m = _TAG_ATOM.match(name)
+        if m:
+            nid = tags[m.group(1)] = _build(
+                ws, sexpr.Symbol(m.group(2), expr.line, expr.col), templates, tags, depth)
+            return nid
+        if name in templates:
+            return ws.graft(templates[name])
+        if name not in ws.hierarchy:
+            raise AvmSyntaxError(f"line {expr.line}: unknown type or template {name!r}")
+        return ws.avm(name)
+    if isinstance(expr, str):
+        raise AvmSyntaxError("string literal where a value was expected")
+    if not isinstance(expr, sexpr.SList) or len(expr) == 0:
+        raise AvmSyntaxError(f"line {getattr(expr, 'line', '?')}: empty value")
+    if depth > MAX_DEPTH:
+        raise AvmSyntaxError(
+            f"line {expr.line}, column {expr.col}: value nested deeper than {MAX_DEPTH} levels")
+    head = expr.items[0]
+    if isinstance(head, sexpr.Symbol):
+        m = _TAG_DEF.match(head.name)
+        if m:
+            tag = m.group(1)
+            if len(expr.items) != 2:
+                raise AvmSyntaxError(f"line {head.line}: #{tag}= must tag exactly one value")
+            # references only resolve after the tagged value is built, so
+            # cyclic text cannot be expressed (self-references error out)
+            nid = tags[tag] = _build(ws, expr.items[1], templates, tags, depth + 1)
+            return nid
+    if not isinstance(head, sexpr.Symbol):
+        raise AvmSyntaxError(f"line {expr.line}: value must start with a symbol")
+    items = [head] + _fuse_tags(expr.items[1:])
+    if head.name in _LIST_BUILDERS:
+        elems = [_build(ws, x, templates, tags, depth + 1) for x in items[1:]]
+        if head.name == "set" and len(elems) > 1:
+            raise AvmSyntaxError(f"line {head.line}: sets hold at most one element")
+        if head.name == "append" and len(elems) < 2:
+            raise AvmSyntaxError(f"line {head.line}: append needs at least two parts")
+        return _LIST_BUILDERS[head.name](ws, elems)
+    if head.name in templates:
+        if len(items) > 1:
+            raise AvmSyntaxError(f"line {head.line}: template {head.name!r} takes no features")
+        return ws.graft(templates[head.name])
+    if head.name not in ws.hierarchy:
+        raise AvmSyntaxError(f"line {head.line}: unknown type or template {head.name!r}")
+    feats = []
+    for item in items[1:]:
+        pair = _fuse_tags(item.items) if isinstance(item, sexpr.SList) else None
+        if pair is None or len(pair) != 2 or not isinstance(pair[0], sexpr.Symbol):
+            raise AvmSyntaxError(f"line {head.line}: features of {head.name!r} must be (NAME value) pairs")
+        feats.append((pair[0].name, pair[1]))
+    names = set()
+    for f, _ in feats:
+        if f in names:
+            raise AvmSyntaxError(f"line {head.line}: duplicate feature {f!r}")
+        names.add(f)
+    return ws.avm(head.name, **{f: _build(ws, v, templates, tags, depth + 2) for f, v in feats})

@@ -374,7 +374,7 @@ class Workspace:
         self._parent.append(i)
         return i
 
-    def avm(self, type_: str, **feats: int) -> int:
+    def avm(self, type_: str, /, **feats: int) -> int:
         self.hierarchy.check_type(type_)
         return self._new(AVM, type_, dict(feats))
 

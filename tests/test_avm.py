@@ -59,6 +59,18 @@ class TestReader:
             with pytest.raises(AvmSyntaxError, match=where):
                 read_fs(text, diamond)
 
+    def test_a_tag_is_defined_where_it_first_appears_in_the_text(self, diamond):
+        """G sorts after F, but its value comes first in the text."""
+        fs = read_fs("(a (G #1=x) (F #1#))", diamond)
+        assert fs.resolve(("F",)) == fs.resolve(("G",))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("(append (list top) (list))", "(list top)"),
+        ("(b (H (append (list x) (append (list) (list y z)))))", "(b (H (list x y z)))"),
+    ])
+    def test_an_append_of_closed_lists_reads_as_that_list(self, diamond, text, expected):
+        assert print_fs(read_fs(text, diamond), indent=False) == expected
+
     def test_templates_expand_to_fresh_copies(self, diamond):
         shared = read_fs("(a (F #1=(b)) (G #1#))", diamond)
         fs = read_fs("(b (H (list tpl tpl)))", diamond, templates={"tpl": shared})

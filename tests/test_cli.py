@@ -67,6 +67,8 @@ MALFORMED_FORMS = {
     "template-shadowing-a-type": ("(def top np-acc)", "line {line}: template 'top' shadows a type"),
     "stem-without-finite-form": ('(stem "a" np-nom-sign)',
                                  'line {line}: stem takes "PHON" "FINITE" and one expression'),
+    "stem-with-symbol-phon": ('(stem foo "x" np-nom-sign)',
+                              'line {line}: stem takes "PHON" "FINITE" and one expression'),
     "unknown-form": ("(foo 1)", "line {line}: unknown form 'foo'"),
     "string-parent": ('(type zz ("top"))', "line {line}: parents of 'zz' must be symbols"),
     "bare-parent": ("(type zz top)", "line {line}: type takes a name, a parent list and features"),

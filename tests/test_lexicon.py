@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import corpus_sentences
 from vorfeld import grammar, lexicon
+from vorfeld.avm import print_fs, read_fs
 from vorfeld.grammar import BUILT_TYPES, P_CASE, P_SYNSEM, check_comps_closed, make_sign
 from vorfeld.lexicon import (
     REQUIRED_TYPES,
@@ -17,7 +19,7 @@ from vorfeld.lexicon import (
     load_lexicon,
 )
 from vorfeld.orderdomain import FINITE
-from vorfeld.parser import parse
+from vorfeld.parser import enumerate_readings, parse
 from vorfeld.tfs import Workspace, path_get
 
 P_COMPS = ("SYNSEM", "LOC", "CAT", "COMPS")
@@ -107,6 +109,18 @@ ENTRIES_LACKING_HEAD_OR_COMPS = {
   (SUBJ (list)))) (COMPS (openlist)))))) (NONLOC no-slash)))))
 """, "offen np", "offen", "LOC CAT VCOMP"),
 }
+
+
+def _schlafen(form: str, vform: str, subj: str, comps: str) -> str:
+    """The bundled fragment with an intransitive entry of *schlafen*
+    appended: ``form`` opens it, ``(stem "schlafen" "schläft"`` or
+    ``(word "schläft"``, and the other arguments are its values."""
+    return fragment_text().rstrip("\n") + f"""
+{form} (lexical-sign (SYNSEM (synsem (LEX +)
+  (LOC (local (CAT (cat (HEAD (verb (VFORM {vform}) (SUBJ {subj})))
+    (COMPS {comps}) (VCOMP none)))))
+  (NONLOC no-slash)))))
+"""
 
 
 def _appended(entry: str, message: str) -> tuple[str, str]:
@@ -220,6 +234,39 @@ class TestLoad:
         with pytest.raises(LexiconError, match="line 2"):
             load_lexicon("(type top ())\n(word)")
 
+    def test_a_word_may_write_its_valence_as_an_append_of_closed_lists(self):
+        """An append resolves once its parts close, in an entry's text as
+        in the finite form rule: *schläft* with COMPS ``np-nom`` ⊕ ``()``
+        loads and parses *er schläft* as the entry with ``(list np-nom)``."""
+        avms = []
+        for comps in ("(append (list np-nom) (list))", "(list np-nom)"):
+            lex = load_lexicon(_schlafen('(word "schläft"', "fin", "(list)", comps))
+            avms.append([avm for _, avm in enumerate_readings(parse(["er", "schläft"], lex).derivations)])
+        assert len(avms[0]) == 1
+        assert avms[0] == avms[1]
+
+    def test_loading_leaves_no_reference_cycles(self):
+        """What a load builds and drops is freed by reference counting:
+        after a warm-up load, a second leaves the collector nothing."""
+        load_fragment()
+        gc.collect()
+        gc.disable()
+        try:
+            load_fragment()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_features_may_be_named_self_and_type_(self):
+        """A feature name is data, whatever parameter names the builder has."""
+        lex = load_lexicon(MINI_TYPES + """
+(type pair (top) (self case) (type_ case))
+(def both-nom (pair (self #1=nom) (type_ #1#)))
+""")
+        text = "(pair (self #1=acc) (type_ #1#))"
+        assert print_fs(read_fs(text, lex.hierarchy), indent=False) == text
+        assert print_fs(lex.templates["both-nom"], indent=False) == text.replace("acc", "nom")
+
     def test_all_words_pass_the_valence_check(self, fragment):
         for entry in fragment.words():
             sign = make_sign(fragment.hierarchy, path_get(entry.fs, P_SYNSEM))
@@ -264,6 +311,15 @@ class TestFinitivize:
         assert fs is not None
         comps = fs.nodes[fs.resolve(P_COMPS)]
         assert comps.kind == "closed" and len(comps.elems) == 1
+
+    def test_a_stem_may_declare_a_finite_vform(self):
+        lex = load_lexicon(_schlafen('(stem "schlafen" "schläft"', "fin", "(list np-nom)", "(list)"))
+        assert parse(["er", "schläft"], lex).readings == 1
+
+    def test_a_stem_that_declares_another_vform_cannot_be_finite(self):
+        text = _schlafen('(stem "schlafen" "schläft"', "bse", "(list np-nom)", "(list)")
+        with pytest.raises(LexiconError, match="stem 'schlafen' cannot be finite$"):
+            load_lexicon(text)
 
     def test_non_stem_is_inapplicable(self, fragment):
         (wird,) = fragment.find("wird")

@@ -312,6 +312,12 @@ class TestUnify:
         assert unify(empty, single, diamond) is None
         assert fs_equal(unify(single, single, diamond), single)
 
+    @pytest.mark.parametrize("other", ["x", "(list)"])
+    def test_a_set_unifies_only_with_a_set(self, diamond, other):
+        empty, other = read_fs("(set)", diamond), read_fs(other, diamond)
+        assert unify(empty, other, diamond) is None
+        assert unify(other, empty, diamond) is None
+
     def test_cyclic_result_rejected(self, diamond):
         ws = Workspace(diamond)
         root = ws.graft(read_fs("(a (F (a (F (a)))))", diamond))
@@ -337,6 +343,21 @@ class TestUnify:
         rhs = read_fs("(b (H (list x y)))", diamond)
         assert fs_equal(unify(lhs, rhs, diamond), rhs)
 
+    @pytest.mark.parametrize("rhs, expected", [
+        ("(list x y z)", "(list x y z)"),
+        ("(list y z)", "(list y z)"),  # the open part closes empty
+        ("(list x z y)", None),  # the closed parts in the other order
+        ("(list z)", None),  # shorter than the closed parts
+    ])
+    def test_closed_parts_after_the_open_part_match_from_the_right(self, diamond, rhs, expected):
+        lhs = read_fs("(b (H (append (openlist) (list y) (list z))))", diamond)
+        rhs = read_fs(f"(b (H {rhs}))", diamond)
+        for result in (unify(lhs, rhs, diamond), unify(rhs, lhs, diamond)):
+            if expected is None:
+                assert result is None
+            else:
+                assert fs_equal(result, read_fs(f"(b (H {expected}))", diamond))
+
     def test_append_with_two_unknown_parts_is_rejected(self, diamond):
         # undecidable split: conservative failure, constraint solving is out of scope
         lhs = read_fs("(b (H (append (openlist) (openlist))))", diamond, check=False)
@@ -344,8 +365,8 @@ class TestUnify:
         assert unify(lhs, rhs, diamond) is None
 
     @pytest.mark.parametrize("rhs, expected", [
-        # part by part: x and z meet at z, the open part closes, and the
-        # append seals on extraction
+        # an append of closed lists reads as the closed list (list z y):
+        # x and z meet at z, and the open part closes
         ("(b (H (append (list z) (list y))))", "(b (H (list z y)))"),
         # the parts meet but stay open, so the result is still an append
         ("(b (H (append (list top) (openlist y))))", "(b (H (append (list x) (openlist y))))"),
@@ -526,6 +547,9 @@ class TestSubsumes:
         # an open list subsumes an append only with an empty prefix
         ("(openlist)", "(append (list x) (openlist))", True),
         ("(openlist x)", "(append (list x) (openlist))", False),
+        # a closed list subsumes only a closed list of its length
+        ("(list x)", "(openlist x)", False),
+        ("(list x)", "(list x y)", False),
     ])
     def test_append_values(self, diamond, general, specific, holds):
         general, specific = (read_fs(f"(b (H {text}))", diamond, check=False)
