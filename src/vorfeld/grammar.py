@@ -40,12 +40,23 @@ application never mutates the daughters and returns None on failure.
 What a schema asks of one daughter alone is stated once, in two role masks
 of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
 sign may be the first daughter of, ``deps`` the second.  What it asks of
-the pair's facts is stated once too, in :func:`fits`: the role masks, the
-types it compares between its daughters before it unifies (HEAD and CASE
-of the last complement, MOD HEAD, VCOMP VFORM), as ands of the facts'
-extension masks (:meth:`vorfeld.tfs.TypeHierarchy.extension`), and the
-SLASH overflow.  The parser pairs edges on ``fits``, and every
-application passes it first, so no pair it rules out reaches a schema.
+the pair's facts is stated once too, in :func:`fits`: the role masks, a
+quick check of the facts its body unifies first, and the SLASH overflow.
+The quick check (Kiefer, Krieger, Carroll & Malouf 1999) compares, each
+as an and of two masks, the facts on which failed unifications clashed:
+for head-complement the HEAD, CASE, VFORM and VCOMP types, COMPS length
+and SLASH size of the last complement against the complement's own; for
+head-adjunct MOD HEAD against HEAD; for verb-cluster and slash
+introduction the selected VCOMP's VFORM and VCOMP types, and for
+verb-cluster its LEX type too, against the other daughter's.  A type is
+its extension mask (:attr:`vorfeld.tfs.TypeHierarchy.extensions`), a
+closed list's length or a set's size ``n`` the mask ``1 << n``.  Each
+test is sound: lengths and sizes never change under unification, a glb
+only narrows a type, and each body unifies the whole selected synsem, or
+LOC for slash introduction, with the daughter before anything else.  On
+the bundled corpus no unification fails.  The parser pairs edges on
+``fits``, and every application passes it first, so no pair it rules out
+reaches a schema.
 
 Every application, in the chart and in a rebuild, goes through one gate,
 :func:`_step`: ``fits``, then the schema's step, which runs the prechecks
@@ -84,6 +95,7 @@ from .tfs import (
     APPEND,
     CLOSED,
     OPEN,
+    SET,
     FeatureStructure,
     PathError,
     TypeHierarchy,
@@ -114,7 +126,8 @@ def _after(prefix: tuple[str, ...], path: tuple[str, ...]) -> tuple[str, ...]:
 
 
 # the paths ``_facts`` follows from a CAT or a HEAD it has resolved
-_CAT_HEAD, _CAT_COMPS, _CAT_VCOMP = (_after(P_CAT, p) for p in (P_HEAD, P_COMPS, P_VCOMP))
+_CAT_HEAD, _CAT_COMPS, _CAT_VCOMP, _CAT_VFORM = (
+    _after(P_CAT, p) for p in (P_HEAD, P_COMPS, P_VCOMP, P_VFORM))
 _HEAD_VFORM, _HEAD_CASE, _HEAD_MOD = (_after(P_HEAD, p) for p in (P_VFORM, P_CASE, P_MOD))
 
 TYPE_LEXICAL = "lexical-sign"
@@ -140,15 +153,21 @@ SCHEMATA = (SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
             SCHEMA_SLASH_INTRO, SCHEMA_FILLER_HEAD)
 SCHEMA_BIT = {schema: 1 << i for i, schema in enumerate(SCHEMATA)}
 _HC, _HA, _VC, _SI, _FH = SCHEMA_BIT.values()
-_VS = _VC | _SI  # the schemata that compare the head's VCOMP VFORM with the other's VFORM
+_VS = _VC | _SI  # the schemata that compare the selected VCOMP's LOC with the other's
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignFacts:
     """Cheap category summary: the schemata's daughter-local preconditions,
     the word order class (``order``, see :mod:`vorfeld.orderdomain`), and
-    the extension masks (``*_ext``) of the facts :func:`fits` compares
-    between daughters, so a type clash is one and of two ints."""
+    the masks (``*_ext``) of the facts :func:`fits` compares between
+    daughters, so a clash is one and of two ints.
+
+    A type is stored as its extension mask, a closed list's length or a
+    set's size ``n`` as the mask ``1 << n``, and a fact that is undefined,
+    or not a type, a closed COMPS list or a SLASH set, as -1, every bit.
+    Slotted: every chart sign holds one, and an instance dict would add
+    64 bytes to each."""
 
     order: Optional[str]
     lex: Optional[str]
@@ -162,14 +181,26 @@ class SignFacts:
     open_lists: bool  # some list of the whole structure, DTRS included, is open
     heads: int = 0  # role masks, one SCHEMA_BIT per schema: first daughter
     deps: int = 0  # ... and second daughter
-    # extension masks (TypeHierarchy.extension) of the facts the schemata
-    # compare between daughters; -1, every bit, for a fact of None
+    # the sign's own: HEAD, CASE, VFORM, LEX and VCOMP types, COMPS length
+    # and SLASH size
     head_ext: int = -1
     case_ext: int = -1
     vform_ext: int = -1
+    lex_ext: int = -1
+    vcomp_ext: int = -1
+    comps_ext: int = -1
+    slash_ext: int = -1
+    # the same of the last element of a closed COMPS list, LEX aside
     comps_last_head_ext: int = -1
     comps_last_case_ext: int = -1
+    comps_last_vform_ext: int = -1
+    comps_last_vcomp_ext: int = -1
+    comps_last_comps_ext: int = -1
+    comps_last_slash_ext: int = -1
+    # a selected VCOMP's VFORM, LEX and VCOMP types, and MOD's HEAD type
     vcomp_vform_ext: int = -1
+    vcomp_lex_ext: int = -1
+    vcomp_vcomp_ext: int = -1
     mod_head_ext: int = -1
 
 
@@ -192,34 +223,50 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
     """The facts of the synsem at node ``synsem`` of ``fs``; ``open_lists``
     is read off the whole of ``fs``.
 
-    One descent: CAT and HEAD are resolved once, and every other fact is
-    read from the nearest node already resolved.  A path that is undefined
-    gives a fact of None (no COMPS: kind None and length 0)."""
-    node_at, type_at = fs.node_at, fs.type_at
+    One descent: CAT and HEAD, of the synsem and of its last complement,
+    are resolved once, and every other fact is read from the nearest node
+    already resolved.  A path that is undefined gives a fact of None (no
+    COMPS: kind None and length 0) and a mask of -1."""
+    nodes, node_at, type_at = fs.nodes, fs.node_at, fs.type_at
+    ext = hierarchy.extensions.get
     cat = node_at(P_CAT, synsem)
     head = node_at(_CAT_HEAD, cat)
-    comps_kind = comps_last_head = comps_last_case = None
+    comps_kind = None
     comps_len = 0
+    comps_ext = last_head_ext = last_case_ext = last_vform_ext = -1
+    last_vcomp_ext = last_comps_ext = last_slash_ext = -1
     comps = node_at(_CAT_COMPS, cat)
     if comps is not None:
-        comps_kind, _, _, elems = fs.nodes[comps]
+        comps_kind, _, _, elems = nodes[comps]
         comps_len = len(elems)
-        if comps_kind == CLOSED and elems:
-            last_head = node_at(P_HEAD, elems[-1])
-            comps_last_head = type_at((), last_head)
-            comps_last_case = type_at(_HEAD_CASE, last_head)
+        if comps_kind == CLOSED:
+            comps_ext = 1 << comps_len
+            if elems:
+                last = elems[-1]
+                last_cat = node_at(P_CAT, last)
+                last_head = node_at(_CAT_HEAD, last_cat)
+                last_head_ext = ext(type_at((), last_head), -1)
+                last_case_ext = ext(type_at(_HEAD_CASE, last_head), -1)
+                last_vform_ext = ext(type_at(_HEAD_VFORM, last_head), -1)
+                last_vcomp_ext = ext(type_at(_CAT_VCOMP, last_cat), -1)
+                last_comps_ext = _size_mask(nodes, node_at(_CAT_COMPS, last_cat), CLOSED)
+                last_slash_ext = _size_mask(nodes, node_at(P_SLASH, last), SET)
     vcomp_node = node_at(_CAT_VCOMP, cat)
-    vcomp_ext = _extension(hierarchy, type_at((), vcomp_node))
+    vcomp_ext = ext(type_at((), vcomp_node), -1)
     vcomp = ("none" if _subsumed(hierarchy, vcomp_ext, "none")
              else "sel" if _subsumed(hierarchy, vcomp_ext, "synsem") else "open")
-    vcomp_vform = type_at(P_VFORM, vcomp_node) if vcomp == "sel" else None
+    vcomp_vform_ext = vcomp_lex_ext = vcomp_vcomp_ext = -1
+    if vcomp == "sel":
+        vcomp_cat = node_at(P_CAT, vcomp_node)
+        vcomp_vform_ext = ext(type_at(_CAT_VFORM, vcomp_cat), -1)
+        vcomp_lex_ext = ext(type_at(P_LEX, vcomp_node), -1)
+        vcomp_vcomp_ext = ext(type_at(_CAT_VCOMP, vcomp_cat), -1)
     slash_node = node_at(P_SLASH, synsem)
-    slash = None if slash_node is None else len(fs.nodes[slash_node].elems)
-    head_ext = _extension(hierarchy, type_at((), head))
-    vform_ext = _extension(hierarchy, type_at(_HEAD_VFORM, head))
-    case = type_at(_HEAD_CASE, head)
+    slash = None if slash_node is None else len(nodes[slash_node].elems)
+    head_ext = ext(type_at((), head), -1)
+    vform_ext = ext(type_at(_HEAD_VFORM, head), -1)
+    lex = type_at(P_LEX, synsem)
     mod = node_at(_HEAD_MOD, head)
-    mod_head = type_at(P_HEAD, mod)
     has_mod = mod is not None
     # the word order class, the one reading of the head types word order needs
     order = ((od.FINITE if _subsumed(hierarchy, vform_ext, "fin") else od.VERBAL)
@@ -244,36 +291,51 @@ def _facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> S
         slash == 1 and order == od.FINITE and comps_kind == CLOSED and comps_len == 0)
     return SignFacts(
         order=order,
-        lex=type_at(P_LEX, synsem),
+        lex=lex,
         comps_kind=comps_kind,
         comps_len=comps_len,
         vcomp=vcomp,
         slash=slash,
         has_mod=has_mod,
-        open_lists=any(node.kind in (OPEN, APPEND) for node in fs.nodes),
+        open_lists=any(node.kind in (OPEN, APPEND) for node in nodes),
         heads=heads,
         deps=deps,
         head_ext=head_ext,
-        case_ext=_extension(hierarchy, case),
+        case_ext=ext(type_at(_HEAD_CASE, head), -1),
         vform_ext=vform_ext,
-        comps_last_head_ext=_extension(hierarchy, comps_last_head),
-        comps_last_case_ext=_extension(hierarchy, comps_last_case),
-        vcomp_vform_ext=_extension(hierarchy, vcomp_vform),
-        mod_head_ext=_extension(hierarchy, mod_head),
+        lex_ext=ext(lex, -1),
+        vcomp_ext=vcomp_ext,
+        comps_ext=comps_ext,
+        slash_ext=_size_mask(nodes, slash_node, SET),
+        comps_last_head_ext=last_head_ext,
+        comps_last_case_ext=last_case_ext,
+        comps_last_vform_ext=last_vform_ext,
+        comps_last_vcomp_ext=last_vcomp_ext,
+        comps_last_comps_ext=last_comps_ext,
+        comps_last_slash_ext=last_slash_ext,
+        vcomp_vform_ext=vcomp_vform_ext,
+        vcomp_lex_ext=vcomp_lex_ext,
+        vcomp_vcomp_ext=vcomp_vcomp_ext,
+        mod_head_ext=ext(type_at(P_HEAD, mod), -1),
     )
 
 
-def _extension(hierarchy: TypeHierarchy, fact: Optional[str]) -> int:
-    """The extension mask of ``fact``; every bit for a fact the hierarchy
-    cannot rule out: none, or a list or set value."""
-    return hierarchy.extension(fact) if fact in hierarchy else -1
+def _size_mask(nodes: Sequence, node: Optional[int], kind: str) -> int:
+    """``1 << n`` for a node of ``kind`` with n elements, -1 for none or any
+    other node: no unification changes a closed list's length or a set's
+    size."""
+    if node is None:
+        return -1
+    node_kind, _, _, elems = nodes[node]
+    return 1 << len(elems) if node_kind == kind else -1
 
 
 def _subsumed(hierarchy: TypeHierarchy, ext: int, name: str) -> bool:
     """Whether the fact of extension mask ``ext`` is type ``name`` or one of
     its subtypes: never for a fact of None, nor for a type the hierarchy
     does not declare (``comp`` is optional)."""
-    return name in hierarchy and not ext & ~hierarchy.extension(name)
+    mask = hierarchy.extensions.get(name)
+    return mask is not None and not ext & ~mask
 
 
 def _roles(*admitted: bool) -> int:
@@ -286,21 +348,40 @@ def fits(first: SignFacts, second: SignFacts) -> int:
     ``first`` and ``second``, in this order.
 
     Each schema's conditions on the pair's facts, stated here only: the
-    role masks; the type tests, each an and of extension masks (a fact of
-    None has every bit, so an underspecified selector passes them); and
-    the SLASH overflow, two one-element sets, which head-complement,
+    role masks; the quick check, each test an and of two masks
+    (:class:`SignFacts`; an unknown fact has every bit, so an
+    underspecified selector passes), the most common clash first; and the
+    SLASH overflow, two one-element sets, which head-complement,
     head-adjunct and verb-cluster would union.  Every application passes
     this test first (:func:`_step`), and the parser runs it on a pair
     before it tries any schema.
+
+    The quick check compares what each body unifies first: head-complement
+    the last element of a closed COMPS with the complement's synsem (HEAD,
+    COMPS length, SLASH size, CASE, VCOMP, VFORM), head-adjunct MOD's HEAD
+    with the head's, verb-cluster the selected VCOMP with the other's
+    synsem (VFORM, VCOMP, LEX), and slash introduction the VCOMP's LOC
+    with the licenser's (VFORM, VCOMP: LEX lies outside LOC).  A test that
+    fails proves the body fails: a closed list's length and a set's size
+    never change under unification, a glb only narrows a type, and each
+    body unifies the whole selected synsem, or LOC for slash introduction,
+    with the daughter before it does anything else.
     """
     fit = first.heads & second.deps
     if fit & _HC and not (first.comps_last_head_ext & second.head_ext
-                          and first.comps_last_case_ext & second.case_ext):
+                          and first.comps_last_comps_ext & second.comps_ext
+                          and first.comps_last_slash_ext & second.slash_ext
+                          and first.comps_last_case_ext & second.case_ext
+                          and first.comps_last_vcomp_ext & second.vcomp_ext
+                          and first.comps_last_vform_ext & second.vform_ext):
         fit &= ~_HC
     if fit & _HA and not second.mod_head_ext & first.head_ext:
         fit &= ~_HA
-    if fit & _VS and not first.vcomp_vform_ext & second.vform_ext:
+    if fit & _VS and not (first.vcomp_vform_ext & second.vform_ext
+                          and first.vcomp_vcomp_ext & second.vcomp_ext):
         fit &= ~_VS
+    if fit & _VC and not first.vcomp_lex_ext & second.lex_ext:
+        fit &= ~_VC
     if first.slash == 1 and second.slash == 1:
         fit &= ~(_HC | _HA | _VC)
     return fit

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 AVM = "avm"
@@ -122,6 +123,9 @@ class TypeHierarchy:
             for child in children[name]:
                 self._extension[name] |= self._extension[child]
         self._by_extension = {mask: t for t, mask in self._extension.items()}
+        #: every type's extension mask, read-only: ``extensions.get(t)`` is
+        #: one lookup, None for a name the hierarchy does not declare
+        self.extensions: Mapping[str, int] = MappingProxyType(self._extension)
         for a, b in itertools.combinations(self._extension, 2):
             meet = self._extension[a] & self._extension[b]
             if meet and meet not in self._by_extension:

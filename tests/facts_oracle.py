@@ -1,11 +1,11 @@
 """``grammar._facts`` as it was before it read a synsem in one descent: the
 reference for the one-descent reading.
 
-It looks every fact up by its whole path from the synsem, through
-``FeatureStructure.resolve`` and ``type_at``, and takes a path that does
-not resolve, a ``PathError``, as a fact of None.  ``open_lists`` tests
-every node of the structure.  The differential tests hold
-``grammar._facts`` to exactly these results.
+It looks every fact up by its whole path from the synsem, or from the
+synsem of its last complement, through ``FeatureStructure.resolve`` and
+``type_at``, and takes a path that does not resolve, a ``PathError``, as a
+fact of None.  ``open_lists`` tests every node of the structure.  The
+differential tests hold ``grammar._facts`` to exactly these results.
 """
 from __future__ import annotations
 
@@ -23,25 +23,24 @@ from vorfeld.grammar import (
     P_VFORM,
     SignFacts,
 )
-from vorfeld.tfs import APPEND, CLOSED, OPEN, FeatureStructure, PathError, TypeHierarchy
+from vorfeld.tfs import APPEND, CLOSED, OPEN, SET, FeatureStructure, PathError, TypeHierarchy
 
 
 def facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> SignFacts:
-    comps_kind = comps_last_head = comps_last_case = None
+    comps_kind = last = None
     comps_len = 0
     try:
         comps = fs.nodes[fs.resolve(P_COMPS, synsem)]
         comps_kind = comps.kind
         comps_len = len(comps.elems)
         if comps.kind == CLOSED and comps.elems:
-            comps_last_head = fs.type_at(P_HEAD, comps.elems[-1])
-            comps_last_case = fs.type_at(P_CASE, comps.elems[-1])
+            last = comps.elems[-1]
     except PathError:
         pass
     vcomp_ext = _extension(hierarchy, fs.type_at(P_VCOMP, synsem))
     vcomp = ("none" if _subsumed(hierarchy, vcomp_ext, "none")
              else "sel" if _subsumed(hierarchy, vcomp_ext, "synsem") else "open")
-    vcomp_vform = fs.type_at(P_VCOMP + P_VFORM, synsem) if vcomp == "sel" else None
+    selected = synsem if vcomp == "sel" else None
     slash: Optional[int] = None
     try:
         slash = len(fs.nodes[fs.resolve(P_SLASH, synsem)].elems)
@@ -81,11 +80,39 @@ def facts(hierarchy: TypeHierarchy, fs: FeatureStructure, synsem: int = 0) -> Si
         head_ext=head_ext,
         case_ext=_extension(hierarchy, case),
         vform_ext=vform_ext,
-        comps_last_head_ext=_extension(hierarchy, comps_last_head),
-        comps_last_case_ext=_extension(hierarchy, comps_last_case),
-        vcomp_vform_ext=_extension(hierarchy, vcomp_vform),
+        lex_ext=_extension(hierarchy, fs.type_at(P_LEX, synsem)),
+        vcomp_ext=vcomp_ext,
+        comps_ext=_size_mask(fs, P_COMPS, synsem, CLOSED),
+        slash_ext=_size_mask(fs, P_SLASH, synsem, SET),
+        comps_last_head_ext=_type_mask(hierarchy, fs, P_HEAD, last),
+        comps_last_case_ext=_type_mask(hierarchy, fs, P_CASE, last),
+        comps_last_vform_ext=_type_mask(hierarchy, fs, P_VFORM, last),
+        comps_last_vcomp_ext=_type_mask(hierarchy, fs, P_VCOMP, last),
+        comps_last_comps_ext=_size_mask(fs, P_COMPS, last, CLOSED),
+        comps_last_slash_ext=_size_mask(fs, P_SLASH, last, SET),
+        vcomp_vform_ext=_type_mask(hierarchy, fs, P_VCOMP + P_VFORM, selected),
+        vcomp_lex_ext=_type_mask(hierarchy, fs, P_VCOMP + P_LEX, selected),
+        vcomp_vcomp_ext=_type_mask(hierarchy, fs, P_VCOMP + P_VCOMP, selected),
         mod_head_ext=_extension(hierarchy, mod_head),
     )
+
+
+def _type_mask(hierarchy: TypeHierarchy, fs: FeatureStructure, path, start: Optional[int]) -> int:
+    """The extension mask of the type at ``path`` from node ``start``; -1
+    for no start node."""
+    return -1 if start is None else _extension(hierarchy, fs.type_at(path, start))
+
+
+def _size_mask(fs: FeatureStructure, path, start: Optional[int], kind: str) -> int:
+    """``1 << n`` for a node of ``kind`` with n elements at ``path`` from
+    node ``start``; -1 for no start node, an undefined path or another kind."""
+    if start is None:
+        return -1
+    try:
+        node = fs.nodes[fs.resolve(path, start)]
+    except PathError:
+        return -1
+    return 1 << len(node.elems) if node.kind == kind else -1
 
 
 def _extension(hierarchy: TypeHierarchy, fact: Optional[str]) -> int:

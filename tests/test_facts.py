@@ -72,6 +72,9 @@ def test_every_rebuilt_corpus_root_from_its_synsem(fragment, corpus_results):
 
 NONLOC = "(NONLOC (nonlocal (INHER (inherited (SLASH (set))))))"
 CAT = "(CAT (cat (COMPS (list)) (HEAD (verb (SUBJ (list)) (VFORM fin))) (VCOMP none)))"
+# a complement whose COMPS is open and whose SLASH is a list, not a set
+ODD_COMPLEMENT = ("(synsem (LOC (local (CAT (cat (COMPS (openlist))))))"
+                  " (NONLOC (nonlocal (INHER (inherited (SLASH (list)))))))")
 
 # broken geometry, each read unchecked: (synsem text, a fact it must give)
 MALFORMED = {
@@ -88,6 +91,14 @@ MALFORMED = {
     "no NONLOC": (f"(synsem (LOC (local {CAT})))", ("slash", None)),
     "a complement without LOC": (f"(synsem (LOC (local {CAT.replace('(COMPS (list))', '(COMPS (list synsem))')})) "
                                  f"{NONLOC})", ("comps_last_head_ext", -1)),
+    "a complement with open COMPS and SLASH a list": (
+        f"(synsem (LOC (local {CAT.replace('(COMPS (list))', '(COMPS (list ' + ODD_COMPLEMENT + '))')})) "
+        f"{NONLOC})", ("comps_last_slash_ext", -1)),
+    "COMPS an open list": (f"(synsem (LOC (local {CAT.replace('(COMPS (list))', '(COMPS (openlist synsem))')})) "
+                           f"{NONLOC})", ("comps_ext", -1)),
+    "a selected VCOMP without LOC": (
+        f"(synsem (LEX +) (LOC (local {CAT.replace('(VCOMP none)', '(VCOMP (synsem (LEX -)))')})) "
+        f"{NONLOC})", ("vcomp_vform_ext", -1)),
 }
 
 

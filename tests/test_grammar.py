@@ -1,6 +1,12 @@
+import json
+import os
+
+import pytest
+
 from conftest import corpus_sentences, sign_at
 from vorfeld import grammar
 from vorfeld.avm import read_fs
+from vorfeld.cli import run_corpus
 from vorfeld.grammar import (
     P_COMPS,
     P_HEAD,
@@ -25,9 +31,12 @@ from vorfeld.grammar import (
     lexical_sign,
     make_vcomp_trace,
 )
+from vorfeld.lexicon import corpus_text
 from vorfeld.orderdomain import mask_positions
 from vorfeld.parser import TRACE, Derivation, Edge, ParseOptions, demonstrate_trace_mode, parse
-from vorfeld.tfs import fs_equal, path_get
+from vorfeld.tfs import Workspace, fs_equal, path_get
+
+ADJUNCT_PINS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "adjunct_pins.json")
 
 
 def _comps_cases(sign):
@@ -356,7 +365,7 @@ class TestTrace:
 
 
 def _role_masks_and_overflow(first, second):
-    """:func:`vorfeld.grammar.fits` without its type tests."""
+    """:func:`vorfeld.grammar.fits` without its quick check."""
     fit = first.heads & second.deps
     if first.slash == 1 and second.slash == 1:
         fit &= ~(SCHEMA_BIT[SCHEMA_HEAD_COMPLEMENT] | SCHEMA_BIT[SCHEMA_HEAD_ADJUNCT]
@@ -364,29 +373,92 @@ def _role_masks_and_overflow(first, second):
     return fit
 
 
+# each and-test of ``fits``: the schemata it guards, and the facts it ands,
+# the first daughter's and the second's
+_HC, _VS = SCHEMA_HEAD_COMPLEMENT, (SCHEMA_VERB_CLUSTER, SCHEMA_SLASH_INTRO)
+AND_TESTS = [
+    ((_HC,), "comps_last_head_ext", "head_ext"),
+    ((_HC,), "comps_last_comps_ext", "comps_ext"),
+    ((_HC,), "comps_last_slash_ext", "slash_ext"),
+    ((_HC,), "comps_last_case_ext", "case_ext"),
+    ((_HC,), "comps_last_vcomp_ext", "vcomp_ext"),
+    ((_HC,), "comps_last_vform_ext", "vform_ext"),
+    ((SCHEMA_HEAD_ADJUNCT,), "head_ext", "mod_head_ext"),
+    (_VS, "vcomp_vform_ext", "vform_ext"),
+    (_VS, "vcomp_vcomp_ext", "vcomp_ext"),
+    ((SCHEMA_VERB_CLUSTER,), "vcomp_lex_ext", "lex_ext"),
+]
+
+
+def _failed_tests(first, second):
+    """The and-tests of ``fits`` that fail on a pair, each as (test index,
+    schema) for every schema it guards that the role masks admit."""
+    fit = _role_masks_and_overflow(first, second)
+    return {(i, schema) for i, (schemata, a, b) in enumerate(AND_TESTS)
+            if not getattr(first, a) & getattr(second, b)
+            for schema in schemata if fit & SCHEMA_BIT[schema]}
+
+
 class TestFits:
     def test_a_type_test_drops_only_pairs_whose_body_fails(self, fragment, monkeypatch):
-        """Each type test of ``fits`` is an and of extension masks standing
-        in for a unification the schema's body would attempt.  Over every
-        ordered pair of distinct chart signs with disjoint coverage, in the
-        corpus charts and the trace chart, each schema the tests drop is
-        applied with the tests off, and must build nothing."""
+        """Each and-test of ``fits`` compares two facts of the unification a
+        schema's body attempts first.  Over every ordered pair of distinct
+        chart signs with disjoint coverage, in the corpus charts and the
+        trace chart, ``fits`` admits exactly what the role masks, the
+        SLASH overflow and the tests of ``AND_TESTS`` admit; each test, on
+        its own, drops some pair for each schema it guards, a pair every
+        other test admits; and each schema a test drops is applied with
+        every test off, and must build nothing."""
         charts = [parse(tokens, fragment).edges for tokens in corpus_sentences()]
         charts.append(parse(TOKENS_1A, fragment, ParseOptions(mode=TRACE, edge_limit=10000)).edges)
         fits = grammar.fits
         monkeypatch.setattr(grammar, "fits", _role_masks_and_overflow)
-        tried = set()
+        alone = set()
         for edges in charts:
             signs = list({id(e.sign): e.sign for e in edges}.values())
             for a in signs:
                 for b in signs:
                     if a is b or a.dom.coverage & b.dom.coverage:
                         continue
-                    dropped = _role_masks_and_overflow(a.facts, b.facts) & ~fits(a.facts, b.facts)
-                    for schema, bit in SCHEMA_BIT.items():
-                        if dropped & bit:
-                            tried.add(schema)
-                            assert apply_schema(schema, a, b) is None, (schema, a.facts, b.facts)
-        # every type test dropped some pair
-        assert tried == {SCHEMA_HEAD_COMPLEMENT, SCHEMA_HEAD_ADJUNCT, SCHEMA_VERB_CLUSTER,
-                         SCHEMA_SLASH_INTRO}
+                    failed = _failed_tests(a.facts, b.facts)
+                    off = {schema for _, schema in failed}
+                    assert fits(a.facts, b.facts) == _role_masks_and_overflow(a.facts, b.facts) & ~sum(
+                        SCHEMA_BIT[schema] for schema in off)
+                    for schema in off:
+                        assert apply_schema(schema, a, b) is None, (schema, a.facts, b.facts)
+                        by = [test for test, s in failed if s == schema]
+                        if len(by) == 1:
+                            alone.add((by[0], schema))
+        assert alone == {(i, schema) for i, (schemata, _, _) in enumerate(AND_TESTS)
+                         for schema in schemata}
+
+    def test_no_corpus_unification_fails(self, fragment, monkeypatch):
+        """Work count: behind ``fits``, ``run_corpus`` makes 96
+        ``unify_nodes`` calls and none fails (168 calls and 72 failures
+        while ``fits`` compared only HEAD and CASE of the last complement,
+        MOD HEAD and VCOMP VFORM)."""
+        results = _count_unifications(monkeypatch)
+        assert run_corpus(fragment, corpus_text()).passed
+        assert (len(results), results.count(False)) == (96, 0)
+
+    @pytest.mark.slow
+    def test_no_unification_of_the_adjunct_pins_fails(self, fragment, monkeypatch):
+        """Work count: the 48 parseable adjunct pins make 3,592
+        ``unify_nodes`` calls and none fails (4,460 and 868 under the
+        smaller quick check)."""
+        with open(ADJUNCT_PINS, encoding="utf-8") as f:
+            pins = {sentence: n for sentence, n in json.load(f).items() if n}
+        assert len(pins) == 48
+        results = _count_unifications(monkeypatch)
+        for sentence, readings in pins.items():
+            assert parse(sentence.split(), fragment).readings == readings
+        assert (len(results), results.count(False)) == (3592, 0)
+
+
+def _count_unifications(monkeypatch) -> list:
+    """The result of every ``Workspace.unify_nodes`` call from now on."""
+    results = []
+    unify_nodes = Workspace.unify_nodes
+    monkeypatch.setattr(Workspace, "unify_nodes",
+                        lambda ws, x, y: results.append(unify_nodes(ws, x, y)) or results[-1])
+    return results
