@@ -69,15 +69,17 @@ or a fresh one.  It builds every key in one place, ``(schema, first id,
 second id or None)``, each id a synsem's in the memo's intern table,
 unifies on a miss, and stores the mother's synsem, interned, and facts (a
 sign with an empty domain), or None; the domain is always built from the
-daughters at hand, and only for a mother that exists.  Of the facts, the
-domain keeps only the word order class (``SignFacts.order``), so equal
-domains are equal values, whichever signs built them.  A memo key needs
-nothing of the sentence, so a memo may outlive a parse: the parser takes
-one memo per parse, fresh unless its caller passes one (``run_corpus``
-shares one between the lines of a corpus), and it also holds the
-trace-mode mothers; the rebuild of a derivation uses none, so it unifies
-every step afresh.  The tables the parser keeps above the memo for one
-parse are described at :func:`vorfeld.parser.parse`.
+daughters at hand, and only for a mother that exists.  This module makes
+no domain itself: a word's (:func:`lexical_sign`) and each ``place()``
+come from :mod:`vorfeld.orderdomain`, which reads the daughters' domains
+and, of the facts, only the word order class (``SignFacts.order``), so
+equal domains are equal values, whichever signs built them.  A memo key
+needs nothing of the sentence, so a memo may outlive a parse: the parser
+takes one memo per parse, fresh unless its caller passes one
+(``run_corpus`` shares one between the lines of a corpus), and it also
+holds the trace-mode mothers; the rebuild of a derivation uses none, so
+it unifies every step afresh.  The tables the parser keeps above the memo
+for one parse are described at :func:`vorfeld.parser.parse`.
 """
 from __future__ import annotations
 
@@ -85,12 +87,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import orderdomain as od
-from .orderdomain import (
-    Domain,
-    DomainElement,
-    EMPTY_DOMAIN,
-    mask_span,
-)
+from .orderdomain import EMPTY_DOMAIN, Domain
 from .tfs import (
     APPEND,
     CLOSED,
@@ -179,29 +176,29 @@ class SignFacts:
     slash: Optional[int]
     has_mod: bool
     open_lists: bool  # some list of the whole structure, DTRS included, is open
-    heads: int = 0  # role masks, one SCHEMA_BIT per schema: first daughter
-    deps: int = 0  # ... and second daughter
+    heads: int  # role masks, one SCHEMA_BIT per schema: first daughter
+    deps: int  # ... and second daughter
     # the sign's own: HEAD, CASE, VFORM, LEX and VCOMP types, COMPS length
     # and SLASH size
-    head_ext: int = -1
-    case_ext: int = -1
-    vform_ext: int = -1
-    lex_ext: int = -1
-    vcomp_ext: int = -1
-    comps_ext: int = -1
-    slash_ext: int = -1
+    head_ext: int
+    case_ext: int
+    vform_ext: int
+    lex_ext: int
+    vcomp_ext: int
+    comps_ext: int
+    slash_ext: int
     # the same of the last element of a closed COMPS list, LEX aside
-    comps_last_head_ext: int = -1
-    comps_last_case_ext: int = -1
-    comps_last_vform_ext: int = -1
-    comps_last_vcomp_ext: int = -1
-    comps_last_comps_ext: int = -1
-    comps_last_slash_ext: int = -1
+    comps_last_head_ext: int
+    comps_last_case_ext: int
+    comps_last_vform_ext: int
+    comps_last_vcomp_ext: int
+    comps_last_comps_ext: int
+    comps_last_slash_ext: int
     # a selected VCOMP's VFORM, LEX and VCOMP types, and MOD's HEAD type
-    vcomp_vform_ext: int = -1
-    vcomp_lex_ext: int = -1
-    vcomp_vcomp_ext: int = -1
-    mod_head_ext: int = -1
+    vcomp_vform_ext: int
+    vcomp_lex_ext: int
+    vcomp_vcomp_ext: int
+    mod_head_ext: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,8 +393,7 @@ def lexical_sign(hierarchy: TypeHierarchy, fs: FeatureStructure,
                  tokens: Sequence[str], start: int) -> Sign:
     """The chart sign of lexical entry ``fs``, covering ``tokens`` at ``start``."""
     sign = make_sign(hierarchy, path_get(fs, P_SYNSEM))
-    element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), sign.facts.order)
-    return Sign(hierarchy, sign.fs, Domain((element,), element.coverage), sign.facts)
+    return Sign(hierarchy, sign.fs, od.lexical_domain(tokens, start, sign.facts.order), sign.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +418,6 @@ def _try_resolve(ws: Workspace, root: int, path) -> Optional[int]:
         return ws.resolve(root, path)
     except PathError:
         return None
-
-
-def _insert_comp_dom(head: Sign, comp: Sign) -> Optional[Domain]:
-    """Complements compact into one element; complementizer heads stay
-    transparent; phonologically empty complements contribute nothing."""
-    if head.facts.order == od.COMPLEMENTIZER:
-        return od.domain_union(head.dom, comp.dom)
-    if not comp.dom.elements:
-        return head.dom
-    element = od.compact(comp.dom.elements, comp.facts.order)
-    if element is None:
-        return None
-    return od.domain_union(head.dom, Domain((element,), element.coverage))
 
 
 class SchemaMemo(dict):
@@ -578,7 +561,8 @@ def apply_head_complement(head: Sign, comp: Sign, memo: Optional[SchemaMemo] = N
     clusters form before complements attach.  The complement enters the
     head's domain as a single compacted element, except under a
     complementizer head, whose clausal complement stays domain-transparent
-    so the linearization checks can see the verb cluster.
+    so the linearization checks can see the verb cluster
+    (:func:`vorfeld.orderdomain.insert_complement_domain`).
 
     A head with an underspecified COMPS list accepts any complement
     whatsoever and keeps its valence underspecified — a trace, or anything
@@ -591,7 +575,7 @@ def apply_head_complement(head: Sign, comp: Sign, memo: Optional[SchemaMemo] = N
 
 
 def _head_complement(head: Sign, comp: Sign) -> Optional[Step]:
-    place = lambda _mother: _insert_comp_dom(head, comp)
+    place = lambda _mother: od.insert_complement_domain(head, comp)
     if head.facts.comps_kind != CLOSED:
         return _underspecified(SCHEMA_HEAD_COMPLEMENT, head, comp, place)
 

@@ -14,10 +14,13 @@ union is deterministic given the coverages; the shuffle character of the
 union operator is realized by the parser admitting any coverage
 interleaving the combination schemata allow.
 
-This module is the one place that decides word order.  Each domain knows
-its coverage, so a chart edge covers exactly what its sign's domain
-covers: the licensing daughter of slash introduction, which gets no place
-in the mother's domain, is thereby left out of the mother's coverage too.
+This module is the one place that decides word order, and it makes every
+domain: a word's (:func:`lexical_domain`), and a mother's from its
+daughters' (:func:`domain_union`, :func:`insert_complement_domain`,
+:func:`insert_filler_domain`).  Each domain knows its coverage, so a
+chart edge covers exactly what its sign's domain covers: the licensing
+daughter of slash introduction, which gets no place in the mother's
+domain, is thereby left out of the mother's coverage too.
 
 ``fields`` is the topological field model: Vorfeld (exactly one element
 before the finite verb in verb-second clauses, and verbal material there
@@ -137,6 +140,12 @@ class Domain:
 EMPTY_DOMAIN = Domain((), 0)
 
 
+def lexical_domain(tokens: Sequence[str], start: int, order: Optional[str]) -> Domain:
+    """The domain of a word: one element of class ``order``, covering ``tokens`` at ``start``."""
+    element = DomainElement(tuple(tokens), mask_span(start, len(tokens)), order)
+    return Domain((element,), element.coverage)
+
+
 def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
     """Merge two domains, ordered by position; None when their coverages overlap.
 
@@ -169,6 +178,20 @@ def compact(elems: Sequence[DomainElement], order: Optional[str],
         return DomainElement(elems[0].phon, mask, order, field)
     pairs = sorted(pair for e in elems for pair in zip(mask_positions(e.coverage), e.phon))
     return DomainElement(tuple(p for _, p in pairs), mask, order, field)
+
+
+def insert_complement_domain(head: "Sign", comp: "Sign") -> Optional[Domain]:
+    """The head's domain with ``comp``'s material (Reape 1994): its elements
+    as they are under a complementizer head, nothing of an empty complement,
+    else one compacted element of its class; None when that fails."""
+    if head.facts.order == COMPLEMENTIZER:
+        return domain_union(head.dom, comp.dom)
+    if not comp.dom.elements:
+        return head.dom
+    element = compact(comp.dom.elements, comp.facts.order)
+    if element is None:
+        return None
+    return domain_union(head.dom, Domain((element,), element.coverage))
 
 
 def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -> Optional[Domain]:

@@ -487,21 +487,19 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
 
     # the root filter reads only the sign: once per sign of full coverage
     roots = [e for e in edges if e.coverage == full]
-    verdicts = {sign: is_reading(e, tokens, clause_type)
-                for sign, e in {e.sign: e for e in roots}.items()}
+    verdicts = {sign: is_reading(sign, clause_type) for sign in dict.fromkeys(e.sign for e in roots)}
     derivations = sorted((Derivation(e) for e in roots if verdicts[e.sign]),
                          key=Derivation.canonical_key)
     return ParseResult(tokens, options.mode, clause_type, tuple(derivations),
                        tuple(edges), options.edge_limit, limit_hit, rejected)
 
 
-def is_reading(edge: Edge, tokens: tuple[str, ...], clause_type: str) -> bool:
-    """Root filter: ``edge`` analyses the whole of ``tokens`` as a complete
-    clause.  A domain has one token per position it covers, so an edge
-    whose phonology is ``tokens`` covers all of them."""
-    return (is_complete_clause(edge.sign, clause_type)
-            and od.lp_check(edge.sign.dom, clause_type)
-            and edge.sign.dom.phon() == tokens)
+def is_reading(sign: Sign, clause_type: str) -> bool:
+    """Root filter: ``sign``, of full coverage, is a complete clause of
+    ``clause_type`` by its category and its fields.  Its phonology is the
+    input then: every element holds the tokens at its own positions, in
+    position order (:mod:`vorfeld.orderdomain`)."""
+    return is_complete_clause(sign, clause_type) and od.lp_check(sign.dom, clause_type)
 
 
 def enumerate_readings(derivations: Sequence[Derivation]) -> list[tuple[Derivation, str]]:

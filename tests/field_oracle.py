@@ -21,7 +21,6 @@ from vorfeld.orderdomain import (
     VERBAL,
     VFINAL,
     DomainElement,
-    _non_interleaving,
     mask_is_contiguous,
     mask_max,
     mask_min,
@@ -30,6 +29,15 @@ from vorfeld.orderdomain import (
 if TYPE_CHECKING:  # pragma: no cover
     from vorfeld.grammar import Sign
     from vorfeld.parser import Edge
+
+
+def _non_interleaving(elements) -> bool:
+    prev_max = -1
+    for e in elements:
+        if mask_min(e.coverage) <= prev_max:
+            return False
+        prev_max = mask_max(e.coverage)
+    return True
 
 
 def _is_finite_verb(e: DomainElement) -> bool:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -10,17 +11,20 @@ import field_oracle
 from conftest import corpus_sentences, sign_at
 from oracle import closure
 from test_cli import ADJUNCT_PRINTED_DIGESTS
-from vorfeld import orderdomain
-from vorfeld.grammar import apply_head_adjunct, apply_head_complement
+from vorfeld import grammar, orderdomain, parser
+from vorfeld.grammar import apply_head_adjunct, apply_head_complement, make_vcomp_trace
 from vorfeld.orderdomain import (
     EMPTY_DOMAIN,
+    FINITE,
     Domain,
     DomainElement,
     compact,
     domain_union,
     fields,
     finite_verb_position,
+    insert_complement_domain,
     insert_filler_domain,
+    lexical_domain,
     lp_check,
     mask_from,
     mask_is_contiguous,
@@ -118,8 +122,10 @@ def _elements_of(owners, order):
 
 
 class TestFastPaths:
-    """``domain_union`` and ``compact`` of one element skip the general
-    checks; on random input they agree with the general paths."""
+    """``domain_union`` and ``compact`` against plainer paths on random
+    elements: the union of two domains is the domain of all their elements
+    sorted by position (``make_domain``), and ``compact`` of one element,
+    its short path, gives what the same material split in two does."""
 
     @PROPERTY
     @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=14),
@@ -143,6 +149,52 @@ class TestFastPaths:
         (one,) = _elements_of([None if o is None else 0 for o in owners], order).values()
         assert len(halves) == 2
         assert compact([one], order, field) == compact(halves, order, field)
+
+
+class TestLexicalDomain:
+    def test_one_element_of_the_words_tokens(self):
+        mask = mask_span(3, 2)
+        assert lexical_domain(("ein", "Märchen"), 3, None) == Domain(
+            (DomainElement(("ein", "Märchen"), mask, None),), mask)
+
+    def test_a_words_sign_has_it(self, fragment):
+        tokens = "Er wird seiner Tochter ein Märchen erzählen müssen".split()
+        for pos in (1, 2):
+            for span, sign in fragment.lookup(tokens, pos):
+                assert sign.dom == lexical_domain(tokens[pos:pos + span], pos, sign.facts.order)
+
+
+class TestInsertComplementDomain:
+    TOKENS = "weil er ihr ein Märchen erzählen müssen wird".split()
+
+    def _clause(self, fragment, *words):
+        """The first word's sign, its domain holding each word's own element."""
+        signs = [sign_at(fragment, w, self.TOKENS, self.TOKENS.index(w.split()[0]))
+                 for w in words]
+        return dataclasses.replace(
+            signs[0], dom=make_domain([s.dom.elements[0] for s in signs]))
+
+    def test_complementizer_head_keeps_the_elements(self, fragment):
+        weil = sign_at(fragment, "weil", self.TOKENS, 0)
+        clause = self._clause(fragment, "er", "ihr")
+        result = insert_complement_domain(weil, clause)
+        assert result.elements == weil.dom.elements + clause.dom.elements
+        # any other head compacts the same complement into one element
+        wird = sign_at(fragment, "wird", self.TOKENS, 7)
+        compacted = insert_complement_domain(wird, clause)
+        assert [e.phon for e in compacted.elements] == [("er", "ihr"), ("wird",)]
+        assert compacted.elements[0].order == clause.facts.order
+
+    def test_empty_trace_domain_leaves_the_heads(self, fragment):
+        erz = sign_at(fragment, "erzählen", self.TOKENS, 5, arity=2)
+        trace = make_vcomp_trace(fragment.hierarchy)
+        assert trace.dom == EMPTY_DOMAIN
+        assert insert_complement_domain(erz, trace) == erz.dom
+
+    def test_discontinuous_complement_fails(self, fragment):
+        erz = sign_at(fragment, "erzählen", self.TOKENS, 5, arity=2)
+        gapped = self._clause(fragment, "er", "ein Märchen")
+        assert insert_complement_domain(erz, gapped) is None
 
 
 def _filler_with_adjunct(fragment):
@@ -277,6 +329,13 @@ class TestFieldModel:
                     assert fields(root.sign.dom, clause_type) == tuple(
                         tag for _, tag in expected), root.key()
 
+    def test_interleaved_elements_fit_no_field(self):
+        """An element whose coverage straddles another's is in no field,
+        although the classes alone would read as Vorfeld and left bracket."""
+        a = DomainElement(("w0", "w2"), mask_from([0, 2]), None)
+        b = DomainElement(("w1",), mask_from([1]), FINITE)
+        assert fields(Domain((a, b), 0b111), "v2") is None
+
     def test_unknown_clause_type_rejected(self, fragment):
         tokens = "Vortragen wird er es morgen".split()
         with pytest.raises(ValueError):
@@ -307,3 +366,14 @@ def test_no_type_of_the_fragment_is_named_here(fragment):
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert strings
     assert not strings & set(fragment.hierarchy.types)
+
+
+@pytest.mark.parametrize("module", [grammar, parser])
+def test_only_orderdomain_makes_domains(module):
+    """Every domain and element is made in ``orderdomain``: the grammar
+    and the parser call neither constructor."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    called = {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called
+    assert not called & {"Domain", "DomainElement"}

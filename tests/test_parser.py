@@ -180,6 +180,20 @@ class TestChartInvariants:
             for e in edges:
                 assert e.coverage == e.sign.dom.coverage
 
+    def test_full_coverage_spells_the_input(self, fragment, trace_chart):
+        """A sign of full coverage has the input as its phonology, so the
+        root filter need not compare the two: every element holds the
+        tokens at its own positions, in position order."""
+        charts = [(tuple(tokens), parse(tokens, fragment).edges) for tokens in corpus_sentences()]
+        charts.append((tuple(S_1A.split()), trace_chart.edges))
+        checked = 0
+        for tokens, edges in charts:
+            full = orderdomain.mask_span(0, len(tokens))
+            for sign in {e.sign for e in edges if e.coverage == full}:
+                assert sign.dom.phon() == tokens
+                checked += 1
+        assert checked
+
     def test_licensing_mode_keeps_valence_determinate(self, fragment):
         for sentence in PINNED_READINGS:
             result = parse(sentence.split(), fragment)
@@ -249,6 +263,16 @@ class TestSoundness:
                         sign = replay(Derivation(edge))
                         assert fs_equal(path_get(sign.fs, P_SYNSEM), edge.sign.fs)
                         assert sign.dom == edge.sign.dom
+
+    def test_swapped_daughters_do_not_replay(self, fragment):
+        """A head-complement edge with its daughters swapped is no
+        derivation: the rebuild refuses it, and reading its sign raises."""
+        result = parse(S_2.split(), fragment)
+        edge = next(e for e in result.edges if e.schema == SCHEMA_HEAD_COMPLEMENT)
+        swapped = Derivation(dataclasses.replace(edge, daughters=edge.daughters[::-1]))
+        assert replay(swapped) is None
+        with pytest.raises(RuntimeError, match="does not replay"):
+            swapped.sign
 
     def test_linearization_reproduces_the_input(self, fragment):
         for sentence in PINNED_READINGS:
@@ -443,7 +467,7 @@ class TestTraceMode:
         tokens = tuple(S_1A.split())
         chart = closure(tokens, fragment, mode="trace", traces=False)
         assert chart
-        assert not [e for e in chart if is_reading(e, tokens, "v2")]
+        assert not [e for e in chart if is_reading(e.sign, "v2")]
 
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
