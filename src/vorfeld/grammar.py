@@ -41,22 +41,10 @@ What a schema asks of one daughter alone is stated once, in two role masks
 of :class:`SignFacts`, one bit per schema: ``heads`` holds the schemata a
 sign may be the first daughter of, ``deps`` the second.  What it asks of
 the pair's facts is stated once too, in :func:`fits`: the role masks, a
-quick check of the facts its body unifies first, and the SLASH overflow.
-The quick check (Kiefer, Krieger, Carroll & Malouf 1999) compares, each
-as an and of two masks, the facts on which failed unifications clashed:
-for head-complement the HEAD, CASE, VFORM and VCOMP types, COMPS length
-and SLASH size of the last complement against the complement's own; for
-head-adjunct MOD HEAD against HEAD; for verb-cluster and slash
-introduction the selected VCOMP's VFORM and VCOMP types, and for
-verb-cluster its LEX type too, against the other daughter's.  A type is
-its extension mask (:attr:`vorfeld.tfs.TypeHierarchy.extensions`), a
-closed list's length or a set's size ``n`` the mask ``1 << n``.  Each
-test is sound: lengths and sizes never change under unification, a glb
-only narrows a type, and each body unifies the whole selected synsem, or
-LOC for slash introduction, with the daughter before anything else.  On
-the bundled corpus no unification fails.  The parser pairs edges on
-``fits``, and every application passes it first, so no pair it rules out
-reaches a schema.
+quick check of the facts its body unifies first (what it compares, and
+why that is sound, is said there), and the SLASH overflow.  The parser
+pairs edges on ``fits``, and every application passes it first, so no
+pair it rules out reaches a schema.
 
 Every application, in the chart and in a rebuild, goes through one gate,
 :func:`_step`: ``fits``, then the schema's step, which runs the prechecks
@@ -158,13 +146,9 @@ class SignFacts:
     """Cheap category summary: the schemata's daughter-local preconditions,
     the word order class (``order``, see :mod:`vorfeld.orderdomain`), and
     the masks (``*_ext``) of the facts :func:`fits` compares between
-    daughters, so a clash is one and of two ints.
-
-    A type is stored as its extension mask, a closed list's length or a
-    set's size ``n`` as the mask ``1 << n``, and a fact that is undefined,
-    or not a type, a closed COMPS list or a SLASH set, as -1, every bit.
-    Slotted: every chart sign holds one, and an instance dict would add
-    64 bytes to each."""
+    daughters, so a clash is one and of two ints (:func:`fits` says how a
+    fact becomes a mask).  Slotted: every chart sign holds one, and an
+    instance dict would add 64 bytes to each."""
 
     order: Optional[str]
     lex: Optional[str]
@@ -345,24 +329,29 @@ def fits(first: SignFacts, second: SignFacts) -> int:
     ``first`` and ``second``, in this order.
 
     Each schema's conditions on the pair's facts, stated here only: the
-    role masks; the quick check, each test an and of two masks
-    (:class:`SignFacts`; an unknown fact has every bit, so an
-    underspecified selector passes), the most common clash first; and the
-    SLASH overflow, two one-element sets, which head-complement,
-    head-adjunct and verb-cluster would union.  Every application passes
-    this test first (:func:`_step`), and the parser runs it on a pair
-    before it tries any schema.
+    role masks; the quick check, each test an and of two masks, the most
+    common clash first; and the SLASH overflow, two one-element sets,
+    which head-complement, head-adjunct and verb-cluster would union.
+    Every application passes this test first (:func:`_step`), and the
+    parser runs it on a pair before it tries any schema.
 
-    The quick check compares what each body unifies first: head-complement
-    the last element of a closed COMPS with the complement's synsem (HEAD,
-    COMPS length, SLASH size, CASE, VCOMP, VFORM), head-adjunct MOD's HEAD
-    with the head's, verb-cluster the selected VCOMP with the other's
-    synsem (VFORM, VCOMP, LEX), and slash introduction the VCOMP's LOC
-    with the licenser's (VFORM, VCOMP: LEX lies outside LOC).  A test that
+    The quick check (Kiefer, Krieger, Carroll & Malouf 1999) compares the
+    facts on which failed unifications clashed, in what each body unifies
+    first: head-complement the last element of a closed COMPS with the
+    complement's synsem (HEAD, COMPS length, SLASH size, CASE, VCOMP,
+    VFORM), head-adjunct MOD's HEAD with the head's, verb-cluster the
+    selected VCOMP with the other's synsem (VFORM, VCOMP, LEX), and slash
+    introduction the VCOMP's LOC with the licenser's (VFORM, VCOMP: LEX
+    lies outside LOC).  Each fact is a mask of :class:`SignFacts`: a type
+    its extension mask (:attr:`vorfeld.tfs.TypeHierarchy.extensions`), a
+    closed list's length or a set's size ``n`` the mask ``1 << n``, and a
+    fact that is undefined, or not a type, a closed COMPS list or a SLASH
+    set, -1, every bit, so an underspecified selector passes.  A test that
     fails proves the body fails: a closed list's length and a set's size
     never change under unification, a glb only narrows a type, and each
     body unifies the whole selected synsem, or LOC for slash introduction,
-    with the daughter before it does anything else.
+    with the daughter before it does anything else.  On the bundled corpus
+    no unification fails.
     """
     fit = first.heads & second.deps
     if fit & _HC and not (first.comps_last_head_ext & second.head_ext
@@ -523,13 +512,14 @@ def _underspecified(schema: str, head: Sign, other: Sign,
     The head imposes no constraint on the other daughter (that is the
     defect being demonstrated), so no unification is needed; the mother is
     built from the daughters' synsems alone.  The other daughter
-    contributes nothing beyond a possible SLASH element, so the step names
-    the SLASH donor's synsem, or none, and the memo key holds the schema,
-    the head's synsem and that donor's, which keeps the exploding chart
-    affordable.  The mother records no daughters: rebuilt, it is
-    ``phrasal-sign[SYNSEM]``, without ``DTRS``.
+    contributes nothing beyond a possible SLASH element (:func:`fits`
+    rules out one on each daughter), so the step names the SLASH donor's
+    synsem, or none, and the memo key holds the schema, the head's synsem
+    and that donor's, which keeps the exploding chart affordable.  The
+    mother records no daughters: rebuilt, it is ``phrasal-sign[SYNSEM]``,
+    without ``DTRS``.
     """
-    from_other = head.facts.slash != 1 and other.facts.slash == 1
+    from_other = other.facts.slash == 1
 
     def body(ws: Workspace, _head: int, h: int, _other: int, other_synsem: int):
         slash = _try_resolve(ws, other_synsem if from_other else h, P_SLASH)

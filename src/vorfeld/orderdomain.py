@@ -1,13 +1,15 @@
 """Word order domains: an ordered level of representation beside the tree.
 
-A domain is a sequence of elements, each covering a set of input positions
-(bitmask), carrying its surface tokens and the word order class of the
-contributing sign (:data:`FINITE`, :data:`VERBAL`, :data:`COMPLEMENTIZER`
-or None), all that word order reads of a sign.  The grammar reads the class
-off the sign's types (``SignFacts.order``), so no type name of a fragment
-occurs here, and a domain is a value: equal elements mean equal order.
-Constituency and linear order are decoupled: a constituent may be
-discontinuous, i.e. its domain elements need not cover adjacent positions.
+A domain is a sequence of elements, each covering one contiguous span of
+input positions (bitmask), carrying its surface tokens, one per position,
+and the word order class of the contributing sign (:data:`FINITE`,
+:data:`VERBAL`, :data:`COMPLEMENTIZER` or None), all that word order reads
+of a sign.  The grammar reads the class off the sign's types
+(``SignFacts.order``), so no type name of a fragment occurs here, and a
+domain is a value: equal elements mean equal order.  Constituency and
+linear order are decoupled (Reape 1994): an element is a contiguous block,
+but a constituent may be discontinuous, i.e. its domain's elements need
+not cover adjacent positions.
 
 In recognition mode the input string fixes the interleaving, so domain
 union is deterministic given the coverages; the shuffle character of the
@@ -38,6 +40,7 @@ applied to complete clause candidates, is then the field model alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,13 +101,15 @@ def mask_is_contiguous(mask: int) -> bool:
 
 @dataclass(frozen=True)
 class DomainElement:
-    """One entry of a word order domain.
+    """One entry of a word order domain: one contiguous span of the input.
 
-    ``phon`` holds the input tokens at the covered positions in ascending
-    order; ``order`` is the word order class of the sign that contributed
-    the element.  ``field`` is stored only on the Vorfeld block of a
-    bound filler ("VF", set at insertion); every other element's field is
-    computed, never stored, by :func:`fields`.
+    ``coverage`` is that span, and ``phon`` holds the input tokens at its
+    positions in ascending order, one per position; an element that is not
+    one span raises ValueError when it is built.  ``order`` is the word
+    order class of the sign that contributed the element.  ``field`` is
+    stored only on the Vorfeld block of a bound filler ("VF", set at
+    insertion); every other element's field is computed, never stored, by
+    :func:`fields`.
     """
 
     phon: tuple[str, ...]
@@ -115,8 +120,8 @@ class DomainElement:
     def __post_init__(self):
         if self.coverage == 0:
             raise ValueError("domain elements must cover at least one position")
-        if len(self.phon) != bin(self.coverage).count("1"):
-            raise ValueError("phon length must match coverage size")
+        if self.coverage != mask_span(mask_min(self.coverage), len(self.phon)):
+            raise ValueError("an element covers one span, one token per position")
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,10 @@ class Domain:
     """Elements in position order, and ``coverage``, the union of theirs.
 
     The coverage is given where the domain is made; :func:`domain_union`
-    tests it to rule out overlaps.
+    tests it to rule out overlaps.  Every domain the program makes is
+    empty, a word's (:func:`lexical_domain`) or a union
+    (:func:`domain_union`), so its elements are disjoint spans in position
+    order, and its phonology is theirs concatenated.
     """
 
     elements: tuple[DomainElement, ...]
@@ -138,6 +146,9 @@ class Domain:
 
 
 EMPTY_DOMAIN = Domain((), 0)
+
+# disjoint spans order as their coverage masks do
+_COVERAGE = attrgetter("coverage")
 
 
 def lexical_domain(tokens: Sequence[str], start: int, order: Optional[str]) -> Domain:
@@ -154,8 +165,7 @@ def domain_union(d1: Domain, d2: Domain) -> Optional[Domain]:
     """
     if d1.coverage & d2.coverage:
         return None
-    # the lowest set bit of a coverage orders as its mask_min does
-    elements = sorted(d1.elements + d2.elements, key=lambda e: e.coverage & -e.coverage)
+    elements = sorted(d1.elements + d2.elements, key=_COVERAGE)
     return Domain(tuple(elements), d1.coverage | d2.coverage)
 
 
@@ -164,20 +174,20 @@ def compact(elems: Sequence[DomainElement], order: Optional[str],
     """Collapse elements covering a contiguous range into one element of ``order``.
 
     Non-contiguous coverage signals an unlicensed discontinuity and fails.
+    Each element is a span, so the block's tokens are theirs concatenated
+    in position order.
     """
     if not elems:
         return None
-    mask = 0
-    for e in elems:
+    mask, phon = 0, ()
+    for e in sorted(elems, key=_COVERAGE):
         if mask & e.coverage:
             return None
         mask |= e.coverage
+        phon += e.phon
     if not mask_is_contiguous(mask):
         return None
-    if len(elems) == 1:  # one element's tokens are in position order already
-        return DomainElement(elems[0].phon, mask, order, field)
-    pairs = sorted(pair for e in elems for pair in zip(mask_positions(e.coverage), e.phon))
-    return DomainElement(tuple(p for _, p in pairs), mask, order, field)
+    return DomainElement(phon, mask, order, field)
 
 
 def insert_complement_domain(head: "Sign", comp: "Sign") -> Optional[Domain]:
@@ -215,15 +225,6 @@ def insert_filler_domain(clause: Domain, filler: "Sign", finite_verb_pos: int) -
 # linearization checks
 
 
-def _non_interleaving(elements: Sequence[DomainElement]) -> bool:
-    prev_max = -1
-    for e in elements:
-        if mask_min(e.coverage) <= prev_max:
-            return False
-        prev_max = mask_max(e.coverage)
-    return True
-
-
 def finite_verb_position(dom: Domain) -> Optional[int]:
     """Position of the unique finite-verb element of ``dom``; None unless there is one."""
     positions = [mask_min(e.coverage) for e in dom.elements if e.order == FINITE]
@@ -251,7 +252,7 @@ def fields(dom: Domain, clause_type: str) -> Optional[tuple[str, ...]]:
     None when the elements fit no field assignment of ``clause_type``.
     """
     elements = dom.elements
-    if not elements or not _non_interleaving(elements):
+    if not elements:
         return None
     if clause_type == V2:
         if [i for i, e in enumerate(elements) if e.order == FINITE] != [1]:

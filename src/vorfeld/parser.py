@@ -380,13 +380,11 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
     if clause_type != V2:
         active &= ~_FH
     # The parse's two tables.  ``signs`` holds its one sign per structure id
-    # and domain.  A domain keys as its coverage and, per element, coverage,
-    # field and word order class: within one sentence coverage fixes
-    # phonology, so equal keys mean equal domains.  ``pairs`` maps
-    # (schema, first sign, second sign), signs by identity, to the records
-    # of the mother from ``signs``: one, or none for a pair without one, a
-    # verb cluster out of order included.  Edges built from equal pairs
-    # share one sign, so a pair of signs reaches a schema once.
+    # and domain, a frozen value.  ``pairs`` maps (schema, first sign,
+    # second sign), signs by identity, to the records of the mother from
+    # ``signs``: one, or none for a pair without one, a verb cluster out of
+    # order included.  Edges built from equal pairs share one sign, so a
+    # pair of signs reaches a schema once.
     signs: dict[tuple, Sign] = {}
     pairs: dict[tuple[str, Sign, Sign], tuple[tuple, ...]] = {}
 
@@ -406,10 +404,7 @@ def parse(tokens: Sequence[str], lexicon: Lexicon,
         if mother is None:
             hit = ()
         else:
-            dom = mother.dom
-            hit = records_of(schema, signs.setdefault(
-                (mother.fs.sid, dom.coverage,
-                 *[(el.coverage, el.field, el.order) for el in dom.elements]), mother))
+            hit = records_of(schema, signs.setdefault((mother.fs.sid, mother.dom), mother))
         pairs[key] = hit
         return hit
 

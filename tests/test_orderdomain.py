@@ -15,7 +15,6 @@ from vorfeld import grammar, orderdomain, parser
 from vorfeld.grammar import apply_head_adjunct, apply_head_complement, make_vcomp_trace
 from vorfeld.orderdomain import (
     EMPTY_DOMAIN,
-    FINITE,
     Domain,
     DomainElement,
     compact,
@@ -111,44 +110,48 @@ class TestCompact:
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def _elements_of(owners, order):
-    """One element per owner, covering the positions that owner holds."""
-    positions: dict[int, list[int]] = {}
-    for p, owner in enumerate(owners):
-        if owner is not None:
-            positions.setdefault(owner, []).append(p)
-    return {owner: DomainElement(tuple(f"w{p}" for p in ps), mask_from(ps), order)
-            for owner, ps in positions.items()}
+def _spans_of(lengths, start, order):
+    """Adjacent elements from ``start`` on, one per length, each covering
+    its own span of tokens ``w<position>``."""
+    elements = []
+    for length in lengths:
+        elements.append(DomainElement(tuple(f"w{p}" for p in range(start, start + length)),
+                                      mask_span(start, length), order))
+        start += length
+    return elements
 
 
 class TestFastPaths:
     """``domain_union`` and ``compact`` against plainer paths on random
-    elements: the union of two domains is the domain of all their elements
-    sorted by position (``make_domain``), and ``compact`` of one element,
-    its short path, gives what the same material split in two does."""
+    spans: the union of two domains is the domain of all their elements
+    sorted by position (``make_domain``), and ``compact`` of a run of
+    adjacent spans, in any order, is the one span of the same tokens."""
 
     @PROPERTY
-    @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=14),
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=6),
            st.lists(st.booleans(), min_size=6, max_size=6))
-    def test_union_of_disjoint_domains_is_make_domain(self, fragment, owners, sides):
-        elements = _elements_of(owners, sign_at(fragment, "er", ["er"], 0).facts.order)
-        d1 = make_domain([e for k, e in elements.items() if sides[k]])
-        d2 = make_domain([e for k, e in elements.items() if not sides[k]])
+    def test_union_of_disjoint_domains_is_make_domain(self, fragment, gaps_and_lengths, sides):
+        """Spans separated by random gaps, dealt to two domains."""
+        order = sign_at(fragment, "er", ["er"], 0).facts.order
+        elements, start = [], 0
+        for gap, length in gaps_and_lengths:
+            elements += _spans_of([length], start + gap, order)
+            start += gap + length
+        d1 = make_domain([e for k, e in enumerate(elements) if sides[k]])
+        d2 = make_domain([e for k, e in enumerate(elements) if not sides[k]])
         assert domain_union(d1, d2) == make_domain(d1.elements + d2.elements)
         assert domain_union(d2, d1) == make_domain(d2.elements + d1.elements)
         assert (domain_union(d1, d1) is None) == bool(d1.elements)
 
     @PROPERTY
-    @given(st.lists(st.one_of(st.none(), st.booleans()), min_size=2, max_size=14)
-           .filter(lambda owners: {True, False} <= set(owners)),
-           st.sampled_from([None, "VF"]))
-    def test_compact_of_one_element_is_the_general_path(self, fragment, owners, field):
-        """One element compacts as the same material split in two does."""
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 4),
+           st.randoms(use_true_random=False), st.sampled_from([None, "VF"]))
+    def test_compact_of_adjacent_spans_is_their_span(self, fragment, lengths, start, rnd, field):
         order = sign_at(fragment, "er", ["er"], 0).facts.order
-        halves = list(_elements_of(owners, order).values())
-        (one,) = _elements_of([None if o is None else 0 for o in owners], order).values()
-        assert len(halves) == 2
-        assert compact([one], order, field) == compact(halves, order, field)
+        run = _spans_of(lengths, start, order)
+        (whole,) = _spans_of([sum(lengths)], start, order)
+        rnd.shuffle(run)
+        assert compact(run, order, field) == dataclasses.replace(whole, field=field)
 
 
 class TestLexicalDomain:
@@ -329,13 +332,6 @@ class TestFieldModel:
                     assert fields(root.sign.dom, clause_type) == tuple(
                         tag for _, tag in expected), root.key()
 
-    def test_interleaved_elements_fit_no_field(self):
-        """An element whose coverage straddles another's is in no field,
-        although the classes alone would read as Vorfeld and left bracket."""
-        a = DomainElement(("w0", "w2"), mask_from([0, 2]), None)
-        b = DomainElement(("w1",), mask_from([1]), FINITE)
-        assert fields(Domain((a, b), 0b111), "v2") is None
-
     def test_unknown_clause_type_rejected(self, fragment):
         tokens = "Vortragen wird er es morgen".split()
         with pytest.raises(ValueError):
@@ -351,6 +347,22 @@ class TestElementInvariants:
         e = _element(fragment, "er", ["er"], 0)
         with pytest.raises(ValueError):
             DomainElement((), 0, e.order)
+
+    @pytest.mark.parametrize("phon, coverage", [
+        # one token per covered position, but a gap another element could fill
+        (("w0", "w2"), mask_from([0, 2])),
+        (("w1", "w2", "w4"), mask_from([1, 2, 4])),
+        # one span, but not one token per position
+        (("w0",), mask_span(0, 2)),
+        (("w0", "w1", "w2"), mask_span(0, 2)),
+        # as many tokens as positions from the first to the last, with a gap
+        (("w0", "w1", "w2"), mask_from([0, 2])),
+    ], ids=["straddling", "gap-after-two", "fewer-tokens", "more-tokens", "gap-inside"])
+    def test_an_element_is_one_span(self, phon, coverage):
+        """An element covers one contiguous span with one token per
+        position, so no two elements of a domain can interleave."""
+        with pytest.raises(ValueError):
+            DomainElement(phon, coverage, None)
 
     def test_make_domain_rejects_overlap(self, fragment):
         e = _element(fragment, "er", ["er"], 0)
