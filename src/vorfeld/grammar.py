@@ -82,7 +82,6 @@ from .tfs import (
     OPEN,
     SET,
     FeatureStructure,
-    PathError,
     TypeHierarchy,
     Workspace,
     path_get,
@@ -396,17 +395,10 @@ def _union_slash(ws: Workspace, roots: Sequence[int]) -> int:
     is the one nonempty set, or a new empty one.
     """
     for r in roots:
-        node = _try_resolve(ws, r, P_SLASH)
+        node = ws.node_at(r, P_SLASH)
         if node is not None and ws.elems_of(node):
             return node
     return ws.set_value([])
-
-
-def _try_resolve(ws: Workspace, root: int, path) -> Optional[int]:
-    try:
-        return ws.resolve(root, path)
-    except PathError:
-        return None
 
 
 class SchemaMemo(dict):
@@ -522,7 +514,7 @@ def _underspecified(schema: str, head: Sign, other: Sign,
     from_other = other.facts.slash == 1
 
     def body(ws: Workspace, _head: int, h: int, _other: int, other_synsem: int):
-        slash = _try_resolve(ws, other_synsem if from_other else h, P_SLASH)
+        slash = ws.node_at(other_synsem if from_other else h, P_SLASH)
         if slash is None:
             slash = ws.set_value([])
         if schema == SCHEMA_VERB_CLUSTER:
@@ -596,7 +588,7 @@ def _head_adjunct(head: Sign, adjunct: Sign) -> Optional[Step]:
     def body(ws: Workspace, h: int, h_synsem: int, a: int, a_synsem: int):
         if not ws.unify_nodes(ws.resolve(a_synsem, P_MOD), h_synsem):
             return None
-        return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX),
+        return (ws.resolve(h_synsem, P_LOC), ws.node_at(h_synsem, P_LEX),
                 _union_slash(ws, (h_synsem, a_synsem)), "head-adjunct-structure",
                 {"HEAD-DTR": h, "ADJUNCT-DTR": a})
 
@@ -659,7 +651,7 @@ def _slash_introduction(head: Sign, licenser: Sign) -> Optional[Step]:
         return None
 
     def body(ws: Workspace, h: int, h_synsem: int, li: int, li_synsem: int):
-        vcomp_loc = _try_resolve(ws, h_synsem, P_VCOMP + P_LOC)
+        vcomp_loc = ws.node_at(h_synsem, P_VCOMP + P_LOC)
         if vcomp_loc is None or not ws.unify_nodes(vcomp_loc, ws.resolve(li_synsem, P_LOC)):
             return None
         cat = ws.avm("cat", HEAD=ws.resolve(h_synsem, P_HEAD),
@@ -691,7 +683,7 @@ def _filler_head(filler: Sign, head: Sign) -> Optional[Step]:
         slash_elems = ws.elems_of(ws.resolve(h_synsem, P_SLASH))
         if not ws.unify_nodes(slash_elems[0], ws.resolve(f_synsem, P_LOC)):
             return None
-        return (ws.resolve(h_synsem, P_LOC), _try_resolve(ws, h_synsem, P_LEX), ws.set_value([]),
+        return (ws.resolve(h_synsem, P_LOC), ws.node_at(h_synsem, P_LEX), ws.set_value([]),
                 "filler-head-structure", {"HEAD-DTR": h, "FILLER-DTR": f})
 
     return head.fs, body, lambda _mother: od.insert_filler_domain(head.dom, filler, verb_pos)

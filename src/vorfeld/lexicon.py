@@ -43,7 +43,6 @@ from .tfs import (
     ConfigurationError,
     FeatureStructure,
     HierarchyError,
-    PathError,
     TypeHierarchy,
     Workspace,
     validate,
@@ -132,25 +131,21 @@ def finitivize(stem: LexEntry, hierarchy: TypeHierarchy) -> LexEntry:
         raise InapplicableError(f"{' '.join(stem.phon)!r} is not a stem entry")
     ws = Workspace(hierarchy)
     root = ws.graft(stem.fs)
-    try:
-        synsem = ws.resolve(root, P_SYNSEM)
-        head = ws.resolve(synsem, P_HEAD)
-        cat = ws.resolve(synsem, P_CAT)
-        subj = ws.resolve(synsem, P_SUBJ)
-        comps = ws.resolve(synsem, P_COMPS)
-    except PathError as exc:
-        raise InapplicableError(f"{' '.join(stem.phon)!r} is not a verb stem: {exc}") from exc
+    synsem = ws.node_at(root, P_SYNSEM)
+    paths = (P_HEAD, P_CAT, P_SUBJ, P_COMPS)
+    head, cat, subj, comps = nodes = [ws.node_at(synsem, path) for path in paths]
+    if None in nodes:
+        missing = " ".join(P_SYNSEM + paths[nodes.index(None)])
+        raise InapplicableError(f"{' '.join(stem.phon)!r} is not a verb stem: path {missing!r} undefined")
     if not hierarchy.subsumes_type("verb", ws.type_of(head)):
         raise InapplicableError(f"{' '.join(stem.phon)!r} is not a verb stem")
     ws.set_feat(cat, "COMPS", ws.append_list([subj, comps]))
     ws.set_feat(head, "SUBJ", ws.closed_list([]))
-    try:
-        vform = ws.resolve(synsem, P_VFORM)
-    except PathError:
+    vform = ws.node_at(synsem, P_VFORM)
+    if vform is None:
         ws.set_feat(head, "VFORM", ws.atom("fin"))
-    else:
-        if not ws.unify_nodes(vform, ws.atom("fin")):
-            raise InapplicableError(f"stem {' '.join(stem.phon)!r} cannot be finite")
+    elif not ws.unify_nodes(vform, ws.atom("fin")):
+        raise InapplicableError(f"stem {' '.join(stem.phon)!r} cannot be finite")
     fs = ws.extract(root)
     if fs is None:
         raise InapplicableError(f"stem {' '.join(stem.phon)!r} does not finitivize")

@@ -25,6 +25,7 @@ remainder is undecidable.
 """
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -98,30 +99,22 @@ class TypeHierarchy:
         if len(roots) != 1:
             raise HierarchyError(f"expected exactly one top type, found {roots}")
         self.top = roots[0]
-        children: dict[str, list[str]] = {t: [] for t in self._parents}
         for name, parents in self._parents.items():
             for p in parents:
                 if p not in self._parents:
                     raise HierarchyError(f"type {name!r} has unknown parent {p!r}", name)
-                children[p].append(name)
         # every type after its parents: no recursion, so no chain is too deep
-        waiting = {t: len(ps) for t, ps in self._parents.items()}
-        ready = [self.top]
-        for name in ready:
-            for child in children[name]:
-                waiting[child] -= 1
-                if not waiting[child]:
-                    ready.append(child)
-        if len(ready) < len(self._parents):
-            unplaced = min(set(self._parents) - set(ready))
-            raise HierarchyError(f"cycle in hierarchy through or above {unplaced!r}", unplaced)
-        self._parents_first = tuple(ready)
+        try:
+            self._parents_first = tuple(graphlib.TopologicalSorter(self._parents).static_order())
+        except graphlib.CycleError as exc:
+            on_cycle = min(exc.args[1])
+            raise HierarchyError(f"cycle in hierarchy through {on_cycle!r}", on_cycle) from None
         # bit i is the i-th type by name; a mask is the type's own bit and
-        # its children's masks, each built before its parents'
+        # its children's masks, each complete before it goes into its parents'
         self._extension = {t: 1 << i for i, t in enumerate(sorted(self._parents))}
-        for name in reversed(ready):
-            for child in children[name]:
-                self._extension[name] |= self._extension[child]
+        for name in reversed(self._parents_first):
+            for p in self._parents[name]:
+                self._extension[p] |= self._extension[name]
         self._by_extension = {mask: t for t, mask in self._extension.items()}
         #: every type's extension mask, read-only: ``extensions.get(t)`` is
         #: one lookup, None for a name the hierarchy does not declare
@@ -132,7 +125,7 @@ class TypeHierarchy:
                 raise HierarchyError(f"types {a!r} and {b!r} have no unique greatest lower bound")
         self._features: dict[str, dict[str, str]] = {}
         introduced: dict[str, str] = {}
-        for t in ready:
+        for t in self._parents_first:
             feats: dict[str, str] = {}
             for p in self._parents[t]:
                 for f, vt in self._features[p].items():
@@ -423,15 +416,25 @@ class Workspace:
             x = parent[x]
         return x
 
-    def resolve(self, root: int, path: Iterable[str]) -> int:
+    def node_at(self, root: Optional[int], path: Iterable[str]) -> Optional[int]:
+        """The representative reached by following ``path`` from ``root``;
+        None when ``root`` is None, a feature is undefined or the path
+        steps through a list or set, which has no features."""
+        if root is None:
+            return None
         cur = self.find(root)
         for feat in path:
-            if self._kind[cur] != AVM:
-                raise PathError(f"feature {feat!r} requested on a {self._kind[cur]} value")
-            feats = self._feats[cur]
-            if feat not in feats:
-                raise PathError(f"feature {feat!r} undefined on type {self._type[cur]!r}")
-            cur = self.find(feats[feat])
+            child = self._feats[cur].get(feat)
+            if child is None:
+                return None
+            cur = self.find(child)
+        return cur
+
+    def resolve(self, root: int, path: Iterable[str]) -> int:
+        """:meth:`node_at`, raising PathError where it gives None."""
+        cur = self.node_at(root, path)
+        if cur is None:
+            raise PathError(f"path {' '.join(path)!r} undefined at node {root}")
         return cur
 
     def type_of(self, node: int) -> str:

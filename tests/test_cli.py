@@ -60,7 +60,7 @@ ADJUNCT_PRINTED_DIGESTS = {
 
 
 # malformed forms, each appended to the bundled fragment, and the load error
-# (``{line}`` is the form's line; a hierarchy error names none)
+# (``{line}`` is the form's line; a hierarchy error names its declaration's)
 MALFORMED_FORMS = {
     "def-without-value": ("(def x)", "line {line}: def takes a name and one expression"),
     "template-defined-twice": ("(def np-nom np-acc)", "line {line}: template 'np-nom' defined twice"),
@@ -74,6 +74,16 @@ MALFORMED_FORMS = {
     "bare-parent": ("(type zz top)", "line {line}: type takes a name, a parent list and features"),
     "type-declared-twice": ("(type verb (top))", "line {line}: type 'verb' declared twice"),
     "unknown-parent": ("(type zz (nosuch))", "line {line}: type 'zz' has unknown parent 'nosuch'"),
+    "own-parent": ("(type zz (zz))", "line {line}: cycle in hierarchy through 'zz'"),
+    "comps-not-a-list": ('(word "zz" (lexical-sign (SYNSEM (synsem (LOC (local (CAT (cat (COMPS top)))))))))',
+                         "line {line}: feature 'COMPS' requires a list value"),
+    "slash-not-a-set": ('(word "zz" (lexical-sign (SYNSEM (synsem '
+                        '(NONLOC (nonlocal (INHER (inherited (SLASH (list))))))))))',
+                        "line {line}: feature 'SLASH' requires a set value"),
+    "synsem-a-list": ('(word "zz" (lexical-sign (SYNSEM (list))))',
+                      "line {line}: feature 'SYNSEM' requires a value of type 'synsem', got 'closed'"),
+    "string-as-value": ('(word "zz" "x")', "line {line}: string literal where a value was expected"),
+    "value-headed-by-a-list": ('(word "zz" ((a) b))', "line {line}: value must start with a symbol"),
 }
 
 # malformed corpus lines and their error

@@ -12,6 +12,7 @@ from vorfeld.grammar import BUILT_TYPES, P_CASE, P_SYNSEM, check_comps_closed, m
 from vorfeld.lexicon import (
     REQUIRED_TYPES,
     InapplicableError,
+    LexEntry,
     LexiconError,
     finitivize,
     fragment_text,
@@ -325,6 +326,20 @@ class TestFinitivize:
         (wird,) = fragment.find("wird")
         with pytest.raises(InapplicableError):
             finitivize(wird, fragment.hierarchy)
+
+    @pytest.mark.parametrize("synsem, missing", [
+        ("", "SYNSEM LOC CAT HEAD"),
+        ("(SYNSEM (synsem (LOC (local))))", "SYNSEM LOC CAT HEAD"),
+        ("(SYNSEM (synsem (LOC (local (CAT (cat (HEAD (verb)) (COMPS (list))))))))",
+         "SYNSEM LOC CAT HEAD SUBJ"),
+        ("(SYNSEM (synsem (LOC (local (CAT (cat (HEAD (verb (SUBJ (list))))))))))",
+         "SYNSEM LOC CAT COMPS"),
+    ], ids=["no-synsem", "no-cat", "no-subj", "no-comps"])
+    def test_a_stem_without_valence_is_no_verb_stem(self, fragment, synsem, missing):
+        fs = read_fs(f"(lexical-sign {synsem})", fragment.hierarchy, check=False)
+        stem = LexEntry(("x",), fs, stem=True, finite_form=("y",))
+        with pytest.raises(InapplicableError, match=f"^'x' is not a verb stem: path '{missing}' undefined$"):
+            finitivize(stem, fragment.hierarchy)
 
     def test_noun_stem_is_inapplicable(self):
         text = MINI_TYPES + """

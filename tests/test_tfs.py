@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -96,9 +97,11 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("cycle", [1, DEEP])
     def test_a_cycle_of_any_length_rejected(self, cycle):
+        """The error names a type on the ring, not ``a`` below it."""
         ring = [(f"c{i}", (f"c{(i + 1) % cycle}",), ()) for i in range(cycle)]
-        with pytest.raises(HierarchyError, match="cycle"):
+        with pytest.raises(HierarchyError, match="cycle in hierarchy through 'c0'$") as exc:
             TypeHierarchy([("top", (), ()), ("a", ("top", "c0"), ())] + ring)
+        assert exc.value.type in {name for name, _, _ in ring}
 
     @pytest.mark.parametrize("feats", [
         (("LF", "*list*"), ("LF", "top")),  # a list narrowed to a type
@@ -609,6 +612,71 @@ class TestPaths:
                 with pytest.raises(PathError):
                     x.resolve(path, start)
         assert x.has_path(("F", "H")) and not x.has_path(("F", "H", "F"))
+
+
+def _paths(fs):
+    """Every feature path ``fs`` defines, the empty one first."""
+    out, stack = [], [((), fs.root)]
+    while stack:
+        path, node = stack.pop()
+        out.append(path)
+        stack.extend((path + (feat,), child) for feat, child in fs.nodes[node].feats)
+    return out
+
+
+class TestWorkspacePaths:
+    @pytest.mark.parametrize("text, path", [
+        ("(a (F x))", ("G",)),
+        ("(a (F x))", ("F", "F")),
+        ("(b (H (list x)))", ("H", "F")),
+        ("(b (S (set x)))", ("S", "F")),
+    ], ids=["undefined", "below-a-value", "through-a-list", "through-a-set"])
+    def test_an_undefined_path_is_none(self, diamond, text, path):
+        ws = Workspace(diamond)
+        root = ws.graft(read_fs(text, diamond))
+        assert ws.node_at(root, path) is None
+        with pytest.raises(PathError, match=f"path '{' '.join(path)}' undefined"):
+            ws.resolve(root, path)
+
+    def test_none_in_gives_none_out(self, diamond):
+        assert Workspace(diamond).node_at(None, ()) is None
+
+    def test_unified_nodes_reach_one_representative(self, diamond):
+        ws = Workspace(diamond)
+        a = ws.graft(read_fs("(a (F x))", diamond))
+        b = ws.graft(read_fs("(c (G y))", diamond))
+        assert ws.node_at(a, ("G",)) is None
+        assert ws.unify_nodes(a, b)
+        for path in [(), ("F",), ("G",)]:
+            assert ws.node_at(a, path) == ws.node_at(b, path) == ws.resolve(a, path)
+        assert ws.node_at(a, ()) == ws.find(b)
+
+    def test_agrees_with_the_structure_on_the_fragment(self, fragment):
+        """On a grafted structure, ``node_at`` reaches the grafted copy of
+        the node ``FeatureStructure.node_at`` reaches on every defined path,
+        and both give None one undefined feature past it."""
+        structures = [entry.fs for entry in fragment.entries] + list(fragment.templates.values())
+        for fs in structures:
+            ws = Workspace(fragment.hierarchy)
+            root = ws.graft(fs)
+            for path in _paths(fs):
+                assert ws.node_at(root, path) == root + fs.node_at(path)
+                beyond = path + ("NOSUCH",)
+                assert ws.node_at(root, beyond) is None and fs.node_at(beyond) is None
+
+
+def test_no_handler_catches_path_error():
+    """A path that may be undefined is read with ``node_at``, in a structure
+    or a workspace, so a ``PathError`` is a fault: no handler in the package
+    names it or a class it derives from."""
+    caught = {cls.__name__ for cls in PathError.__mro__}
+    for source in sorted(Path(vorfeld.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler):
+                names = {"BaseException"} if node.type is None else {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
+                assert not names & caught, f"{source.name}:{node.lineno} catches {names & caught}"
 
 
 # ---------------------------------------------------------------- equality
